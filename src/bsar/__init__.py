@@ -8,8 +8,8 @@ simulator with known ground truth.
 
 __version__ = "0.1.0"
 
-from .core import ChirpModel, dft, instantaneous_frequency, synth_chirp, unwrap_phase
-from .decompose import TruncatedSVD, gibbs_rotation_check, leading_triplets, singular_spectrum
+from .core import ChirpModel, synth_chirp, unwrap_phase
+from .decompose import TruncatedSVD, gibbs_rotation_check, leading_triplets
 from .estimate import BlindEstimate, blind_estimate, build_references, detect_support, fit_quadratic_phase
 from .focus import FocusedImage, RcmModel, focus_pipeline, range_compress, rcmc, track_rcm
 from .quality import PointTargetReport, analyze_point_target, compare_images
@@ -30,18 +30,15 @@ __all__ = [
     "build_references",
     "compare_images",
     "detect_support",
-    "dft",
     "fit_quadratic_phase",
     "focus_pipeline",
     "gibbs_rotation_check",
-    "instantaneous_frequency",
     "leading_triplets",
     "oracle_estimate",
     "range_compress",
     "raw_statistics",
     "rcmc",
     "simulate_raw",
-    "singular_spectrum",
     "synth_chirp",
     "track_rcm",
     "unwrap_phase",

@@ -6,7 +6,6 @@ machine-parsable line to stderr: ``bsar: <kind>: <message>``.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -14,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, fileio
-from .decompose import leading_triplets, singular_spectrum
+from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import blind_estimate
 from .focus import FocusedImage, focus_pipeline
@@ -77,7 +76,7 @@ def _cmd_simulate(args):
     raw, truth = simulate_raw(config, scene)
     fileio.write_matrix(raw, args.out, flags=0)
     if args.truth:
-        fileio.write_truth(truth, args.truth)
+        fileio.write_json(truth, args.truth)
     return 0
 
 
@@ -85,8 +84,7 @@ def _cmd_estimate(args):
     raw, _ = fileio.read_matrix(args.input)
     if args.spectrum:
         svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
-        values, ratio = singular_spectrum(svd)
-        fileio.write_spectrum_csv(values, ratio, args.spectrum)
+        fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
     est = blind_estimate(raw, k=args.k, gate=args.gate, seed=args.seed)
     est.range_chirp = replace(est.range_chirp, taper_fraction=args.taper)
     est.azimuth_chirp = replace(est.azimuth_chirp, taper_fraction=args.taper)
@@ -137,7 +135,7 @@ def _cmd_analyze(args):
     report = analyze_point_target(img, (args.row, args.col), window=args.window)
     fileio.write_report_csv(report, args.out)
     if args.json:
-        fileio.write_report_json(report, args.json)
+        fileio.write_json(report, args.json)
     return 0
 
 
@@ -155,10 +153,7 @@ def _cmd_compare(args):
     a, _ = fileio.read_matrix(args.a)
     b, _ = fileio.read_matrix(args.b)
     window = _parse_window(args.window) if args.window else None
-    summary = compare_images(a, b, window=window)
-    with open(args.out, "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    fileio.write_json(compare_images(a, b, window=window), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Complex signal primitives: chirp synthesis, phase unwrapping, DFT helpers.
+"""Complex signal primitives: chirp synthesis, phase unwrapping, FFT lengths.
 
 Conventions used throughout the package:
 
@@ -145,26 +145,20 @@ def unwrap_phase(wrapped):
     return out
 
 
-def dft(x, inverse=False):
-    """Exact-length forward/inverse DFT (forward unnormalized, inverse 1/N)."""
-    v = as_complex_vector(x)
-    return np.fft.ifft(v) if inverse else np.fft.fft(v)
+def next_fast_len(target):
+    """Smallest 11-smooth integer (only prime factors 2, 3, 5, 7, 11) >= target.
 
-
-def instantaneous_frequency(phase_unwrapped):
-    """Discrete phase derivative in cycles/sample.
-
-    Central differences (phi[n+1]-phi[n-1])/(4*pi) at interior samples,
-    one-sided at the two ends; length is preserved.
+    FFT lengths of that form are the fast ones for numpy's pocketfft.
     """
-    phi = np.asarray(phase_unwrapped, dtype=np.float64)
-    if phi.ndim != 1 or phi.size < 3:
-        raise ParameterError("instantaneous_frequency needs at least 3 samples")
-    f = np.empty_like(phi)
-    f[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * TWO_PI)
-    f[0] = (phi[1] - phi[0]) / TWO_PI
-    f[-1] = (phi[-1] - phi[-2]) / TWO_PI
-    return f
+    n = max(int(target), 1)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
 
 def wrap_half_open(f):

@@ -70,6 +70,9 @@ def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
         raise ParameterError(f"k={k} outside [1, min(M, N)={min(M, N)}]")
     if not (tol > 0):
         raise ParameterError("tol must be positive")
+    total = float(np.sum(np.abs(X) ** 2))
+    if not np.isfinite(total):
+        raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
 
     right_side = N <= M  # iterate on the side with the smaller Gram operator
     dim = N if right_side else M
@@ -135,7 +138,6 @@ def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
         i for i in range(k - 1)
         if sigma[i + 1] > 0 and sigma[i] / sigma[i + 1] < DEGENERACY_RATIO
     )
-    total = float(np.sum(np.abs(X) ** 2))
     residual = max(total - float(np.sum(sigma**2)), 0.0)
 
     result = TruncatedSVD(
@@ -153,12 +155,6 @@ def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
             last_iterate=result,
         )
     return result
-
-
-def singular_spectrum(svd):
-    """Singular values plus the sigma1/sigma2 dominance ratio."""
-    values = np.asarray(svd.singular_values, dtype=np.float64)
-    return values, svd.dominance_ratio
 
 
 @dataclass(frozen=True)

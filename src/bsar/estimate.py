@@ -1,16 +1,15 @@
 """Blind extraction of focusing references from the first singular triplet.
 
 The first left singular vector carries the azimuth chirp modulated by the
-antenna beam pattern; the first right singular vector carries the range chirp
-(up to the SVD phase gauge and a possible conjugation).  Both are noisy, so
-clean references are re-synthesized from least-squares quadratic phase fits
-rather than used directly.
+antenna beam pattern.  Each row of X = U S V^H is dominated by sigma1 * u1[m]
+* conj(v1), so conj(v1) carries the range chirp (up to the SVD phase gauge).
+Both are noisy, so clean references are re-synthesized from least-squares
+quadratic phase fits rather than used directly.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .core import (
     ChirpModel,
@@ -169,40 +168,15 @@ def estimate_azimuth(u1, threshold=DEFAULT_THRESHOLD):
     return model, dc, envelope, peak
 
 
-def estimate_range(v1, raw=None, threshold=DEFAULT_THRESHOLD):
-    """Range chirp model from the first right singular vector.
+def estimate_range(v1, threshold=DEFAULT_THRESHOLD):
+    """Range chirp model fit to a range line as given.
 
-    The sign of the chirp rate cannot be read off v1 alone (the SVD may hand
-    back the conjugate chirp); when the raw matrix is supplied, both signs are
-    range-compressed once and the one with the higher global peak is kept.
+    blind_estimate passes conj(v1), the range line every row of the raw
+    matrix is proportional to, so the fitted rate has the transmitted sign.
     """
     v = as_complex_vector(v1)
     support, _ = _auto_support(np.abs(v), threshold)
-    model = fit_quadratic_phase(v, support)
-    if raw is not None:
-        model = _resolve_rate_sign(model, as_complex_matrix(raw))
-    return model
-
-
-def _conjugate_model(model):
-    return replace(model, rate=-model.rate, linear=-model.linear,
-                   constant=-model.constant)
-
-
-def _compression_peak(raw, model):
-    start, stop = model.support
-    positions = np.arange(start, stop, dtype=np.float64)
-    ref = sample_chirp(model, positions)
-    nfft = next_fast_len(raw.shape[1] + ref.size - 1)
-    spectra = np.fft.fft(raw, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft))
-    return float(np.max(np.abs(np.fft.ifft(spectra, axis=1))))
-
-
-def _resolve_rate_sign(model, raw):
-    flipped = _conjugate_model(model)
-    if _compression_peak(raw, flipped) > _compression_peak(raw, model):
-        return flipped
-    return model
+    return fit_quadratic_phase(v, support)
 
 
 def blind_estimate(raw, k=10, gate=DEFAULT_DOMINANCE_GATE, tol=1e-9,
@@ -211,6 +185,8 @@ def blind_estimate(raw, k=10, gate=DEFAULT_DOMINANCE_GATE, tol=1e-9,
     X = as_complex_matrix(raw)
     svd = leading_triplets(X, k=min(k, min(X.shape)), tol=tol,
                            max_iter=max_iter, seed=seed)
+    if svd.singular_values[0] == 0.0:
+        raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
     ratio = svd.dominance_ratio
     if 0 in svd.degenerate_pairs:
         raise UnsuitableSceneError(
@@ -224,7 +200,7 @@ def blind_estimate(raw, k=10, gate=DEFAULT_DOMINANCE_GATE, tol=1e-9,
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
     az_model, dc, envelope, peak = estimate_azimuth(u1, threshold)
-    range_model = estimate_range(v1, raw=X, threshold=threshold)
+    range_model = estimate_range(np.conj(v1), threshold=threshold)
     return BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=az_model,

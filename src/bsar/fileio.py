@@ -4,18 +4,22 @@ BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
 (bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved zero
 bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
 Computation stays float64 in memory; only the payload is float32.
+
+JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
+non-finite floats are the strings "nan", "inf" and "-inf".
 """
 
+import dataclasses
 import hashlib
 import json
+import os
 import struct
+import typing
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .core import ChirpModel
 from .errors import FormatError, ParameterError
 from .estimate import BlindEstimate
 from .simulate import AcquisitionConfig, GroundTruth, Scatterer
@@ -32,12 +36,9 @@ def write_matrix(matrix, path, flags=0):
     if x.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
     m, n = x.shape
-    payload = np.empty((m, n, 2), dtype="<f4")
-    payload[:, :, 0] = x.real
-    payload[:, :, 1] = x.imag
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
-        fh.write(payload.tobytes())
+        fh.write(x.astype("<c8").tobytes())  # interleaved float32 (I, Q)
 
 
 def read_matrix(path):
@@ -53,35 +54,30 @@ def read_matrix(path):
             raise FormatError(f"unsupported version {version}", offset=4)
         if m < 1 or n < 1:
             raise FormatError(f"invalid dimensions {m}x{n}", offset=8)
-        expected = m * n * 8
-        payload = fh.read(expected)
-        if len(payload) < expected:
-            raise FormatError(
-                f"truncated payload: expected {expected} bytes, got {len(payload)}",
-                offset=HEADER.size + len(payload),
-            )
-    data = np.frombuffer(payload, dtype="<f4").reshape(m, n, 2)
-    return data[:, :, 0].astype(np.float64) + 1j * data[:, :, 1].astype(np.float64), flags
+        size, end = os.fstat(fh.fileno()).st_size, HEADER.size + m * n * 8
+        if size != end:
+            problem = "truncated payload" if size < end else "trailing bytes"
+            raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
+                              offset=min(size, end))
+        payload = fh.read(end - HEADER.size)
+    return np.frombuffer(payload, dtype="<c8").reshape(m, n).astype(np.complex128), flags
 
 
 def render_magnitude(matrix, db_floor, path):
     """8-bit grayscale PGM of the magnitude in dB relative to the peak."""
     if not db_floor < 0:
         raise ParameterError("db_floor must be negative")
-    x = matrix.image if hasattr(matrix, "image") else np.asarray(matrix)
-    mag = np.abs(x)
+    mag = np.abs(matrix.image if hasattr(matrix, "image") else np.asarray(matrix))
     peak = float(np.max(mag))
-    m, n = mag.shape
     if peak == 0.0:
         warnings.warn("all-zero input: rendering a uniform black image")
-        pixels = np.zeros((m, n), dtype=np.uint8)
-    else:
-        with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(mag / peak)
-        scaled = np.clip((db - db_floor) / (0.0 - db_floor), 0.0, 1.0)
-        pixels = np.round(scaled * 255.0).astype(np.uint8)
+        peak = 1.0  # every pixel then sits at -inf dB, below the floor
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(mag / peak)
+    scaled = np.clip((db - db_floor) / (0.0 - db_floor), 0.0, 1.0)
+    pixels = np.round(scaled * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{n} {m}\n255\n".encode("ascii"))
+        fh.write(f"P5\n{mag.shape[1]} {mag.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())
 
 
@@ -93,182 +89,81 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
-# --- JSON sidecars -----------------------------------------------------------
+def _plain(value):
+    """JSON-ready copy: dataclasses become objects, tuples and arrays lists."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_plain(item) for item in value]
+    value = value.item() if isinstance(value, np.generic) else value
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
 
-def _json_error(path, exc):
-    return FormatError(f"{path}: invalid JSON document: {exc}")
+
+def _typed(kind, value):
+    """Inverse of _plain for a field annotated `kind`; missing fields keep defaults."""
+    if dataclasses.is_dataclass(kind):
+        return None if value is None else kind(**{
+            f.name: _typed(f.type, value[f.name])
+            for f in dataclasses.fields(kind) if f.name in value})
+    if typing.get_origin(kind) is list:
+        return [_typed(typing.get_args(kind)[0], item) for item in value]
+    if kind is complex:
+        return complex(*value)
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    return kind(value) if kind in (float, tuple) else value
+
+
+def write_json(obj, path):
+    """Write a dataclass or dict as strict JSON."""
+    with open(path, "w") as fh:
+        json.dump(_plain(obj), fh, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
+def _load_json(path, build):
+    """`build` applied to the JSON document at `path`; faults raise FormatError."""
+    try:
+        with open(path) as fh:
+            return build(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError includes JSONDecodeError
+        raise FormatError(f"{path}: invalid JSON document or field: {exc!r}")
 
 
 def load_scene(path):
     """Read AcquisitionConfig + scatterer list from a JSON document."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc)
-    try:
-        config = AcquisitionConfig(**doc["config"])
-        scene = [
-            Scatterer(
-                azimuth_time=item["azimuth_time"],
-                range_offset=item["range_offset"],
-                reflectivity=complex(*item.get("reflectivity", (1.0, 0.0))),
-            )
-            for item in doc.get("scene", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing or malformed field: {exc}")
-    return config, scene
-
-
-def write_truth(truth, path):
-    doc = {
-        "positions": [list(p) for p in truth.positions],
-        "range_chirp_rate": truth.range_chirp_rate,
-        "azimuth_chirp_rate": truth.azimuth_chirp_rate,
-        "doppler_centroid": truth.doppler_centroid,
-        "rcm_curve": np.asarray(truth.rcm_curve).tolist(),
-        "chirp_samples": truth.chirp_samples,
-        "bandwidth_fraction": truth.bandwidth_fraction,
-        "beam_center_row": truth.beam_center_row,
-        "beam_rows": truth.beam_rows,
-        "range_support": list(truth.range_support),
-        "azimuth_support": list(truth.azimuth_support),
-        "config": asdict(truth.config) if truth.config else None,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    return _load_json(path, lambda doc: (_typed(AcquisitionConfig, doc["config"]),
+                                         _typed(list[Scatterer], doc.get("scene", []))))
 
 
 def read_truth(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc)
-    try:
-        config = AcquisitionConfig(**doc["config"]) if doc.get("config") else None
-        return GroundTruth(
-            positions=[tuple(p) for p in doc["positions"]],
-            range_chirp_rate=doc["range_chirp_rate"],
-            azimuth_chirp_rate=doc["azimuth_chirp_rate"],
-            doppler_centroid=doc["doppler_centroid"],
-            rcm_curve=np.asarray(doc["rcm_curve"], dtype=np.float64),
-            chirp_samples=doc["chirp_samples"],
-            bandwidth_fraction=doc["bandwidth_fraction"],
-            beam_center_row=doc["beam_center_row"],
-            beam_rows=doc["beam_rows"],
-            range_support=tuple(doc["range_support"]),
-            azimuth_support=tuple(doc["azimuth_support"]),
-            config=config,
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing or malformed field: {exc}")
-
-
-def _chirp_to_dict(model):
-    return {
-        "rate": model.rate,
-        "center": model.center,
-        "support": list(model.support),
-        "taper_fraction": model.taper_fraction,
-        "linear": model.linear,
-        "constant": model.constant,
-        "fit_rms": model.fit_rms,
-    }
-
-
-def _chirp_from_dict(doc):
-    return ChirpModel(
-        rate=doc["rate"],
-        center=doc["center"],
-        support=tuple(doc["support"]),
-        taper_fraction=doc["taper_fraction"],
-        linear=doc["linear"],
-        constant=doc["constant"],
-        fit_rms=doc["fit_rms"],
-    )
+    return _load_json(path, lambda doc: _typed(GroundTruth, doc))
 
 
 def write_estimate(estimate, path, input_hash=""):
     """Serialize a BlindEstimate so focusing can be reproduced bit-exactly."""
-    doc = {
-        "tool": f"bsar {__version__}",
-        "input_sha256": input_hash,
-        "range_chirp": _chirp_to_dict(estimate.range_chirp),
-        "azimuth_chirp": _chirp_to_dict(estimate.azimuth_chirp),
-        "doppler_centroid": estimate.doppler_centroid,
-        "beam_envelope": np.asarray(estimate.beam_envelope).tolist(),
-        "beam_peak_index": estimate.beam_peak_index,
-        "dominance_ratio": estimate.dominance_ratio,
-        "fit_residuals": dict(estimate.fit_residuals),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json({"tool": f"bsar {__version__}", "input_sha256": input_hash,
+                **_plain(estimate)}, path)
 
 
 def read_estimate(path):
     """Load a BlindEstimate JSON; returns (estimate, input_sha256)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _json_error(path, exc)
-    try:
-        estimate = BlindEstimate(
-            range_chirp=_chirp_from_dict(doc["range_chirp"]),
-            azimuth_chirp=_chirp_from_dict(doc["azimuth_chirp"]),
-            doppler_centroid=doc["doppler_centroid"],
-            beam_envelope=np.asarray(doc["beam_envelope"], dtype=np.float64),
-            beam_peak_index=doc["beam_peak_index"],
-            dominance_ratio=doc["dominance_ratio"],
-            fit_residuals=doc["fit_residuals"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing or malformed field: {exc}")
-    return estimate, doc.get("input_sha256", "")
+    return _load_json(path, lambda doc: (_typed(BlindEstimate, doc), doc.get("input_sha256", "")))
+
+
+def _write_csv(path, rows):
+    with open(path, "w") as fh:
+        fh.writelines(",".join(str(value) for value in row) + "\n" for row in rows)
 
 
 def write_report_csv(report, path):
-    fields = [
-        ("peak_row", report.peak_position[0]),
-        ("peak_col", report.peak_position[1]),
-        ("peak_magnitude", report.peak_magnitude),
-        ("irw_range", report.irw_range),
-        ("irw_azimuth", report.irw_azimuth),
-        ("pslr_range", report.pslr_range),
-        ("pslr_azimuth", report.pslr_azimuth),
-        ("islr_range", report.islr_range),
-        ("islr_azimuth", report.islr_azimuth),
-        ("oversample_factor", report.oversample_factor),
-    ]
-    with open(path, "w") as fh:
-        fh.write(",".join(name for name, _ in fields) + "\n")
-        fh.write(",".join(repr(value) for _, value in fields) + "\n")
-
-
-def write_report_json(report, path):
-    doc = {
-        "peak_position": list(report.peak_position),
-        "peak_magnitude": report.peak_magnitude,
-        "irw_range": report.irw_range,
-        "irw_azimuth": report.irw_azimuth,
-        "pslr_range": report.pslr_range,
-        "pslr_azimuth": report.pslr_azimuth,
-        "islr_range": report.islr_range,
-        "islr_azimuth": report.islr_azimuth,
-        "oversample_factor": report.oversample_factor,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    doc = _plain(report)
+    row, col = doc.pop("peak_position")
+    _write_csv(path, [["peak_row", "peak_col", *doc], [row, col, *doc.values()]])
 
 
 def write_spectrum_csv(singular_values, dominance_ratio, path):
-    with open(path, "w") as fh:
-        fh.write("index,singular_value\n")
-        for i, value in enumerate(singular_values):
-            fh.write(f"{i},{value!r}\n")
-        fh.write(f"dominance_ratio,{dominance_ratio!r}\n")
+    _write_csv(path, [("index", "singular_value"), *enumerate(_plain(singular_values)),
+                      ("dominance_ratio", _plain(dominance_ratio))])

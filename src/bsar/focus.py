@@ -15,9 +15,8 @@ zero-Doppler row.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .core import as_complex_matrix, as_complex_vector, wrap_half_open
+from .core import as_complex_matrix, as_complex_vector, next_fast_len, wrap_half_open
 from .errors import BsarError, ParameterError, TrackingError
 from .estimate import _parabolic_peak, build_references, detect_support
 

@@ -13,10 +13,8 @@ Sub-sample echo delays are realized exactly by frequency-domain phase ramps.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.stats import kurtosis, skew
 
-from .core import ChirpModel, synth_chirp, wrap_half_open
+from .core import ChirpModel, next_fast_len, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
 
 SPEED_OF_LIGHT = 299792458.0
@@ -101,7 +99,7 @@ class GroundTruth:
     Scalar fields describe the first scatterer.
     """
 
-    positions: list            # (row, col) fractional samples per scatterer
+    positions: list[tuple]     # (row, col) fractional samples per scatterer
     range_chirp_rate: float
     azimuth_chirp_rate: float
     doppler_centroid: float
@@ -246,12 +244,16 @@ def raw_statistics(raw, bins=64):
         if np.all(part == 0.0):
             moments = {"mean": 0.0, "variance": 0.0, "skewness": 0.0, "excess_kurtosis": 0.0}
         else:
-            moments = {
-                "mean": float(np.mean(part)),
-                "variance": float(np.var(part)),
-                "skewness": float(skew(part)),
-                "excess_kurtosis": float(kurtosis(part)),
-            }
+            # biased central moments; a constant part has m2 == 0 and gives NaN
+            mean = np.mean(part)
+            m2, m3, m4 = (np.mean((part - mean) ** p) for p in (2, 3, 4))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moments = {
+                    "mean": float(mean),
+                    "variance": float(m2),
+                    "skewness": float(m3 / m2**1.5),
+                    "excess_kurtosis": float(m4 / m2**2 - 3.0),
+                }
         span = float(np.max(np.abs(part)))
         edges = np.linspace(-span, span, bins + 1) if span > 0 else np.linspace(-1, 1, bins + 1)
         counts, edges = np.histogram(part, bins=edges)

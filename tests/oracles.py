@@ -1,22 +1,25 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the library's own code paths: direct O(N^2)
-summation for the DFT, a cyclic Jacobi eigensolver for Hermitian matrices,
-and direct-summation correlation on a fine lag grid for sidelobe checks.
+These deliberately avoid the library's own code paths: smooth numbers built
+by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
+matrices, and direct-summation correlation on a fine lag grid for sidelobe
+checks.
 """
 
 import numpy as np
 
 
-def naive_dft(x, inverse=False):
-    """Direct O(N^2) summation DFT with the same conventions as the library."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    k = np.arange(n)
-    sign = 1j if inverse else -1j
-    kernel = np.exp(sign * 2.0 * np.pi * np.outer(k, k) / n)
-    out = kernel @ x
-    return out / n if inverse else out
+def smooth_numbers(limit, primes):
+    """Sorted array of every integer in [1, limit] with no prime factor
+    outside `primes`, built by multiplying up rather than by factoring."""
+    found = {1}
+    for p in primes:
+        for n in sorted(found):
+            n *= p
+            while n <= limit:
+                found.add(n)
+                n *= p
+    return np.array(sorted(found))
 
 
 def jacobi_eigh(H, sweeps=100, tol=1e-14):

@@ -3,15 +3,14 @@ import pytest
 
 from bsar.core import (
     ChirpModel,
-    dft,
-    instantaneous_frequency,
+    next_fast_len,
     sample_chirp,
     synth_chirp,
     unwrap_phase,
     wrap_half_open,
 )
 from bsar.errors import ParameterError
-from oracles import naive_dft
+from oracles import smooth_numbers
 
 
 # --- synth_chirp --------------------------------------------------------------
@@ -129,65 +128,31 @@ def test_unwrap_rejects_empty():
         unwrap_phase(np.array([]))
 
 
-# --- dft -----------------------------------------------------------------------
+# --- next_fast_len ---------------------------------------------------------------
 
-def test_dft_impulse():
-    np.testing.assert_allclose(dft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
-
-
-def test_dft_roundtrip_non_power_of_two():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-    back = dft(dft(x), inverse=True)
-    assert np.max(np.abs(back - x)) < 1e-12 * np.linalg.norm(x)
+def test_next_fast_len_is_smallest_11_smooth_length():
+    smooth = smooth_numbers(30000, (2, 3, 5, 7, 11))
+    targets = np.arange(1, 20000)
+    expected = smooth[np.searchsorted(smooth, targets)]
+    assert [next_fast_len(int(t)) for t in targets] == expected.tolist()
 
 
-def test_dft_matches_naive_oracle():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    np.testing.assert_allclose(dft(x), naive_dft(x), atol=1e-12)
-    np.testing.assert_allclose(dft(x, inverse=True), naive_dft(x, inverse=True),
-                               atol=1e-12)
+def test_next_fast_len_small_and_prime_targets():
+    assert [next_fast_len(t) for t in (1, 7, 11, 13, 17, 1021)] == [1, 7, 11, 14, 18, 1024]
 
 
-def test_dft_linearity():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    a, b = 1.7 - 0.3j, -2.2 + 0.9j
-    lhs = dft(a * x + b * y)
-    rhs = a * dft(x) + b * dft(y)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(lhs))
+# --- instantaneous frequency of synthesized chirps --------------------------------
+# np.gradient takes central differences inside and one-sided ones at the ends
 
-
-def test_dft_parseval():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(321) + 1j * rng.standard_normal(321)
-    energy_time = np.sum(np.abs(x) ** 2)
-    energy_freq = np.sum(np.abs(dft(x)) ** 2) / x.size
-    assert abs(energy_time - energy_freq) < 1e-12 * energy_time
-
-
-# --- instantaneous_frequency ----------------------------------------------------
-
-def test_if_linear_phase():
-    n = np.arange(50, dtype=np.float64)
-    f = instantaneous_frequency(2.0 * np.pi * 0.1 * n)
-    np.testing.assert_allclose(f, 0.1, atol=1e-12)
-
-
-def test_if_quadratic_phase():
-    n = np.arange(100, dtype=np.float64)
-    k = 1e-3
-    f = instantaneous_frequency(2.0 * np.pi * k * n**2)
-    np.testing.assert_allclose(f[1:-1], 2.0 * k * n[1:-1], atol=1e-12)
+def cycles_per_sample(phase):
+    return np.gradient(phase) / (2.0 * np.pi)
 
 
 def test_if_zero_crossing_at_chirp_vertex():
     # frequency of a synthesized chirp crosses zero within half a sample of n0
     model = ChirpModel(rate=2e-3, center=47.3, support=(0, 96))
     sig = synth_chirp(model, 96)
-    f = instantaneous_frequency(unwrap_phase(np.angle(sig)))
+    f = cycles_per_sample(unwrap_phase(np.angle(sig)))
     sign_change = np.nonzero(np.diff(np.sign(f)) != 0)[0]
     assert sign_change.size >= 1
     assert abs(float(sign_change[0]) + 0.5 - model.center) <= 0.5
@@ -196,15 +161,10 @@ def test_if_zero_crossing_at_chirp_vertex():
 def test_if_recovers_chirp_slope():
     model = ChirpModel(rate=1.5e-3, center=60.0, support=(0, 120))
     sig = synth_chirp(model, 120)
-    f = instantaneous_frequency(unwrap_phase(np.angle(sig)))
+    f = cycles_per_sample(unwrap_phase(np.angle(sig)))
     n = np.arange(120, dtype=np.float64)
     expected = 2.0 * model.rate * (n - model.center)
     assert np.max(np.abs(f[1:-1] - expected[1:-1])) < 1e-9
-
-
-def test_if_rejects_short_input():
-    with pytest.raises(ParameterError):
-        instantaneous_frequency([0.0, 1.0])
 
 
 # --- wrap_half_open -------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from bsar.decompose import gibbs_rotation_check, leading_triplets, singular_spectrum
+from bsar.decompose import gibbs_rotation_check, leading_triplets
 from bsar.errors import ParameterError
 from bsar.simulate import simulate_raw
 from oracles import jacobi_eigh, singular_values_by_jacobi
@@ -113,6 +113,14 @@ def test_parameter_validation():
         leading_triplets(X, k=2, tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(bad):
+    X = np.ones((6, 5), dtype=np.complex128)
+    X[2, 3] = bad
+    with pytest.raises(ParameterError, match="not finite"):
+        leading_triplets(X, k=2)
+
+
 def test_phase_gauge_leaves_product_invariant():
     rng = np.random.default_rng(13)
     X = random_complex(rng, (15, 10))
@@ -124,22 +132,20 @@ def test_phase_gauge_leaves_product_invariant():
                                s * np.outer(u2, v2.conj()), atol=1e-12)
 
 
-# --- singular_spectrum ----------------------------------------------------------
+# --- dominance_ratio ------------------------------------------------------------
 
 def test_dominance_ratio_value():
     rng = np.random.default_rng(14)
     X = random_complex(rng, (10, 10))
     svd = leading_triplets(X, k=3)
     patched = replace(svd, singular_values=np.array([10.0, 1.0, 1.0]))
-    values, ratio = singular_spectrum(patched)
-    np.testing.assert_allclose(values, [10.0, 1.0, 1.0])
-    assert ratio == pytest.approx(10.0)
+    assert patched.dominance_ratio == pytest.approx(10.0)
 
 
 def test_dominance_ratio_needs_two_values():
     svd = leading_triplets(np.eye(3, dtype=np.complex128), k=1)
     with pytest.raises(ParameterError):
-        singular_spectrum(svd)
+        svd.dominance_ratio
 
 
 def test_scatterer_raises_dominance_over_noise(default_sim, default_scene):

@@ -159,7 +159,7 @@ def test_range_from_exact_pulse(default_scene):
 
 def test_range_sign_resolved_by_compression(default_sim, default_estimate):
     _, truth = default_sim
-    # the resolved sign must match the transmitted (up-chirp) convention
+    # conj(v1) carries the transmitted up-chirp, so the fitted sign matches it
     assert default_estimate.range_chirp.rate == pytest.approx(
         truth.range_chirp_rate, rel=0.01
     )
@@ -199,6 +199,11 @@ def test_gate_refuses_noise_only():
 def test_gate_refuses_degenerate_first_pair():
     with pytest.raises(UnsuitableSceneError, match="degenerate"):
         blind_estimate(np.eye(16, dtype=np.complex128), k=2)
+
+
+def test_all_zero_matrix_is_unsuitable():
+    with pytest.raises(UnsuitableSceneError, match="all-zero"):
+        blind_estimate(np.zeros((32, 48), dtype=np.complex128))
 
 
 # --- build_references -----------------------------------------------------------

@@ -1,12 +1,42 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bsar import fileio
 from bsar.cli import main
+from bsar.core import ChirpModel, synth_chirp
 from bsar.errors import FormatError
 from conftest import DEFAULT_CONFIG
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(args, cwd=None):
+    """Run the interpreter on `args` with the package source on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(path):
+    """Parse as RFC 8259 JSON: bare NaN and Infinity are errors."""
+    return json.loads(Path(path).read_text(), parse_constant=reject_constant)
+
+
+def single_error_line(capsys, kind):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bsar: {kind}: "), err
 
 
 # --- BSAR binary format ----------------------------------------------------------
@@ -65,6 +95,17 @@ def test_truncated_payload_offset(tmp_path):
     assert info.value.offset == len(data) - 8
 
 
+def test_trailing_bytes_rejected(tmp_path, capsys):
+    path = tmp_path / "long.bsar"
+    fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(FormatError) as info:
+        fileio.read_matrix(path)
+    assert info.value.offset == 32 + 4 * 4 * 8
+    assert main(["render", "--in", str(path), "--out", str(tmp_path / "r.pgm")]) == 3
+    single_error_line(capsys, "format")
+
+
 # --- PGM rendering ----------------------------------------------------------------
 
 def test_render_single_pixel(tmp_path):
@@ -121,7 +162,7 @@ def test_estimate_roundtrip(tmp_path, default_estimate):
 def test_truth_roundtrip(tmp_path, default_sim):
     _, truth = default_sim
     path = tmp_path / "truth.json"
-    fileio.write_truth(truth, path)
+    fileio.write_json(truth, path)
     back = fileio.read_truth(path)
     assert back.positions == [tuple(p) for p in truth.positions]
     assert back.range_chirp_rate == truth.range_chirp_rate
@@ -137,6 +178,41 @@ def test_malformed_json_is_format_error(tmp_path):
     path.write_text('{"unexpected": 1}')
     with pytest.raises(FormatError):
         fileio.read_estimate(path)
+
+
+def test_empty_scene_truth_is_strict_json(tmp_path):
+    # no scatterer: the beam centre row is NaN
+    config = json.loads(DEFAULT_CONFIG.read_text())["config"]
+    config.update(num_pulses=64, samples_per_pulse=160, beam_azimuth_extent=0.2)
+    cfg_f = tmp_path / "empty.json"
+    cfg_f.write_text(json.dumps({"config": config, "scene": []}))
+    truth_f = tmp_path / "truth.json"
+    assert main(["simulate", "--config", str(cfg_f), "--out", str(tmp_path / "raw.bsar"),
+                 "--truth", str(truth_f)]) == 0
+    assert strict_json(truth_f)["beam_center_row"] == "nan"
+    assert math.isnan(fileio.read_truth(truth_f).beam_center_row)
+
+
+def separable_chirp_matrix():
+    """A beam-weighted azimuth chirp times a range chirp, both on a 1/256 grid
+    so every product is exact in float32: the file holds a rank-one matrix."""
+    rows = np.arange(128)
+    beam = np.sinc((rows - 64.0) / 40.0) ** 2
+    azimuth = beam * synth_chirp(ChirpModel(rate=-2e-3, center=64.0, support=(0, 128)), 128)
+    pulse = synth_chirp(ChirpModel(rate=4e-3, center=60.0, support=(30, 91)), 160)
+    grid = 256.0
+    return np.outer(np.round(azimuth * grid) / grid, np.round(pulse * grid) / grid)
+
+
+def test_infinite_dominance_ratio_is_strict_json(tmp_path):
+    raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
+    fileio.write_matrix(separable_chirp_matrix(), raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
+                 "--spectrum", str(spec_f)]) == 0
+    assert strict_json(est_f)["dominance_ratio"] == "inf"
+    est, _ = fileio.read_estimate(est_f)
+    assert est.dominance_ratio == math.inf
+    assert spec_f.read_text().strip().splitlines()[-1] == "dominance_ratio,inf"
 
 
 # --- CLI -----------------------------------------------------------------------
@@ -269,3 +345,60 @@ def test_cli_dump_stages(tmp_path):
                  "--dump-stages", str(stages)]) == 0
     names = sorted(p.name for p in stages.iterdir())
     assert names == ["azimuth_compress.bsar", "range_compress.bsar", "rcmc.bsar"]
+
+
+def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):
+    raw, truth = default_sim
+    raw_f, slc_f = tmp_path / "raw.bsar", tmp_path / "slc.bsar"
+    spec_f, report_f = tmp_path / "spectrum.csv", tmp_path / "report.csv"
+    fileio.write_matrix(raw, raw_f)
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est.json"),
+                 "--k", "3", "--spectrum", str(spec_f)]) == 0
+    row0, col0 = truth.positions[0]
+    assert main(["analyze", "--in", str(slc_f), "--row", str(row0), "--col", str(col0),
+                 "--out", str(report_f)]) == 0
+
+    header, *rows = spec_f.read_text().splitlines()
+    assert header == "index,singular_value"
+    assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "dominance_ratio"]
+    values = [float(r.split(",")[1]) for r in rows]
+    assert values[-1] == pytest.approx(values[0] / values[1])
+
+    header, line = report_f.read_text().splitlines()
+    assert header == ("peak_row,peak_col,peak_magnitude,irw_range,irw_azimuth,"
+                      "pslr_range,pslr_azimuth,islr_range,islr_azimuth,oversample_factor")
+    report = dict(zip(header.split(","), (float(v) for v in line.split(","))))
+    assert abs(report["peak_row"] - row0) <= 1.0
+    assert report["oversample_factor"] == 16
+
+
+def test_cli_nan_sample_exits_2(tmp_path, capsys):
+    raw = np.ones((16, 16), dtype=np.complex128)
+    raw[5, 7] = np.nan
+    raw_f = tmp_path / "nan.bsar"
+    fileio.write_matrix(raw, raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "e.json")]) == 2
+    single_error_line(capsys, "parameter")
+
+
+def test_cli_all_zero_matrix_exits_4(tmp_path, capsys):
+    raw_f = tmp_path / "zero.bsar"
+    fileio.write_matrix(np.zeros((32, 48), dtype=np.complex128), raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "e.json")]) == 4
+    single_error_line(capsys, "unsuitable-scene")
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = run_python(["-c", "import sys, bsar.cli; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_finds_every_wrapped_name(tmp_path):
+    # the tracer wraps bsar functions by name; a deleted name fails install
+    proc = run_python([str(REPO / "bench" / "tracing.py"), str(tmp_path / "spans.json"),
+                       "--version"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("bsar ")

@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__, fileio
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
-from .estimate import blind_estimate
+from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, DEFAULT_TAPER, blind_estimate
 from .focus import FocusedImage, focus_pipeline
 from .quality import analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
@@ -36,9 +36,12 @@ def build_parser():
     p = sub.add_parser("estimate", help="blind parameter extraction from raw data")
     p.add_argument("--in", dest="input", required=True, help="raw BSAR file")
     p.add_argument("--out", required=True, help="output estimate JSON")
-    p.add_argument("--k", type=int, default=10, help="number of singular triplets")
-    p.add_argument("--gate", type=float, default=3.0, help="sigma1/sigma2 dominance gate")
-    p.add_argument("--taper", type=float, default=0.1, help="reference taper fraction")
+    p.add_argument("--k", type=int, default=CONSUMED_TRIPLETS,
+                   help="singular values listed by --spectrum; the estimate uses the first two")
+    p.add_argument("--gate", type=float, default=DEFAULT_DOMINANCE_GATE,
+                   help="sigma1/sigma2 dominance gate")
+    p.add_argument("--taper", type=float, default=DEFAULT_TAPER,
+                   help="reference taper fraction")
     p.add_argument("--seed", type=int, default=0, help="decomposition start seed")
     p.add_argument("--spectrum", help="optional singular-value CSV")
 
@@ -82,10 +85,10 @@ def _cmd_simulate(args):
 
 def _cmd_estimate(args):
     raw, _ = fileio.read_matrix(args.input)
+    svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
     if args.spectrum:
-        svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
         fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
-    est = blind_estimate(raw, k=args.k, gate=args.gate, seed=args.seed)
+    est = blind_estimate(raw, gate=args.gate, svd=svd)
     est.range_chirp = replace(est.range_chirp, taper_fraction=args.taper)
     est.azimuth_chirp = replace(est.azimuth_chirp, taper_fraction=args.taper)
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input))
@@ -110,10 +113,8 @@ def _cmd_focus(args):
         if not os.path.exists(args.est):
             raise ParameterError(f"--est file not found: {args.est}")
         est, _ = fileio.read_estimate(args.est)
-        img = focus_pipeline(
-            raw, est, taper_fraction=args.taper, provenance="blind",
-            estimate_hash=fileio.sha256_file(args.est), on_stage=on_stage,
-        )
+        img = focus_pipeline(raw, est, taper_fraction=args.taper,
+                             provenance="blind", on_stage=on_stage)
     else:
         if not os.path.exists(args.oracle):
             raise ParameterError(f"--oracle file not found: {args.oracle}")
@@ -121,11 +122,8 @@ def _cmd_focus(args):
         if truth.config is None:
             raise ParameterError("--oracle truth file lacks the config block")
         est, rcm = oracle_estimate(truth)
-        img = focus_pipeline(
-            raw, est, taper_fraction=args.taper, rcm_override=rcm,
-            provenance="oracle", estimate_hash=fileio.sha256_file(args.oracle),
-            on_stage=on_stage,
-        )
+        img = focus_pipeline(raw, est, taper_fraction=args.taper, rcm_override=rcm,
+                             provenance="oracle", on_stage=on_stage)
     fileio.write_matrix(img.image, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 

@@ -25,6 +25,7 @@ from .errors import DegenerateFitError, ParameterError, UnsuitableSceneError
 DEFAULT_THRESHOLD = 0.1       # fraction of the envelope peak
 DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
 DEFAULT_TAPER = 0.1
+CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
 
 
 @dataclass
@@ -82,12 +83,12 @@ def detect_support(envelope, threshold_fraction):
     return start, stop
 
 
-def _auto_support(signal_mag, threshold=DEFAULT_THRESHOLD):
+def _auto_support(signal_mag):
     """Two-pass support detection: a light first smoothing sizes the window."""
-    first = detect_support(smooth_envelope(signal_mag, 5), threshold)
+    first = detect_support(smooth_envelope(signal_mag, 5), DEFAULT_THRESHOLD)
     window = max(5, (first[1] - first[0]) // 50)
     env = smooth_envelope(signal_mag, window)
-    return detect_support(env, threshold), env
+    return detect_support(env, DEFAULT_THRESHOLD), env
 
 
 def _parabolic_peak(values, index):
@@ -152,7 +153,7 @@ def fit_quadratic_phase(signal, support, taper_fraction=0.0):
     )
 
 
-def estimate_azimuth(u1, threshold=DEFAULT_THRESHOLD):
+def estimate_azimuth(u1):
     """Azimuth chirp, Doppler centroid and beam pattern from the first left
     singular vector.
 
@@ -161,30 +162,33 @@ def estimate_azimuth(u1, threshold=DEFAULT_THRESHOLD):
     peak, wrapped into (-0.5, 0.5] cycles/pulse.
     """
     u = as_complex_vector(u1)
-    support, envelope = _auto_support(np.abs(u), threshold)
+    support, envelope = _auto_support(np.abs(u))
     peak = _parabolic_peak(envelope, int(np.argmax(envelope)))
     model = fit_quadratic_phase(u, support)
     dc = float(wrap_half_open(model.instantaneous_frequency(peak)))
     return model, dc, envelope, peak
 
 
-def estimate_range(v1, threshold=DEFAULT_THRESHOLD):
+def estimate_range(v1):
     """Range chirp model fit to a range line as given.
 
     blind_estimate passes conj(v1), the range line every row of the raw
     matrix is proportional to, so the fitted rate has the transmitted sign.
     """
     v = as_complex_vector(v1)
-    support, _ = _auto_support(np.abs(v), threshold)
+    support, _ = _auto_support(np.abs(v))
     return fit_quadratic_phase(v, support)
 
 
-def blind_estimate(raw, k=10, gate=DEFAULT_DOMINANCE_GATE, tol=1e-9,
-                   max_iter=5000, seed=0, threshold=DEFAULT_THRESHOLD):
-    """Full blind parameter extraction from a raw data matrix."""
-    X = as_complex_matrix(raw)
-    svd = leading_triplets(X, k=min(k, min(X.shape)), tol=tol,
-                           max_iter=max_iter, seed=seed)
+def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
+    """Full blind parameter extraction from a raw data matrix.
+
+    `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
+    computed; without one, the leading pair is decomposed here.
+    """
+    if svd is None:
+        X = as_complex_matrix(raw)
+        svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)))
     if svd.singular_values[0] == 0.0:
         raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
     ratio = svd.dominance_ratio
@@ -199,8 +203,8 @@ def blind_estimate(raw, k=10, gate=DEFAULT_DOMINANCE_GATE, tol=1e-9,
         )
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
-    az_model, dc, envelope, peak = estimate_azimuth(u1, threshold)
-    range_model = estimate_range(np.conj(v1), threshold=threshold)
+    az_model, dc, envelope, peak = estimate_azimuth(u1)
+    range_model = estimate_range(np.conj(v1))
     return BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=az_model,

@@ -50,7 +50,6 @@ class FocusedImage:
 
     image: np.ndarray
     provenance: str            # "blind" or "oracle"
-    estimate_hash: str = ""
 
 
 def range_compress(raw, range_ref):
@@ -144,7 +143,7 @@ def rcmc(rc, rcm, azimuth_rate, doppler_centroid):
     return np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
 
 
-def azimuth_compress(rd, azimuth_ref, provenance="blind", estimate_hash=""):
+def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     """Azimuth matched filter in the frequency domain, then inverse DFT.
 
     `rd` must be in the range-Doppler domain; the reference is zero-padded to
@@ -157,11 +156,11 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind", estimate_hash=""):
         raise ParameterError("azimuth reference longer than a column")
     spectrum = np.conj(np.fft.fft(ref, m))
     image = np.fft.ifft(x * spectrum[:, None], axis=0)
-    return FocusedImage(image=image, provenance=provenance, estimate_hash=estimate_hash)
+    return FocusedImage(image=image, provenance=provenance)
 
 
 def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
-                   provenance="blind", estimate_hash="", on_stage=None):
+                   provenance="blind", on_stage=None):
     """Compose the full focusing chain from a parameter estimate.
 
     taper_fraction defaults to the estimate's range-chirp taper.  An analytic
@@ -188,6 +187,4 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
         rcm = stage("track_rcm", track_rcm, rc, estimate.beam_envelope)
     rd = stage("rcmc", rcmc, rc, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
-    img = stage("azimuth_compress", azimuth_compress, rd, azimuth_ref,
-                provenance, estimate_hash)
-    return img
+    return stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)

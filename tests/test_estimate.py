@@ -198,7 +198,7 @@ def test_gate_refuses_noise_only():
 
 def test_gate_refuses_degenerate_first_pair():
     with pytest.raises(UnsuitableSceneError, match="degenerate"):
-        blind_estimate(np.eye(16, dtype=np.complex128), k=2)
+        blind_estimate(np.eye(16, dtype=np.complex128))
 
 
 def test_all_zero_matrix_is_unsuitable():

@@ -389,6 +389,18 @@ def test_cli_all_zero_matrix_exits_4(tmp_path, capsys):
     single_error_line(capsys, "unsuitable-scene")
 
 
+@pytest.mark.parametrize("raw", [
+    np.ones((64, 96), dtype=np.complex128),
+    np.outer(np.ones(64), np.exp(2j * np.pi * 0.1 * np.arange(96))),
+], ids=["constant", "range-tone"])
+def test_cli_chirpless_matrix_exits_2(tmp_path, capsys, raw):
+    # rank one, so it passes the dominance gate, but no phase is quadratic
+    raw_f = tmp_path / "flat.bsar"
+    fileio.write_matrix(raw, raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "e.json")]) == 2
+    single_error_line(capsys, "degenerate-fit")
+
+
 def test_cli_import_leaves_scipy_out():
     proc = run_python(["-c", "import sys, bsar.cli; "
                              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
@@ -402,3 +414,16 @@ def test_benchmark_tracer_finds_every_wrapped_name(tmp_path):
                        "--version"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("bsar ")
+
+
+def test_benchmark_tracer_sees_one_decomposition(tmp_path):
+    # the spectrum CSV and the estimate share one leading_triplets call
+    fileio.write_matrix(separable_chirp_matrix(), tmp_path / "raw.bsar")
+    spans_f = tmp_path / "spans.json"
+    proc = run_python([str(REPO / "bench" / "tracing.py"), str(spans_f), "estimate",
+                       "--in", "raw.bsar", "--out", "est.json", "--spectrum", "s.csv"],
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_f.read_text())
+    calls = [s for s in spans if s["name"] == "decompose.leading_triplets"]
+    assert len(calls) == 1 and calls[0]["k"] == 2, calls

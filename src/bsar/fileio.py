@@ -38,7 +38,7 @@ def write_matrix(matrix, path, flags=0):
     m, n = x.shape
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
-        fh.write(x.astype("<c8").tobytes())  # interleaved float32 (I, Q)
+        x.astype("<c8", order="C").tofile(fh)  # interleaved float32 (I, Q), row-major
 
 
 def read_matrix(path):

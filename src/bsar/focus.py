@@ -10,6 +10,10 @@ references must have odd length with the vertex at the center.  Azimuth
 compression uses the vertex-at-index-0 wrapped reference layout produced by
 ``build_references``, which puts the focused peak at the target's
 zero-Doppler row.
+
+Each stage allocates its output once and transforms it in place, never
+writing into its input; the RCMC phase ramp is factored into two small
+exponential tables (``_shift_ramp``) instead of one exp per sample.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,8 @@ from .estimate import _parabolic_peak, build_references, detect_support
 
 MIN_TRACK_POINTS = 16
 MAD_REJECT = 3.0
+RCMC_BLOCK_ROWS = 64  # rows per in-place range FFT / ramp / inverse FFT block
+RAMP_STEP = 64        # fine-table length of the factored RCMC phase ramp
 
 
 @dataclass
@@ -66,9 +72,14 @@ def range_compress(raw, range_ref):
     if ref.size > n:
         raise ParameterError("reference longer than a data row")
     nfft = next_fast_len(n + ref.size - 1)
-    corr = np.fft.ifft(np.fft.fft(x, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft)), axis=1)
-    group_delay = (ref.size - 1) // 2
-    return np.roll(corr, group_delay, axis=1)[:, :n]
+    corr = np.fft.fft(x, nfft, axis=1)
+    corr *= np.conj(np.fft.fft(ref, nfft))
+    np.fft.ifft(corr, axis=1, out=corr)
+    g = (ref.size - 1) // 2  # group delay, rolled back as two slice copies
+    out = np.empty((x.shape[0], n), dtype=np.complex128)
+    out[:, :g] = corr[:, nfft - g:]
+    out[:, g:] = corr[:, :n - g]
+    return out
 
 
 def track_rcm(rc, beam_envelope, threshold=0.1):
@@ -138,9 +149,26 @@ def rcmc(rc, rcm, azimuth_rate, doppler_centroid):
             f"implausible migration: max shift {np.max(np.abs(delta)):.1f} > N/4"
         )
     rd = np.fft.fft(x, axis=0)
-    q = np.fft.fftfreq(n)
-    ramp = np.exp(2j * np.pi * q[None, :] * delta[:, None])
-    return np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
+    for lo in range(0, m, RCMC_BLOCK_ROWS):
+        block = rd[lo:lo + RCMC_BLOCK_ROWS]
+        np.fft.fft(block, axis=1, out=block)
+        block *= _shift_ramp(delta[lo:lo + RCMC_BLOCK_ROWS], n)
+        np.fft.ifft(block, axis=1, out=block)
+    return rd
+
+
+def _shift_ramp(delta, n):
+    """exp(2j*pi*delta[:, None]*fftfreq(n)) from coarse and fine exp tables.
+
+    Column k = a*RAMP_STEP + b is coarse[a] * fine[b]; the columns where
+    fftfreq is negative, (k - n)/n, also take the factor exp(-2j*pi*delta).
+    """
+    d = 2j * np.pi * np.asarray(delta, dtype=np.float64)[:, None]
+    coarse = np.exp(d * (np.arange(0, n, RAMP_STEP) / n))
+    fine = np.exp(d * (np.arange(RAMP_STEP) / n))
+    ramp = (coarse[:, :, None] * fine[:, None, :]).reshape(d.shape[0], -1)[:, :n]
+    ramp[:, (n + 1) // 2:] *= np.exp(-d)
+    return ramp
 
 
 def azimuth_compress(rd, azimuth_ref, provenance="blind"):
@@ -154,8 +182,8 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     m = x.shape[0]
     if ref.size > m:
         raise ParameterError("azimuth reference longer than a column")
-    spectrum = np.conj(np.fft.fft(ref, m))
-    image = np.fft.ifft(x * spectrum[:, None], axis=0)
+    image = x * np.conj(np.fft.fft(ref, m))[:, None]
+    np.fft.ifft(image, axis=0, out=image)
     return FocusedImage(image=image, provenance=provenance)
 
 
@@ -187,4 +215,5 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
         rcm = stage("track_rcm", track_rcm, rc, estimate.beam_envelope)
     rd = stage("rcmc", rcmc, rc, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
+    del rc  # so that at most two matrices are alive during azimuth compression
     return stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)

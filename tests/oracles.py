@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: smooth numbers built
 by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
-matrices, and direct-summation correlation on a fine lag grid for sidelobe
-checks.
+matrices, direct-summation correlation on a fine lag grid for sidelobe
+checks, and the one-exp-per-sample RCMC ramp and roll-the-whole-buffer range
+compression that the focusing stages replace.
 """
 
 import numpy as np
@@ -94,3 +95,18 @@ def sinc_peak_metrics(bandwidth_fraction, halfwidth=12.0, step=1.0 / 256.0):
     side = max(np.max(mag[:left]), np.max(mag[right + 1:]))
     pslr = 20.0 * np.log10(side / mag[peak])
     return pslr, irw
+
+
+def direct_shift_ramp(delta, n):
+    """Sub-sample shift ramp exp(2j*pi*fftfreq(n)*delta), one exp per sample."""
+    delta = np.asarray(delta, dtype=np.float64)
+    return np.exp(2j * np.pi * np.fft.fftfreq(n)[None, :] * delta[:, None])
+
+
+def rolled_range_compress(raw, ref, nfft):
+    """Range compression as one length-nfft circular correlation, rolled by
+    the reference group delay and trimmed to the row length."""
+    n = raw.shape[1]
+    corr = np.fft.ifft(np.fft.fft(raw, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft)),
+                       axis=1)
+    return np.roll(corr, (ref.size - 1) // 2, axis=1)[:, :n]

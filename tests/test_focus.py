@@ -1,12 +1,15 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
-from bsar.core import ChirpModel, sample_chirp
+import numpy as np
+import pytest
+
+from bsar.core import ChirpModel, next_fast_len, sample_chirp
 from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import build_references
 from bsar.focus import (
     RcmModel,
+    _shift_ramp,
     azimuth_compress,
     focus_pipeline,
     range_compress,
@@ -14,7 +17,7 @@ from bsar.focus import (
     track_rcm,
 )
 from bsar.simulate import oracle_estimate, simulate_raw
-from oracles import oversampled_autocorrelation
+from oracles import direct_shift_ramp, oversampled_autocorrelation, rolled_range_compress
 
 
 def make_reference(rate=1e-3, half=40):
@@ -83,6 +86,17 @@ def test_reference_longer_than_row_rejected():
     _, ref = make_reference(half=64)
     with pytest.raises(ParameterError):
         range_compress(np.zeros((2, 64), dtype=np.complex128), ref)
+
+
+@pytest.mark.parametrize("ref_len", [1, 2, 3, 128, 200])
+def test_range_compress_matches_rolled_correlation(ref_len):
+    # group delay 0 for lengths 1 and 2; the last reference is as long as a row
+    rng = np.random.default_rng(ref_len)
+    n = 200
+    raw = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    ref = rng.standard_normal(ref_len) + 1j * rng.standard_normal(ref_len)
+    expected = rolled_range_compress(raw, ref, next_fast_len(n + ref_len - 1))
+    np.testing.assert_array_equal(range_compress(raw, ref), expected)
 
 
 # --- track_rcm ------------------------------------------------------------------
@@ -170,6 +184,40 @@ def test_rcmc_single_frequency_shift():
     # other bins carry no energy
     others = np.delete(np.abs(out), 5, axis=0)
     assert np.max(others) < 1e-9 * np.max(np.abs(line))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023, 1024, 4097])
+def test_shift_ramp_matches_direct_exp(n):
+    delta = np.linspace(-6.0, 6.0, 37)  # shifts of a few samples either way
+    np.testing.assert_allclose(_shift_ramp(delta, n), direct_shift_ramp(delta, n),
+                               rtol=0.0, atol=1e-13)
+
+
+def random_matrix(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+MIGRATION = RcmModel(reference_range_bin=0.0, linear=0.02, quadratic=1e-4, fit_rms=0.0)
+
+
+def test_stages_leave_inputs_unchanged():
+    x = random_matrix(3, (48, 96))
+    _, ref = make_reference(half=10)
+    for stage, args in ((range_compress, (ref,)),
+                        (rcmc, (MIGRATION, -1e-3, 0.05)),
+                        (azimuth_compress, (ref,))):
+        before = x.copy()
+        stage(x, *args)
+        np.testing.assert_array_equal(x, before, err_msg=stage.__name__)
+
+
+@pytest.mark.parametrize("layout", ["column-slice", "fortran"])
+def test_rcmc_accepts_non_contiguous_input(layout):
+    wide = random_matrix(4, (48, 130))
+    x = wide[:, :96] if layout == "column-slice" else np.asfortranarray(wide[:, :96])
+    expected = rcmc(np.ascontiguousarray(x), MIGRATION, -1e-3, 0.05)
+    np.testing.assert_array_equal(rcmc(x, MIGRATION, -1e-3, 0.05), expected)
 
 
 def test_rcmc_rejects_zero_rate_and_huge_shift():
@@ -272,6 +320,24 @@ def test_stage_errors_name_the_stage(default_sim, default_estimate):
     bad = RcmModel(reference_range_bin=0.0, linear=1e6, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError, match="rcmc"):
         focus_pipeline(raw, default_estimate, rcm_override=bad)
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_focus_pipeline_peak_memory(mode, default_sim, default_estimate, default_oracle):
+    # each stage allocates one output: at most about two matrices alive at once
+    raw, _ = default_sim
+    assert raw.dtype == np.complex128
+    if mode == "blind":
+        estimate, rcm = default_estimate, None
+    else:
+        estimate, rcm = default_oracle
+    tracemalloc.start()
+    try:
+        focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * raw.nbytes, peak / raw.nbytes
 
 
 def test_stage_dumps(default_sim, default_estimate):

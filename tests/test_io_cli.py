@@ -63,6 +63,20 @@ def test_file_size_formula(tmp_path):
     assert path.stat().st_size == 32 + 512 * 1024 * 8
 
 
+@pytest.mark.parametrize("layout", ["transposed", "column-strided"])
+def test_matrix_written_row_major_whatever_the_layout(tmp_path, layout):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((9, 14)) + 1j * rng.standard_normal((9, 14))
+    view = x.T if layout == "transposed" else x[:, ::3]
+    fileio.write_matrix(view, tmp_path / "view.bsar")
+    fileio.write_matrix(np.ascontiguousarray(view), tmp_path / "copy.bsar")
+    data = (tmp_path / "view.bsar").read_bytes()
+    assert data == (tmp_path / "copy.bsar").read_bytes()
+    assert len(data) == 32 + 8 * view.size
+    back, _ = fileio.read_matrix(tmp_path / "view.bsar")
+    np.testing.assert_array_equal(back, view.astype(np.complex64))
+
+
 def test_bad_magic_offset(tmp_path):
     path = tmp_path / "bad.bsar"
     fileio.write_matrix(np.ones((2, 2), dtype=np.complex128), path)

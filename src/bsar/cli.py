@@ -51,7 +51,8 @@ def build_parser():
     p.add_argument("--oracle", help="ground-truth JSON for oracle-mode focusing")
     p.add_argument("--out", required=True, help="output focused BSAR file")
     p.add_argument("--taper", type=float, help="override reference taper fraction")
-    p.add_argument("--dump-stages", help="directory for per-stage BSAR dumps")
+    p.add_argument("--dump-stages",
+                   help="directory for BSAR dumps of the RCMC output and the image")
 
     p = sub.add_parser("analyze", help="point-target impulse-response metrics")
     p.add_argument("--in", dest="input", required=True, help="focused BSAR file")

@@ -4,7 +4,8 @@ The first left singular vector carries the azimuth chirp modulated by the
 antenna beam pattern.  Each row of X = U S V^H is dominated by sigma1 * u1[m]
 * conj(v1), so conj(v1) carries the range chirp (up to the SVD phase gauge).
 Both are noisy, so clean references are re-synthesized from least-squares
-quadratic phase fits rather than used directly.
+quadratic phase fits rather than used directly.  The Doppler centroid comes
+from the raw matrix itself, as the phase of its lag-one azimuth correlation.
 """
 
 from dataclasses import dataclass, replace
@@ -43,6 +44,8 @@ class BlindEstimate:
     def __post_init__(self):
         if not (-0.5 < self.doppler_centroid <= 0.5):
             raise ParameterError("doppler centroid outside (-0.5, 0.5] cycles/pulse")
+        if not np.isfinite(self.beam_peak_index):
+            raise ParameterError("non-finite beam peak index")
         for key, value in self.fit_residuals.items():
             if not np.isfinite(value):
                 raise ParameterError(f"non-finite fit residual for {key!r}")
@@ -154,19 +157,26 @@ def fit_quadratic_phase(signal, support, taper_fraction=0.0):
 
 
 def estimate_azimuth(u1):
-    """Azimuth chirp, Doppler centroid and beam pattern from the first left
-    singular vector.
+    """Azimuth chirp and beam pattern from the first left singular vector.
 
-    Returns (ChirpModel, doppler_centroid, beam_envelope, beam_peak_index).
-    The Doppler centroid is the fitted instantaneous frequency at the beam
-    peak, wrapped into (-0.5, 0.5] cycles/pulse.
+    Returns (ChirpModel, beam_envelope, beam_peak_index).
     """
     u = as_complex_vector(u1)
     support, envelope = _auto_support(np.abs(u))
     peak = _parabolic_peak(envelope, int(np.argmax(envelope)))
-    model = fit_quadratic_phase(u, support)
-    dc = float(wrap_half_open(model.instantaneous_frequency(peak)))
-    return model, dc, envelope, peak
+    return fit_quadratic_phase(u, support), envelope, peak
+
+
+def estimate_doppler_centroid(raw):
+    """Doppler centroid from the lag-one azimuth correlation of the raw data.
+
+    f_dc = arg(sum_mn conj(x[m, n]) * x[m + 1, n]) / 2 pi, in cycles/pulse
+    wrapped into (-0.5, 0.5] (S. N. Madsen, IEEE TAES 25(2), 1989).  The sum
+    runs over the whole matrix, so noise averages out and no beam weighting
+    biases it.
+    """
+    x = as_complex_matrix(raw)
+    return float(wrap_half_open(np.angle(np.vdot(x[:-1], x[1:])) / (2.0 * np.pi)))
 
 
 def estimate_range(v1):
@@ -186,8 +196,8 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
     computed; without one, the leading pair is decomposed here.
     """
+    X = as_complex_matrix(raw)
     if svd is None:
-        X = as_complex_matrix(raw)
         svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)))
     if svd.singular_values[0] == 0.0:
         raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
@@ -203,12 +213,12 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
         )
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
-    az_model, dc, envelope, peak = estimate_azimuth(u1)
+    az_model, envelope, peak = estimate_azimuth(u1)
     range_model = estimate_range(np.conj(v1))
     return BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=az_model,
-        doppler_centroid=dc,
+        doppler_centroid=estimate_doppler_centroid(X),
         beam_envelope=envelope,
         beam_peak_index=peak,
         dominance_ratio=ratio,
@@ -225,8 +235,7 @@ def build_references(estimate, taper_fraction=DEFAULT_TAPER):
 
     Azimuth reference: full-length vector in vertex-at-index-0 wrapped layout
     (index m holds the chirp at signed pulse offset ((m + M/2) mod M) - M/2
-    from the vertex), ready for circular matched filtering; its instantaneous
-    frequency at the beam peak equals the Doppler centroid by construction.
+    from the vertex), ready for circular matched filtering.
     """
     if not (0.0 <= taper_fraction <= 0.5):
         raise ParameterError("taper_fraction must be in [0, 0.5]")

@@ -1,32 +1,43 @@
 """Frequency-domain range-Doppler focusing with blind or oracle references.
 
-Stage order: range compression -> migration tracking -> range cell migration
-correction in the range-Doppler domain -> azimuth matched filtering.
+The image is formed in four full-matrix FFT passes (``rcmc`` then
+``azimuth_compress``):
+
+1. range FFT of every row, zero-padded to nfft, times conj(R) -- range
+   compression stays in the range-frequency domain;
+2. azimuth FFT of every column;
+3. one phase ramp per Doppler bin that applies the migration shift, anchored
+   at zero Doppler, and removes the reference group delay, then the inverse
+   range FFT, trimmed to N columns;
+4. azimuth matched filter and inverse azimuth FFT.
+
+In blind mode the migration is tracked first (``track_rcm``) on rows
+range-compressed in the time domain (``range_compress``), but only the rows
+inside the azimuth support.  Both full-matrix buffers have a padded row
+stride (``_padded_width``) so the two azimuth passes do not thrash the
+cache, and no stage writes into its input.
 
 Peak-position convention (fixed and relied on by the ground truth): after
 range compression a point echo's peak lands at the echo's phase-vertex
 (chirp-center) column; the reference's group delay is its center index, so
-references must have odd length with the vertex at the center.  Azimuth
+references must have odd length with the vertex at the center.  RCMC moves
+each target to its range at closest approach (zero Doppler), and azimuth
 compression uses the vertex-at-index-0 wrapped reference layout produced by
 ``build_references``, which puts the focused peak at the target's
 zero-Doppler row.
-
-Each stage allocates its output once and transforms it in place, never
-writing into its input; the RCMC phase ramp is factored into two small
-exponential tables (``_shift_ramp``) instead of one exp per sample.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import as_complex_matrix, as_complex_vector, next_fast_len, wrap_half_open
 from .errors import BsarError, ParameterError, TrackingError
-from .estimate import _parabolic_peak, build_references, detect_support
+from .estimate import DEFAULT_THRESHOLD, _parabolic_peak, build_references, detect_support
 
 MIN_TRACK_POINTS = 16
 MAD_REJECT = 3.0
-RCMC_BLOCK_ROWS = 64  # rows per in-place range FFT / ramp / inverse FFT block
+RCMC_BLOCK_ROWS = 64  # rows per in-place ramp / inverse range FFT block
 RAMP_STEP = 64        # fine-table length of the factored RCMC phase ramp
 
 
@@ -35,8 +46,10 @@ class RcmModel:
     """Quadratic range-migration trajectory around the beam center.
 
     delta(d_eta) = linear * d_eta + quadratic * d_eta**2   [range samples],
-    with d_eta the pulse offset from the beam peak; delta(0) = 0 by
+    with d_eta the pulse offset from the beam center; delta(0) = 0 by
     construction and reference_range_bin is the absolute peak bin there.
+    rcmc takes the beam center to be the row whose Doppler frequency is the
+    centroid; track_rcm fits around the envelope peak (see ``recentred``).
     """
 
     reference_range_bin: float
@@ -48,6 +61,12 @@ class RcmModel:
     def delta(self, pulse_offset):
         d = np.asarray(pulse_offset, dtype=np.float64)
         return self.linear * d + self.quadratic * d * d
+
+    def recentred(self, pulse_offset):
+        """The same trajectory with its origin moved `pulse_offset` pulses on."""
+        return replace(self,
+                       reference_range_bin=self.reference_range_bin + float(self.delta(pulse_offset)),
+                       linear=self.linear + 2.0 * self.quadratic * pulse_offset)
 
 
 @dataclass
@@ -82,7 +101,7 @@ def range_compress(raw, range_ref):
     return out
 
 
-def track_rcm(rc, beam_envelope, threshold=0.1):
+def track_rcm(rc, beam_envelope, threshold=DEFAULT_THRESHOLD):
     """Fit the dominant scatterer's migration trajectory from compressed rows.
 
     Within the azimuth support, the per-pulse range peak is located with
@@ -127,34 +146,59 @@ def track_rcm(rc, beam_envelope, threshold=0.1):
     )
 
 
-def rcmc(rc, rcm, azimuth_rate, doppler_centroid):
-    """Range cell migration correction in the range-Doppler domain.
+def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
+    """Range compression and range cell migration correction in three FFT passes.
 
-    Each range line is azimuth-DFTed; every azimuth-frequency bin f (unwrapped
-    around the Doppler centroid) maps to the pulse offset at which a target
-    crosses that frequency, d_eta = (f - dc) / (2 * azimuth_rate), and the
-    line is shifted by -delta(d_eta) range samples via an exact sub-sample
-    phase ramp.  The output stays in the range-Doppler domain.
+    The rows are range-compressed in the frequency domain (zero-padded to
+    nfft, times conj(R)) and azimuth-DFTed; every azimuth-frequency bin f
+    (unwrapped around the Doppler centroid) maps to the pulse offset at which
+    a target crosses that frequency, d_eta = (f - dc) / (2 * azimuth_rate).
+    One sub-sample phase ramp then shifts the bin by
+    -(delta(d_eta) - delta(eta0)) range samples, with eta0 = -dc /
+    (2 * azimuth_rate) the zero-Doppler offset, and removes the reference
+    group delay before the inverse range DFT.  Targets thus land at their
+    closest-approach range.  Returns the M x N range-Doppler matrix, a view
+    of a padded buffer.
     """
-    x = as_complex_matrix(rc)
+    x = as_complex_matrix(raw)
+    ref = as_complex_vector(range_ref)
+    m, n = x.shape
+    if ref.size > n:
+        raise ParameterError("reference longer than a data row")
     if azimuth_rate == 0.0:
         raise ParameterError("azimuth rate must be nonzero")
-    m, n = x.shape
     freqs = np.fft.fftfreq(m)
     unwrapped = doppler_centroid + wrap_half_open(freqs - doppler_centroid)
     offsets = (unwrapped - doppler_centroid) / (2.0 * azimuth_rate)
-    delta = rcm.delta(offsets)
+    zero_doppler = -doppler_centroid / (2.0 * azimuth_rate)
+    delta = rcm.delta(offsets) - rcm.delta(zero_doppler)
     if np.max(np.abs(delta)) > n / 4:
         raise ParameterError(
             f"implausible migration: max shift {np.max(np.abs(delta)):.1f} > N/4"
         )
-    rd = np.fft.fft(x, axis=0)
+    nfft = next_fast_len(n + ref.size - 1)
+    rd = np.empty((m, _padded_width(nfft)), dtype=np.complex128)[:, :nfft]
+    np.fft.fft(x, nfft, axis=1, out=rd)
+    rd *= np.conj(np.fft.fft(ref, nfft))
+    np.fft.fft(rd, axis=0, out=rd)
+    shift = delta - (ref.size - 1) // 2  # the group delay is a constant shift
     for lo in range(0, m, RCMC_BLOCK_ROWS):
         block = rd[lo:lo + RCMC_BLOCK_ROWS]
-        np.fft.fft(block, axis=1, out=block)
-        block *= _shift_ramp(delta[lo:lo + RCMC_BLOCK_ROWS], n)
+        block *= _shift_ramp(shift[lo:lo + RCMC_BLOCK_ROWS], nfft)
         np.fft.ifft(block, axis=1, out=block)
-    return rd
+    return rd[:, :n]
+
+
+def _padded_width(n):
+    """Smallest width >= n whose complex128 row is an odd number of 64-byte
+    cache lines (width = 4 mod 8).
+
+    Axis-0 FFTs step through memory one row at a time; at a power-of-two row
+    stride every element of a column maps to the same few cache sets and
+    evicts the others, while an odd number of lines spreads them over all
+    sets.
+    """
+    return n + (4 - n) % 8
 
 
 def _shift_ramp(delta, n):
@@ -175,14 +219,16 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     """Azimuth matched filter in the frequency domain, then inverse DFT.
 
     `rd` must be in the range-Doppler domain; the reference is zero-padded to
-    the column length and conjugated in the frequency domain.
+    the column length and conjugated in the frequency domain.  The image is
+    an M x N view of a padded buffer, and `rd` is left unchanged.
     """
     x = as_complex_matrix(rd)
     ref = as_complex_vector(azimuth_ref)
-    m = x.shape[0]
+    m, n = x.shape
     if ref.size > m:
         raise ParameterError("azimuth reference longer than a column")
-    image = x * np.conj(np.fft.fft(ref, m))[:, None]
+    image = np.empty((m, _padded_width(n)), dtype=np.complex128)[:, :n]
+    np.multiply(x, np.conj(np.fft.fft(ref, m))[:, None], out=image)
     np.fft.ifft(image, axis=0, out=image)
     return FocusedImage(image=image, provenance=provenance)
 
@@ -193,14 +239,14 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
 
     taper_fraction defaults to the estimate's range-chirp taper.  An analytic
     RcmModel may be supplied to bypass peak tracking (oracle mode).  on_stage,
-    when given, is called with (stage_name, matrix) after every stage.
+    when given, is called with (stage_name, result) after every stage.
     """
     x = as_complex_matrix(raw)
     taper = estimate.range_chirp.taper_fraction if taper_fraction is None else taper_fraction
 
-    def stage(name, fn, *args, **kwargs):
+    def stage(name, fn, *args):
         try:
-            result = fn(*args, **kwargs)
+            result = fn(*args)
         except BsarError as exc:
             exc.args = (f"stage {name!r}: {exc}",) + exc.args[1:]
             raise
@@ -208,12 +254,25 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
             on_stage(name, result)
         return result
 
+    def track():
+        # peaks are tracked only inside the azimuth support, so only those
+        # rows are range-compressed in the time domain
+        envelope = estimate.beam_envelope
+        start, stop = detect_support(envelope, DEFAULT_THRESHOLD)
+        rcm = track_rcm(range_compress(x[start:stop], range_ref), envelope[start:stop])
+        # the curve is fit around the envelope peak; rcmc counts pulses from
+        # the row where the azimuth chirp crosses the Doppler centroid
+        chirp = estimate.azimuth_chirp
+        if chirp.rate == 0.0:
+            raise ParameterError("azimuth rate must be nonzero")
+        crossing = wrap_half_open(estimate.doppler_centroid
+                                  - chirp.instantaneous_frequency(estimate.beam_peak_index))
+        return rcm.recentred(float(crossing) / (2.0 * chirp.rate))
+
     range_ref, azimuth_ref = build_references(estimate, taper_fraction=taper)
-    rc = stage("range_compress", range_compress, x, range_ref)
     rcm = rcm_override
     if rcm is None:
-        rcm = stage("track_rcm", track_rcm, rc, estimate.beam_envelope)
-    rd = stage("rcmc", rcmc, rc, rcm, estimate.azimuth_chirp.rate,
+        rcm = stage("track_rcm", track)
+    rd = stage("rcmc", rcmc, x, range_ref, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
-    del rc  # so that at most two matrices are alive during azimuth compression
     return stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)

@@ -57,6 +57,12 @@ def default_oracle(default_sim):
 
 
 @pytest.fixture(scope="session")
+def squint_oracle(squint_sim):
+    _, truth = squint_sim
+    return oracle_estimate(truth)
+
+
+@pytest.fixture(scope="session")
 def blind_image(default_sim, default_estimate):
     """Blind-focused default scene with untapered references."""
     raw, _ = default_sim

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: smooth numbers built
 by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
 matrices, direct-summation correlation on a fine lag grid for sidelobe
-checks, and the one-exp-per-sample RCMC ramp and roll-the-whole-buffer range
-compression that the focusing stages replace.
+checks, and the one-exp-per-sample RCMC ramp, roll-the-whole-buffer range
+compression and six-pass focusing chain that the focusing stages replace.
 """
 
 import numpy as np
@@ -110,3 +110,22 @@ def rolled_range_compress(raw, ref, nfft):
     corr = np.fft.ifft(np.fft.fft(raw, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft)),
                        axis=1)
     return np.roll(corr, (ref.size - 1) // 2, axis=1)[:, :n]
+
+
+def six_pass_focus(raw, range_ref, azimuth_ref, rcm, azimuth_rate, doppler_centroid, nfft):
+    """Range-Doppler focusing in six full-matrix FFT passes: rolled range
+    compression, then an azimuth FFT, a range FFT, the one-exp-per-sample
+    shift ramp anchored at zero Doppler and an inverse range FFT at the row
+    length, then the azimuth matched filter and an inverse azimuth FFT."""
+    m, n = raw.shape
+    rd = np.fft.fft(rolled_range_compress(raw, range_ref, nfft), axis=0)
+    f = np.fft.fftfreq(m) - doppler_centroid
+    offsets = (f - np.ceil(f - 0.5)) / (2.0 * azimuth_rate)  # wrapped around the centroid
+    zero_doppler = -doppler_centroid / (2.0 * azimuth_rate)
+
+    def migration(offset):
+        return rcm.linear * offset + rcm.quadratic * offset * offset
+
+    ramp = direct_shift_ramp(migration(offsets) - migration(zero_doppler), n)
+    rd = np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
+    return np.fft.ifft(rd * np.conj(np.fft.fft(azimuth_ref, m))[:, None], axis=0)

@@ -75,7 +75,7 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
     range_ref, _ = build_references(est, taper_fraction=0.0)
     rc = range_compress(raw, range_ref)
     rcm = track_rcm(rc, est.beam_envelope)
-    rd = rcmc(rc, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
+    rd = rcmc(raw, range_ref, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
     # measure over the tracked support (rows the 10% threshold accepts); the

@@ -13,10 +13,11 @@ from bsar.estimate import (
     build_references,
     detect_support,
     estimate_azimuth,
+    estimate_doppler_centroid,
     estimate_range,
     fit_quadratic_phase,
 )
-from bsar.simulate import simulate_raw
+from bsar.simulate import simulate_raw, with_seed
 
 
 # --- detect_support -------------------------------------------------------------
@@ -136,14 +137,34 @@ def test_azimuth_gauge_invariance(default_sim):
     raw, _ = default_sim
     svd = leading_triplets(raw, k=2)
     u1 = svd.left_vectors[:, 0]
-    base_model, base_dc, _, base_peak = estimate_azimuth(u1)
+    base_model, _, base_peak = estimate_azimuth(u1)
     rng = np.random.default_rng(1)
     for theta in rng.uniform(0, 2 * np.pi, 3):
-        model, dc, _, peak = estimate_azimuth(u1 * np.exp(1j * theta))
+        model, _, peak = estimate_azimuth(u1 * np.exp(1j * theta))
         assert model.rate == pytest.approx(base_model.rate, abs=1e-15)
         assert model.center == pytest.approx(base_model.center, abs=1e-9)
-        assert dc == pytest.approx(base_dc, abs=1e-12)
         assert peak == pytest.approx(base_peak, abs=1e-9)
+
+
+# --- estimate_doppler_centroid --------------------------------------------------
+
+@pytest.mark.parametrize("f", [0.0, 0.1234, -0.3, 0.45, 0.5])
+def test_centroid_of_a_pure_doppler_tone(f):
+    rng = np.random.default_rng(7)
+    profile = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    x = np.exp(2j * np.pi * f * np.arange(64))[:, None] * profile[None, :]
+    assert estimate_doppler_centroid(x) == pytest.approx(f, abs=1e-12)
+
+
+@pytest.mark.parametrize("which", ["default", "squint"])
+def test_blind_centroid_within_a1_bound_on_40_noise_seeds(request, which):
+    config, scene = request.getfixturevalue(f"{which}_scene")
+    errors = []
+    for seed in range(3000, 3040):
+        raw, truth = simulate_raw(with_seed(config, seed), scene)
+        dc = blind_estimate(raw).doppler_centroid
+        errors.append(abs(wrap_half_open(dc - truth.doppler_centroid)))
+    assert max(errors) < 0.01, max(errors)
 
 
 # --- estimate_range -------------------------------------------------------------
@@ -230,13 +251,12 @@ def test_range_reference_matches_transmitted_pulse(default_estimate, default_sce
 
 
 def test_azimuth_reference_frequency_at_beam_peak(default_estimate):
+    # the synthesized reference carries the fitted chirp's frequency at the
+    # wrapped index corresponding to the beam peak offset
     est = default_estimate
     model_f = wrap_half_open(
         est.azimuth_chirp.instantaneous_frequency(est.beam_peak_index)
     )
-    assert model_f == pytest.approx(est.doppler_centroid, abs=1e-6)
-    # and the synthesized reference itself carries that frequency at the
-    # wrapped index corresponding to the beam peak offset
     _, azimuth_ref = build_references(est, taper_fraction=0.0)
     m_total = azimuth_ref.size
     offset = int(round(est.beam_peak_index - est.azimuth_chirp.center))
@@ -245,7 +265,7 @@ def test_azimuth_reference_frequency_at_beam_peak(default_estimate):
     assert np.all(np.abs(seg) > 0)
     phase = unwrap_phase(np.angle(seg)) / (2.0 * np.pi)
     measured = wrap_half_open((phase[3] - phase[1]) / 2.0)
-    assert measured == pytest.approx(est.doppler_centroid, abs=1e-3)
+    assert measured == pytest.approx(model_f, abs=1e-3)
 
 
 def test_references_taper_validation(default_estimate):
@@ -266,3 +286,9 @@ def test_estimate_validates_doppler_range(default_estimate):
             dominance_ratio=default_estimate.dominance_ratio,
             fit_residuals={"range": 0.0, "azimuth": 0.0},
         )
+
+
+def test_estimate_rejects_non_finite_beam_peak(default_estimate):
+    # focusing counts migration offsets from the beam peak
+    with pytest.raises(ParameterError, match="beam peak"):
+        replace(default_estimate, beam_peak_index=float("nan"))

@@ -9,6 +9,7 @@ from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import build_references
 from bsar.focus import (
     RcmModel,
+    _padded_width,
     _shift_ramp,
     azimuth_compress,
     focus_pipeline,
@@ -16,8 +17,14 @@ from bsar.focus import (
     rcmc,
     track_rcm,
 )
+from bsar.quality import analyze_point_target
 from bsar.simulate import oracle_estimate, simulate_raw
-from oracles import direct_shift_ramp, oversampled_autocorrelation, rolled_range_compress
+from oracles import (
+    direct_shift_ramp,
+    oversampled_autocorrelation,
+    rolled_range_compress,
+    six_pass_focus,
+)
 
 
 def make_reference(rate=1e-3, half=40):
@@ -84,8 +91,11 @@ def test_shift_invariance_two_echoes():
 
 def test_reference_longer_than_row_rejected():
     _, ref = make_reference(half=64)
-    with pytest.raises(ParameterError):
-        range_compress(np.zeros((2, 64), dtype=np.complex128), ref)
+    x = np.zeros((2, 64), dtype=np.complex128)
+    with pytest.raises(ParameterError, match="longer"):
+        range_compress(x, ref)
+    with pytest.raises(ParameterError, match="longer"):
+        rcmc(x, ref, MIGRATION, -1e-3, 0.0)
 
 
 @pytest.mark.parametrize("ref_len", [1, 2, 3, 128, 200])
@@ -101,10 +111,16 @@ def test_range_compress_matches_rolled_correlation(ref_len):
 
 # --- track_rcm ------------------------------------------------------------------
 
-def oracle_range_compressed(config, scene):
+def noiseless_oracle(config, scene):
+    """(raw, untapered range reference, truth, oracle estimate)."""
     raw, truth = simulate_raw(replace(config, noise_sigma=0.0), scene)
     estimate, _ = oracle_estimate(truth)
     range_ref, _ = build_references(estimate, taper_fraction=0.0)
+    return raw, range_ref, truth, estimate
+
+
+def oracle_range_compressed(config, scene):
+    raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
     return range_compress(raw, range_ref), truth, estimate
 
 
@@ -158,11 +174,14 @@ def test_tracking_needs_enough_pulses():
 
 # --- rcmc -----------------------------------------------------------------------
 
+IMPULSE = np.ones(1, dtype=np.complex128)  # a range reference that compresses nothing
+
+
 def test_rcmc_zero_model_is_pure_dft():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 48)) + 1j * rng.standard_normal((32, 48))
     rcm = RcmModel(reference_range_bin=0.0, linear=0.0, quadratic=0.0, fit_rms=0.0)
-    out = rcmc(x, rcm, azimuth_rate=-1e-3, doppler_centroid=0.0)
+    out = rcmc(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.0)
     np.testing.assert_allclose(out, np.fft.fft(x, axis=0), atol=1e-10)
 
 
@@ -178,7 +197,7 @@ def test_rcmc_single_frequency_shift():
     offset = f0 / (2.0 * rate)
     rcm = RcmModel(reference_range_bin=0.0, linear=3.0 / offset, quadratic=0.0,
                    fit_rms=0.0)
-    out = rcmc(x, rcm, azimuth_rate=rate, doppler_centroid=0.0)
+    out = rcmc(x, IMPULSE, rcm, azimuth_rate=rate, doppler_centroid=0.0)
     line = out[5]  # bin of f0 after the azimuth DFT
     np.testing.assert_allclose(line / m, np.roll(profile, -3), atol=1e-9)
     # other bins carry no energy
@@ -186,11 +205,39 @@ def test_rcmc_single_frequency_shift():
     assert np.max(others) < 1e-9 * np.max(np.abs(line))
 
 
+def test_rcmc_leaves_zero_doppler_in_place():
+    # the anchor: the zero-Doppler bin is not shifted, whatever the centroid
+    m, n = 64, 128
+    rng = np.random.default_rng(5)
+    profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x = np.repeat(profile[None, :], m, axis=0)  # all energy at zero Doppler
+    rcm = RcmModel(reference_range_bin=0.0, linear=0.02, quadratic=1e-4, fit_rms=0.0)
+    out = rcmc(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.1)
+    np.testing.assert_allclose(out[0] / m, profile, atol=1e-9)
+
+
+def test_recentred_curve_is_the_same_trajectory():
+    offsets = np.linspace(-200.0, 200.0, 41)
+    moved = MIGRATION.recentred(3.5)
+    np.testing.assert_allclose(moved.delta(offsets),
+                               MIGRATION.delta(offsets + 3.5) - MIGRATION.delta(3.5),
+                               rtol=0.0, atol=1e-12)
+    assert moved.reference_range_bin == pytest.approx(float(MIGRATION.delta(3.5)))
+    assert moved.quadratic == MIGRATION.quadratic
+
+
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023, 1024, 4097])
 def test_shift_ramp_matches_direct_exp(n):
     delta = np.linspace(-6.0, 6.0, 37)  # shifts of a few samples either way
     np.testing.assert_allclose(_shift_ramp(delta, n), direct_shift_ramp(delta, n),
                                rtol=0.0, atol=1e-13)
+
+
+def test_padded_width_is_an_odd_number_of_cache_lines():
+    for n in range(1, 301):
+        width = _padded_width(n)
+        assert n <= width < n + 8
+        assert (width * 16) % 128 == 64  # complex128 row = odd count of 64-byte lines
 
 
 def random_matrix(seed, shape):
@@ -205,7 +252,7 @@ def test_stages_leave_inputs_unchanged():
     x = random_matrix(3, (48, 96))
     _, ref = make_reference(half=10)
     for stage, args in ((range_compress, (ref,)),
-                        (rcmc, (MIGRATION, -1e-3, 0.05)),
+                        (rcmc, (ref, MIGRATION, -1e-3, 0.05)),
                         (azimuth_compress, (ref,))):
         before = x.copy()
         stage(x, *args)
@@ -216,26 +263,28 @@ def test_stages_leave_inputs_unchanged():
 def test_rcmc_accepts_non_contiguous_input(layout):
     wide = random_matrix(4, (48, 130))
     x = wide[:, :96] if layout == "column-slice" else np.asfortranarray(wide[:, :96])
-    expected = rcmc(np.ascontiguousarray(x), MIGRATION, -1e-3, 0.05)
-    np.testing.assert_array_equal(rcmc(x, MIGRATION, -1e-3, 0.05), expected)
+    _, ref = make_reference(half=10)
+    expected = rcmc(np.ascontiguousarray(x), ref, MIGRATION, -1e-3, 0.05)
+    np.testing.assert_array_equal(rcmc(x, ref, MIGRATION, -1e-3, 0.05), expected)
 
 
 def test_rcmc_rejects_zero_rate_and_huge_shift():
     x = np.ones((16, 32), dtype=np.complex128)
     rcm = RcmModel(reference_range_bin=0.0, linear=0.0, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError):
-        rcmc(x, rcm, azimuth_rate=0.0, doppler_centroid=0.0)
+        rcmc(x, IMPULSE, rcm, azimuth_rate=0.0, doppler_centroid=0.0)
     big = RcmModel(reference_range_bin=0.0, linear=1.0, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError, match="implausible"):
-        rcmc(x, big, azimuth_rate=1e-6, doppler_centroid=0.0)
+        rcmc(x, IMPULSE, big, azimuth_rate=1e-6, doppler_centroid=0.0)
 
 
 def test_rcmc_effectiveness(default_scene):
     # peak spread across pulses: > 2 samples before, < 1 sample after
     config, scene = default_scene
-    rc, truth, estimate = oracle_range_compressed(config, scene)
+    raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
+    rc = range_compress(raw, range_ref)
     rcm = track_rcm(rc, estimate.beam_envelope)
-    rd = rcmc(rc, rcm, truth.azimuth_chirp_rate, truth.doppler_centroid)
+    rd = rcmc(raw, range_ref, rcm, truth.azimuth_chirp_rate, truth.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
     lo, hi = truth.azimuth_support
@@ -315,11 +364,64 @@ def test_argmax_stable_under_scaling(default_sim, default_estimate):
     assert pa == pb
 
 
+def focus_inputs(request, scene, mode):
+    """(raw, truth, estimate, rcm_override) for a desk scene and focusing mode."""
+    raw, truth = request.getfixturevalue(f"{scene}_sim")
+    if mode == "blind":
+        return raw, truth, request.getfixturevalue(f"{scene}_estimate"), None
+    return (raw, truth) + tuple(request.getfixturevalue(f"{scene}_oracle"))
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_pipeline_matches_six_pass_reference(request, scene, mode):
+    # four fused passes against range compression, RCMC and azimuth
+    # compression done one after the other, with tracking on the whole matrix
+    raw, truth, estimate, rcm = focus_inputs(request, scene, mode)
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
+    range_ref, azimuth_ref = build_references(estimate, estimate.range_chirp.taper_fraction)
+    nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
+    if rcm is None:
+        rcm = track_rcm(rolled_range_compress(raw, range_ref, nfft), estimate.beam_envelope)
+        # move the curve's origin from the envelope peak to the row where the
+        # azimuth chirp's frequency equals the Doppler centroid
+        chirp = estimate.azimuth_chirp
+        f = estimate.doppler_centroid - chirp.instantaneous_frequency(estimate.beam_peak_index)
+        offset = (f - np.ceil(f - 0.5)) / (2.0 * chirp.rate)
+        rcm = replace(rcm, linear=rcm.linear + 2.0 * rcm.quadratic * offset)
+    expected = six_pass_focus(raw, range_ref, azimuth_ref, rcm, estimate.azimuth_chirp.rate,
+                              estimate.doppler_centroid, nfft)
+    r, c = (int(round(v)) for v in truth.positions[0])
+    window = (slice(r - 32, r + 32), slice(c - 32, c + 32))
+    peak = np.max(np.abs(expected))
+    assert np.max(np.abs(image[window] - expected[window])) <= 1e-5 * peak
+    assert (analyze_point_target(image, truth.positions[0]).peak_position
+            == analyze_point_target(expected, truth.positions[0]).peak_position)
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_squint_peak_at_closest_approach(request, mode):
+    # RCMC anchored at zero Doppler puts the target at its closest-approach
+    # range, not at its range at the beam centre (1.3 samples further out)
+    raw, truth, estimate, rcm = focus_inputs(request, "squint", mode)
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
+    peak = analyze_point_target(image, truth.positions[0]).peak_position
+    np.testing.assert_allclose(peak, truth.positions[0], rtol=0.0, atol=0.25)
+
+
 def test_stage_errors_name_the_stage(default_sim, default_estimate):
     raw, _ = default_sim
     bad = RcmModel(reference_range_bin=0.0, linear=1e6, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError, match="rcmc"):
         focus_pipeline(raw, default_estimate, rcm_override=bad)
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_zero_azimuth_rate_is_a_parameter_error(request, mode):
+    raw, _, estimate, rcm = focus_inputs(request, "default", mode)
+    flat = replace(estimate, azimuth_chirp=replace(estimate.azimuth_chirp, rate=0.0))
+    with pytest.raises(ParameterError, match="nonzero"):
+        focus_pipeline(raw, flat, rcm_override=rcm)
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
@@ -345,4 +447,4 @@ def test_stage_dumps(default_sim, default_estimate):
     seen = []
     focus_pipeline(raw, default_estimate,
                    on_stage=lambda name, _: seen.append(name))
-    assert seen == ["range_compress", "track_rcm", "rcmc", "azimuth_compress"]
+    assert seen == ["track_rcm", "rcmc", "azimuth_compress"]

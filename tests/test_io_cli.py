@@ -358,7 +358,7 @@ def test_cli_dump_stages(tmp_path):
                  "--out", str(tmp_path / "slc.bsar"),
                  "--dump-stages", str(stages)]) == 0
     names = sorted(p.name for p in stages.iterdir())
-    assert names == ["azimuth_compress.bsar", "range_compress.bsar", "rcmc.bsar"]
+    assert names == ["azimuth_compress.bsar", "rcmc.bsar"]
 
 
 def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):

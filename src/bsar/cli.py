@@ -85,7 +85,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    raw, _ = fileio.read_matrix(args.input)
+    raw = fileio.read_matrix(args.input)[0].astype(np.complex128)
     svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)

@@ -6,7 +6,8 @@ Conventions used throughout the package:
   fits are numerically cleaner that way); signal-level functions work in
   radians,
 * frequencies are in cycles/sample (range) or cycles/pulse (azimuth),
-* complex data is float64 in memory; only the on-disk format is float32.
+* all arithmetic is float64; a float32 (complex64) payload read from disk
+  stays complex64 until the range FFT upcasts it.
 """
 
 from dataclasses import dataclass
@@ -19,9 +20,11 @@ from .errors import ParameterError
 TWO_PI = 2.0 * math.pi
 
 
-def as_complex_matrix(data):
-    """Validate and return a 2-D complex128 array (rows = pulses, cols = range)."""
-    x = np.asarray(data, dtype=np.complex128)
+def as_complex_matrix(data, single=False):
+    """Validate and return a 2-D complex128 array (rows = pulses, cols = range);
+    with `single`, complex64 data is returned as it is, without a copy."""
+    x = np.asarray(data)
+    x = x if single and x.dtype == np.complex64 else np.asarray(x, np.complex128)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ParameterError("expected a non-empty 2-D complex matrix")
     return x

@@ -3,7 +3,8 @@
 BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
 (bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved zero
 bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
-Computation stays float64 in memory; only the payload is float32.
+A payload read back stays complex64 until the range FFT upcasts it; all
+arithmetic is float64.
 
 JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
 non-finite floats are the strings "nan", "inf" and "-inf".
@@ -32,7 +33,7 @@ FLAG_FOCUSED = 0x1
 
 def write_matrix(matrix, path, flags=0):
     """Write a complex matrix as a BSAR file (float32 payload)."""
-    x = np.asarray(matrix, dtype=np.complex128)
+    x = np.asarray(matrix)
     if x.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
     m, n = x.shape
@@ -42,7 +43,8 @@ def write_matrix(matrix, path, flags=0):
 
 
 def read_matrix(path):
-    """Read a BSAR file; returns (matrix, flags) with a complex128 matrix."""
+    """Read a BSAR file; returns (matrix, flags) with the payload as a writable
+    complex64 matrix, which stays complex64 until the range FFT upcasts it."""
     with open(path, "rb") as fh:
         header = fh.read(HEADER.size)
         if len(header) < HEADER.size:
@@ -59,15 +61,17 @@ def read_matrix(path):
             problem = "truncated payload" if size < end else "trailing bytes"
             raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
                               offset=min(size, end))
-        payload = fh.read(end - HEADER.size)
-    return np.frombuffer(payload, dtype="<c8").reshape(m, n).astype(np.complex128), flags
+        matrix = np.empty((m, n), dtype="<c8")
+        if fh.readinto(matrix) != matrix.nbytes:
+            raise FormatError(f"truncated payload: {m}x{n} needs {end} bytes", offset=HEADER.size)
+    return matrix, flags
 
 
 def render_magnitude(matrix, db_floor, path):
     """8-bit grayscale PGM of the magnitude in dB relative to the peak."""
     if not db_floor < 0:
         raise ParameterError("db_floor must be negative")
-    mag = np.abs(matrix.image if hasattr(matrix, "image") else np.asarray(matrix))
+    mag = np.abs(np.asarray(matrix.image if hasattr(matrix, "image") else matrix, np.complex128))
     peak = float(np.max(mag))
     if peak == 0.0:
         warnings.warn("all-zero input: rendering a uniform black image")

@@ -37,7 +37,7 @@ from .estimate import DEFAULT_THRESHOLD, _parabolic_peak, build_references, dete
 
 MIN_TRACK_POINTS = 16
 MAD_REJECT = 3.0
-RCMC_BLOCK_ROWS = 64  # rows per in-place ramp / inverse range FFT block
+RCMC_BLOCK_ROWS = 64  # rows per in-place range FFT and ramp / inverse range FFT block
 RAMP_STEP = 64        # fine-table length of the factored RCMC phase ramp
 
 
@@ -158,9 +158,10 @@ def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
     (2 * azimuth_rate) the zero-Doppler offset, and removes the reference
     group delay before the inverse range DFT.  Targets thus land at their
     closest-approach range.  Returns the M x N range-Doppler matrix, a view
-    of a padded buffer.
+    of a padded buffer.  `raw` may be complex64: each block of rows is
+    upcast to complex128 as it is copied into the buffer.
     """
-    x = as_complex_matrix(raw)
+    x = as_complex_matrix(raw, single=True)
     ref = as_complex_vector(range_ref)
     m, n = x.shape
     if ref.size > n:
@@ -178,8 +179,13 @@ def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
         )
     nfft = next_fast_len(n + ref.size - 1)
     rd = np.empty((m, _padded_width(nfft)), dtype=np.complex128)[:, :nfft]
-    np.fft.fft(x, nfft, axis=1, out=rd)
-    rd *= np.conj(np.fft.fft(ref, nfft))
+    ref_spectrum = np.conj(np.fft.fft(ref, nfft))
+    for lo in range(0, m, RCMC_BLOCK_ROWS):
+        block = rd[lo:lo + RCMC_BLOCK_ROWS]
+        block[:, :n] = x[lo:lo + RCMC_BLOCK_ROWS]
+        block[:, n:] = 0.0
+        np.fft.fft(block, axis=1, out=block)
+        block *= ref_spectrum
     np.fft.fft(rd, axis=0, out=rd)
     shift = delta - (ref.size - 1) // 2  # the group delay is a constant shift
     for lo in range(0, m, RCMC_BLOCK_ROWS):
@@ -240,8 +246,9 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
     taper_fraction defaults to the estimate's range-chirp taper.  An analytic
     RcmModel may be supplied to bypass peak tracking (oracle mode).  on_stage,
     when given, is called with (stage_name, result) after every stage.
+    `raw` may be complex64; only the rows it tracks and rcmc upcast it.
     """
-    x = as_complex_matrix(raw)
+    x = as_complex_matrix(raw, single=True)
     taper = estimate.range_chirp.taper_fraction if taper_fraction is None else taper_fraction
 
     def stage(name, fn, *args):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_complex_matrix
 from .errors import NoTargetError, ParameterError
 
 MINUS_3DB = 10.0 ** (-3.0 / 20.0)
@@ -31,16 +30,15 @@ class PointTargetReport:
     oversample_factor: int
 
 
-def oversample_window(window, factor):
-    """Band-limited interpolation of a complex window by zero-padded DFT."""
-    w = np.asarray(window, dtype=np.complex128)
-    m, n = w.shape
-    spectrum = np.fft.fftshift(np.fft.fft2(w))
-    padded = np.zeros((m * factor, n * factor), dtype=np.complex128)
-    r0 = (m * factor - m) // 2
-    c0 = (n * factor - n) // 2
-    padded[r0:r0 + m, c0:c0 + n] = spectrum
-    return np.fft.ifft2(np.fft.ifftshift(padded)) * factor * factor
+def interpolation_operator(size, factor):
+    """(size*factor) x size zero-padded-DFT interpolation matrix A: the
+    fftshift / pad / inverse-FFT steps applied to the identity, so that the
+    oversampled grid of a window W is A @ W @ A.T."""
+    spectrum = np.fft.fftshift(np.fft.fft(np.eye(size), axis=0), axes=0)
+    padded = np.zeros((size * factor, size), dtype=np.complex128)
+    start = (size * factor - size) // 2
+    padded[start:start + size] = spectrum
+    return np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0) * factor
 
 
 def _crossing(mag, i_lo, i_hi, level):
@@ -99,8 +97,9 @@ def cut_metrics(cut, peak_idx, factor):
 
 def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
     """Oversampled impulse-response metrics around an approximate position."""
-    image = img.image if hasattr(img, "image") else img
-    x = as_complex_matrix(image)
+    x = np.asarray(img.image if hasattr(img, "image") else img)
+    if x.ndim != 2:
+        raise ParameterError("expected a 2-D image")
     if window < 32:
         raise ParameterError("analysis window must be at least 32 samples")
     if oversample_factor < 8:
@@ -110,7 +109,7 @@ def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
     half = window // 2
     if r - half < 0 or c - half < 0 or r + half > x.shape[0] or c + half > x.shape[1]:
         raise ParameterError("analysis window extends outside the image")
-    win = x[r - half:r + half, c - half:c + half]
+    win = x[r - half:r + half, c - half:c + half].astype(np.complex128)
 
     mag = np.abs(win)
     peak_idx = np.unravel_index(np.argmax(mag), mag.shape)
@@ -120,17 +119,25 @@ def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
             "no local peak 20 dB above the surrounding median in the window"
         )
 
-    fine = oversample_window(win, oversample_factor)
-    fmag = np.abs(fine)
-    pr, pc = np.unravel_index(np.argmax(fmag), fmag.shape)
-    peak_row = r - half + pr / oversample_factor
-    peak_col = c - half + pc / oversample_factor
+    # the fine peak lies within one coarse sample of the coarse one, on a
+    # periodic fine grid; the two cuts through it are 1-D products
+    f = oversample_factor
+    op = interpolation_operator(2 * half, f)
+    rows = (peak_idx[0] * f + np.arange(-f, f + 1)) % op.shape[0]
+    cols = (peak_idx[1] * f + np.arange(-f, f + 1)) % op.shape[0]
+    block = np.abs(op[rows] @ win @ op[cols].T)
+    i, j = np.unravel_index(np.argmax(block), block.shape)
+    pr, pc = int(rows[i]), int(cols[j])
+    range_cut = (op[pr] @ win) @ op.T
+    azimuth_cut = op @ (win @ op[pc])
+    peak_row = r - half + pr / f
+    peak_col = c - half + pc / f
 
-    irw_az, pslr_az, islr_az = cut_metrics(fine[:, pc], pr, oversample_factor)
-    irw_rg, pslr_rg, islr_rg = cut_metrics(fine[pr, :], pc, oversample_factor)
+    irw_az, pslr_az, islr_az = cut_metrics(azimuth_cut, pr, f)
+    irw_rg, pslr_rg, islr_rg = cut_metrics(range_cut, pc, f)
     return PointTargetReport(
         peak_position=(peak_row, peak_col),
-        peak_magnitude=float(fmag[pr, pc]),
+        peak_magnitude=float(np.abs(range_cut[pc])),
         irw_range=irw_rg,
         irw_azimuth=irw_az,
         pslr_range=pslr_rg,
@@ -155,7 +162,7 @@ def compare_images(a, b, window=None, db_floor=-120.0):
         ia = ia[r0:r1, c0:c1]
         ib = ib[r0:r1, c0:c1]
 
-    ma, mb = np.abs(ia), np.abs(ib)
+    ma, mb = (np.abs(np.asarray(v, np.complex128)) for v in (ia, ib))
     denom = np.linalg.norm(ma) * np.linalg.norm(mb)
     correlation = float(np.sum(ma * mb) / denom) if denom > 0 else 0.0
 

@@ -3,11 +3,15 @@
 These deliberately avoid the library's own code paths: smooth numbers built
 by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
 matrices, direct-summation correlation on a fine lag grid for sidelobe
-checks, and the one-exp-per-sample RCMC ramp, roll-the-whole-buffer range
-compression and six-pass focusing chain that the focusing stages replace.
+checks, the one-exp-per-sample RCMC ramp, roll-the-whole-buffer range
+compression and six-pass focusing chain that the focusing stages replace,
+and the whole-window 2-D oversampling that the point-target analysis
+replaces with two cuts.
 """
 
 import numpy as np
+
+from bsar.quality import PointTargetReport, cut_metrics
 
 
 def smooth_numbers(limit, primes):
@@ -129,3 +133,34 @@ def six_pass_focus(raw, range_ref, azimuth_ref, rcm, azimuth_rate, doppler_centr
     ramp = direct_shift_ramp(migration(offsets) - migration(zero_doppler), n)
     rd = np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
     return np.fft.ifft(rd * np.conj(np.fft.fft(azimuth_ref, m))[:, None], axis=0)
+
+
+def oversample_window(window, factor):
+    """Band-limited interpolation of a complex window by zero-padded 2-D DFT."""
+    w = np.asarray(window, dtype=np.complex128)
+    m, n = w.shape
+    spectrum = np.fft.fftshift(np.fft.fft2(w))
+    padded = np.zeros((m * factor, n * factor), dtype=np.complex128)
+    r0 = (m * factor - m) // 2
+    c0 = (n * factor - n) // 2
+    padded[r0:r0 + m, c0:c0 + n] = spectrum
+    return np.fft.ifft2(np.fft.ifftshift(padded)) * factor * factor
+
+
+def whole_window_point_target(image, approx_position, window=64, factor=16):
+    """Point-target report read from the whole oversampled window: the fine
+    peak is the maximum of the full 2-D grid, and the cuts are its row and
+    column through that peak."""
+    x = np.asarray(getattr(image, "image", image), dtype=np.complex128)
+    r, c = (int(round(p)) for p in approx_position)
+    half = window // 2
+    fine = oversample_window(x[r - half:r + half, c - half:c + half], factor)
+    fmag = np.abs(fine)
+    pr, pc = np.unravel_index(np.argmax(fmag), fmag.shape)
+    irw_az, pslr_az, islr_az = cut_metrics(fine[:, pc], pr, factor)
+    irw_rg, pslr_rg, islr_rg = cut_metrics(fine[pr, :], pc, factor)
+    return PointTargetReport(
+        peak_position=(r - half + pr / factor, c - half + pc / factor),
+        peak_magnitude=float(fmag[pr, pc]), irw_range=irw_rg, irw_azimuth=irw_az,
+        pslr_range=pslr_rg, pslr_azimuth=pslr_az, islr_range=islr_rg,
+        islr_azimuth=islr_az, oversample_factor=factor)

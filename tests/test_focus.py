@@ -442,6 +442,36 @@ def test_focus_pipeline_peak_memory(mode, default_sim, default_estimate, default
     assert peak <= 3 * raw.nbytes, peak / raw.nbytes
 
 
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
+    # a BSAR payload is focused as read; the range FFT upcasts it exactly
+    raw, _, estimate, rcm = focus_inputs(request, scene, mode)
+    single = raw.astype(np.complex64)
+    image = focus_pipeline(single, estimate, rcm_override=rcm, provenance=mode).image
+    upcast = focus_pipeline(single.astype(np.complex128), estimate, rcm_override=rcm,
+                            provenance=mode).image
+    np.testing.assert_array_equal(image, upcast)
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_focus_pipeline_peak_memory_complex64(mode, default_sim, default_estimate,
+                                              default_oracle):
+    # complex64 raw is not copied whole: the same bound as for complex128 raw
+    raw = default_sim[0].astype(np.complex64)
+    if mode == "blind":
+        estimate, rcm = default_estimate, None
+    else:
+        estimate, rcm = default_oracle
+    tracemalloc.start()
+    try:
+        focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * raw.astype(np.complex128).nbytes, peak / raw.nbytes
+
+
 def test_stage_dumps(default_sim, default_estimate):
     raw, _ = default_sim
     seen = []

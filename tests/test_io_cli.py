@@ -57,6 +57,15 @@ def test_matrix_roundtrip_bitwise(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_read_matrix_returns_writable_complex64(tmp_path):
+    path = tmp_path / "m.bsar"
+    fileio.write_matrix(np.full((3, 5), 1.5 - 2.0j), path)
+    back, _ = fileio.read_matrix(path)
+    assert back.dtype == np.complex64 and back.flags.writeable
+    back[0, 0] = 0.0
+    np.testing.assert_array_equal(back[1:], np.full((2, 5), 1.5 - 2.0j, np.complex64))
+
+
 def test_file_size_formula(tmp_path):
     path = tmp_path / "z.bsar"
     fileio.write_matrix(np.zeros((512, 1024), dtype=np.complex128), path)

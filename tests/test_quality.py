@@ -1,10 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bsar.errors import NoTargetError, ParameterError
 from bsar.focus import focus_pipeline
-from bsar.quality import analyze_point_target, compare_images, oversample_window
-from oracles import sinc_peak_metrics
+from bsar.quality import analyze_point_target, compare_images, interpolation_operator
+from oracles import sinc_peak_metrics, whole_window_point_target
+
+# sub-sample target offsets in [-0.5, 0.5) samples, fixed before the first run
+SINC_OFFSETS = np.random.default_rng(50).uniform(-0.5, 0.5, (50, 2))
 
 
 def sinc_target(size=64, row0=32.3, col0=31.7, bandwidth=1.0):
@@ -89,12 +94,44 @@ def test_irw_non_decreasing_with_taper(default_sim, default_oracle):
     assert widths[1] <= widths[2] + 1e-6
 
 
-def test_oversample_window_interpolates():
+def test_interpolation_operator_interpolates():
     # the oversampled grid must pass through the original samples
     rng = np.random.default_rng(0)
     w = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    fine = oversample_window(w, 8)
+    op = interpolation_operator(16, 8)
+    fine = op @ w @ op.T
     np.testing.assert_allclose(fine[::8, ::8], w, atol=1e-10)
+
+
+def assert_reports_agree(report, oracle):
+    assert report.peak_position == oracle.peak_position
+    values = [dataclasses.astuple(r)[1:] for r in (report, oracle)]
+    np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0.0)
+
+
+def test_cuts_match_whole_window_oversampling_on_sinc_targets():
+    for d_row, d_col in SINC_OFFSETS:
+        img = sinc_target(row0=32.0 + d_row, col0=32.0 + d_col).astype(np.complex128)
+        assert_reports_agree(analyze_point_target(img, (32, 32)),
+                             whole_window_point_target(img, (32, 32)))
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_cuts_match_whole_window_oversampling_on_desk_images(request, scene, mode):
+    raw, truth = request.getfixturevalue(f"{scene}_sim")
+    if mode == "blind":
+        estimate, rcm = request.getfixturevalue(f"{scene}_estimate"), None
+    else:
+        estimate, rcm = request.getfixturevalue(f"{scene}_oracle")
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
+    assert_reports_agree(analyze_point_target(image, truth.positions[0]),
+                         whole_window_point_target(image, truth.positions[0]))
+
+
+def test_analysis_rejects_non_2d_image():
+    with pytest.raises(ParameterError, match="2-D"):
+        analyze_point_target(np.ones(64, dtype=np.complex128), (32, 32))
 
 
 def test_analysis_window_validation():

@@ -15,6 +15,7 @@ from .errors import ConvergenceError, ParameterError
 
 DEGENERACY_RATIO = 1.0 + 1e-6
 OVERSAMPLE = 5
+MAX_SWEEPS = 5000
 
 
 @dataclass
@@ -55,13 +56,14 @@ def _orthonormal_completion(block, count, rng):
     return q
 
 
-def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
+def leading_triplets(X, k, tol=1e-9, seed=0):
     """Compute the k dominant singular triplets of X.
 
     Block power iteration (with guard vectors) on the smaller Gram operator;
     convergence is declared when all k leading singular-value estimates change
-    by less than `tol` relatively between sweeps.  Raises ConvergenceError
-    carrying the last iterate when max_iter is exhausted.
+    by less than `tol` relatively between sweeps, and that sweep's Ritz pairs
+    are the result.  Raises ConvergenceError carrying the last sweep's
+    triplets when MAX_SWEEPS sweeps pass without convergence.
     """
     X = as_complex_matrix(X)
     M, N = X.shape
@@ -70,69 +72,51 @@ def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
         raise ParameterError(f"k={k} outside [1, min(M, N)={min(M, N)}]")
     if not (tol > 0):
         raise ParameterError("tol must be positive")
-    total = float(np.sum(np.abs(X) ** 2))
+    total = float(np.vdot(X, X).real)
     if not np.isfinite(total):
         raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
 
-    right_side = N <= M  # iterate on the side with the smaller Gram operator
+    def forward(B):
+        return X @ B
+
+    def adjoint(B):
+        return (B.conj().T @ X).conj().T  # X^H @ B without a conjugate copy of X
+
+    # iterate on the side with the smaller Gram operator: V when N <= M, else U
+    right_side = N <= M
+    to_other, to_basis = (forward, adjoint) if right_side else (adjoint, forward)
     dim = N if right_side else M
     block = min(k + OVERSAMPLE, dim)
 
     rng = np.random.default_rng(seed)
-    Q = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    Q, _ = np.linalg.qr(Q)
-
-    def apply_gram(B):
-        if right_side:
-            return X.conj().T @ (X @ B)
-        return X @ (X.conj().T @ B)
-
+    Y = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     prev = None
     converged = False
-    for _ in range(int(max_iter)):
-        Y = apply_gram(Q)
-        H = Q.conj().T @ Y
-        H = 0.5 * (H + H.conj().T)
-        evals, evecs = np.linalg.eigh(H)
-        order = np.argsort(evals)[::-1]
-        ritz = np.sqrt(np.clip(evals[order][:k], 0.0, None))
-        if prev is not None:
-            scale = max(float(ritz[0]), np.finfo(float).tiny)
-            if np.all(np.abs(ritz - prev) <= tol * scale):
-                Q = Q @ evecs[:, order]
-                converged = True
-                break
-        prev = ritz
+    for _ in range(MAX_SWEEPS):
         Q, _ = np.linalg.qr(Y)
+        W = to_other(Q)
+        Y = to_basis(W)
+        H = Q.conj().T @ Y
+        evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+        order = np.argsort(evals)[::-1][:k]
+        sigma = np.sqrt(np.clip(evals[order], 0.0, None))
+        scale = max(float(sigma[0]), np.finfo(float).tiny)
+        if prev is not None and np.all(np.abs(sigma - prev) <= tol * scale):
+            converged = True
+            break
+        prev = sigma
 
-    # final Rayleigh-Ritz extraction on the converged (or last) subspace
-    Y = apply_gram(Q)
-    H = Q.conj().T @ Y
-    H = 0.5 * (H + H.conj().T)
-    evals, evecs = np.linalg.eigh(H)
-    order = np.argsort(evals)[::-1][:k]
-    sigma = np.sqrt(np.clip(evals[order], 0.0, None))
+    # Ritz vectors on the iterated side, and their images X v or X^H u
     basis = Q @ evecs[:, order]
-
-    scale = float(sigma[0]) if sigma[0] > 0 else 1.0
-    nonzero = sigma > 1e-12 * scale
+    image = W @ evecs[:, order]
+    nonzero = sigma > 1e-12 * (sigma[0] if sigma[0] > 0 else 1.0)
     rank_deficient = not bool(np.all(nonzero))
     sigma = np.where(nonzero, sigma, 0.0)
-
-    if right_side:
-        V = basis
-        U = np.zeros((M, k), dtype=np.complex128)
-        if np.any(nonzero):
-            U[:, nonzero] = (X @ V[:, nonzero]) / sigma[nonzero]
-        if rank_deficient:
-            U[:, ~nonzero] = _orthonormal_completion(U[:, nonzero], int(np.sum(~nonzero)), rng)
-    else:
-        U = basis
-        V = np.zeros((N, k), dtype=np.complex128)
-        if np.any(nonzero):
-            V[:, nonzero] = (X.conj().T @ U[:, nonzero]) / sigma[nonzero]
-        if rank_deficient:
-            V[:, ~nonzero] = _orthonormal_completion(V[:, nonzero], int(np.sum(~nonzero)), rng)
+    other = np.zeros_like(image)
+    other[:, nonzero] = image[:, nonzero] / sigma[nonzero]
+    if rank_deficient:
+        other[:, ~nonzero] = _orthonormal_completion(other[:, nonzero], int(np.sum(~nonzero)), rng)
+    U, V = (other, basis) if right_side else (basis, other)
 
     degenerate = tuple(
         i for i in range(k - 1)
@@ -151,7 +135,7 @@ def leading_triplets(X, k, tol=1e-9, max_iter=5000, seed=0):
     )
     if not converged:
         raise ConvergenceError(
-            f"singular values did not stabilize to {tol} within {max_iter} iterations",
+            f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps",
             last_iterate=result,
         )
     return result

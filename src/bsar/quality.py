@@ -159,6 +159,12 @@ def compare_images(a, b, window=None, db_floor=-120.0):
         raise ParameterError(f"image dimensions differ: {ia.shape} vs {ib.shape}")
     if window is not None:
         r0, r1, c0, c1 = window
+        rows, cols = ia.shape
+        if not (0 <= r0 < r1 <= rows and 0 <= c0 < c1 <= cols):
+            raise ParameterError(
+                f"window rows {r0}:{r1}, cols {c0}:{c1} is empty or leaves the "
+                f"{rows} x {cols} image"
+            )
         ia = ia[r0:r1, c0:c1]
         ib = ib[r0:r1, c0:c1]
 

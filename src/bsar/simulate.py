@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import ChirpModel, next_fast_len, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
+from .estimate import BlindEstimate
+from .focus import RcmModel
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -114,7 +116,7 @@ class GroundTruth:
 
 
 def _echo_geometry(config, scatterer):
-    """Per-pulse slant range, leading-edge column and beam weight."""
+    """Per-pulse slant range, leading-edge column, boresight offset (s) and beam weight."""
     eta = np.arange(config.num_pulses) / config.prf
     d_eta = eta - scatterer.azimuth_time
     r0s = config.closest_range + scatterer.range_offset
@@ -122,12 +124,10 @@ def _echo_geometry(config, scatterer):
     lead = 2.0 * (r - config.closest_range) / SPEED_OF_LIGHT * config.range_sampling
     boresight = d_eta - config.squint_offset
     beam = np.sinc(2.0 * boresight / config.beam_azimuth_extent) ** 2
-    return eta, r, lead, beam
+    return r, lead, boresight, beam
 
 
-def _validate_scatterer(config, scatterer, index, lead, beam):
-    eta = np.arange(config.num_pulses) / config.prf
-    boresight = eta - scatterer.azimuth_time - config.squint_offset
+def _validate_scatterer(config, scatterer, index, lead, boresight):
     main_lobe = np.abs(boresight) < config.beam_azimuth_extent / 2.0
     center = scatterer.azimuth_time + config.squint_offset
     half = config.beam_azimuth_extent / 2.0
@@ -164,8 +164,8 @@ def simulate_raw(config, scene):
     positions = []
     first = None
     for index, sc in enumerate(scene):
-        eta, r, lead, beam = _echo_geometry(config, sc)
-        _validate_scatterer(config, sc, index, lead, beam)
+        r, lead, boresight, beam = _echo_geometry(config, sc)
+        _validate_scatterer(config, sc, index, lead, boresight)
         amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
         spectrum += (amp[:, None] * pulse_spectrum[None, :]) * np.exp(
             -2j * np.pi * freqs[None, :] * lead[:, None]
@@ -274,9 +274,6 @@ def oracle_estimate(truth):
     true chirp models and an analytic RcmModel fit to the true migration
     curve, both usable by focus_pipeline for oracle-mode focusing.
     """
-    from .estimate import BlindEstimate
-    from .focus import RcmModel
-
     if not truth.positions:
         raise ParameterError("ground truth contains no scatterer")
     config = truth.config

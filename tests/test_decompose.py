@@ -1,9 +1,12 @@
-import numpy as np
-import pytest
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
+from bsar import decompose
 from bsar.decompose import gibbs_rotation_check, leading_triplets
-from bsar.errors import ParameterError
+from bsar.errors import ConvergenceError, ParameterError
 from bsar.simulate import simulate_raw
 from oracles import jacobi_eigh, singular_values_by_jacobi
 
@@ -46,17 +49,31 @@ def test_jacobi_oracle_self_check():
     np.testing.assert_allclose(evecs.conj().T @ evecs, np.eye(6), atol=1e-10)
 
 
-def test_orthonormality_and_factorization():
+ORIENTATIONS = pytest.mark.parametrize("transpose", [False, True], ids=["tall", "wide"])
+
+
+@ORIENTATIONS
+def test_orthonormality_and_factorization(transpose):
+    # tall iterates on the right Gram side, wide on the left
     rng = np.random.default_rng(7)
     X = random_complex(rng, (40, 25))
+    X = X.T.copy() if transpose else X
     svd = leading_triplets(X, k=6)
     U, V, s = svd.left_vectors, svd.right_vectors, svd.singular_values
     assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-10
     assert np.max(np.abs(V.conj().T @ V - np.eye(6))) < 1e-10
     for i in range(6):
-        assert np.linalg.norm(X @ V[:, i] - s[i] * U[:, i]) < 1e-8 * s[0]
         # the modulus of X @ v_i is the singular value
         assert abs(np.linalg.norm(X @ V[:, i]) - s[i]) < 1e-8 * s[i]
+    # The side not iterated on is the image of the Ritz vectors, so one of the
+    # two relations is exact.  The Ritz vectors are only as converged as the
+    # singular-value stopping rule makes them: about 1e-5 * s[0] on this
+    # clustered random spectrum.
+    forward = max(np.linalg.norm(X @ V[:, i] - s[i] * U[:, i]) for i in range(6))
+    adjoint = max(np.linalg.norm(X.conj().T @ U[:, i] - s[i] * V[:, i]) for i in range(6))
+    exact, ritz = sorted([forward, adjoint])
+    assert exact < 1e-8 * s[0]
+    assert ritz < 1e-4 * s[0]
 
 
 def test_residual_energy_identity():
@@ -81,16 +98,18 @@ def test_singular_values_non_increasing():
     assert np.all(np.diff(svd.singular_values) <= 1e-12)
 
 
-def test_rank_deficiency_flagged():
+@ORIENTATIONS
+def test_rank_deficiency_flagged(transpose):
     rng = np.random.default_rng(11)
     u = random_complex(rng, 12)
     v = random_complex(rng, 9)
-    X = np.outer(u, v)  # rank 1
+    X = np.outer(v, u) if transpose else np.outer(u, v)  # rank 1
     svd = leading_triplets(X, k=3)
     assert svd.rank_deficient
     np.testing.assert_allclose(svd.singular_values[1:], 0.0, atol=1e-12)
-    U = svd.left_vectors
-    assert np.max(np.abs(U.conj().T @ U - np.eye(3))) < 1e-8
+    # the side that is not iterated on gets the orthonormal completion
+    for W in (svd.left_vectors, svd.right_vectors):
+        assert np.max(np.abs(W.conj().T @ W - np.eye(3))) < 1e-8
 
 
 def test_seeded_runs_are_identical():
@@ -113,12 +132,42 @@ def test_parameter_validation():
         leading_triplets(X, k=2, tol=0.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_non_finite_matrix_rejected(bad):
+    # 1e200 is finite, but its squared modulus overflows the energy sum
     X = np.ones((6, 5), dtype=np.complex128)
     X[2, 3] = bad
     with pytest.raises(ParameterError, match="not finite"):
         leading_triplets(X, k=2)
+
+
+@pytest.mark.parametrize("shape", [(512, 1024), (1024, 512)], ids=["512x1024", "1024x512"])
+def test_peak_memory_stays_below_an_eighth_of_the_matrix(shape):
+    # no sweep may copy X (a conjugate transpose is a full M x N copy)
+    X = random_complex(np.random.default_rng(17), shape)
+    leading_triplets(X, k=2)  # warm-up: lazy imports inside numpy are not the method's
+    tracemalloc.start()
+    try:
+        leading_triplets(X, k=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 8, f"peak {peak / X.nbytes:.3f} x X.nbytes"
+
+
+def test_sweep_limit_raises_with_last_sweep(monkeypatch):
+    monkeypatch.setattr(decompose, "MAX_SWEEPS", 1)
+    X = random_complex(np.random.default_rng(18), (30, 20))
+    with pytest.raises(ConvergenceError, match="within 1 sweeps") as info:
+        leading_triplets(X, k=3)
+    last = info.value.last_iterate
+    assert last.k == 3
+    assert last.singular_values.shape == (3,)
+    assert last.left_vectors.shape == (30, 3) and last.right_vectors.shape == (20, 3)
+    # one sweep already gives a Ritz triplet set that factorizes X
+    for i in range(3):
+        assert np.linalg.norm(X @ last.right_vectors[:, i]
+                              - last.singular_values[i] * last.left_vectors[:, i]) < 1e-8
 
 
 def test_phase_gauge_leaves_product_invariant():

@@ -343,6 +343,29 @@ def test_cli_bad_window_string(tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["300:200,448:512", "9000:9010,0:10"],
+                         ids=["reversed", "outside"])
+def test_cli_window_outside_image_exits_2(tmp_path, capsys, window):
+    a = tmp_path / "a.bsar"
+    fileio.write_matrix(np.ones((512, 1024), dtype=np.complex64), a)
+    args = ["compare", "--a", str(a), "--b", str(a), "--out", str(tmp_path / "c.json")]
+    assert main(args + ["--window", window]) == 2
+    single_error_line(capsys, "parameter")
+    assert not (tmp_path / "c.json").exists()
+    assert main(args + ["--window", "0:512,0:1024"]) == 0  # the whole image is a window
+
+
+@pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0", "1"])
+def test_cli_gate_that_cannot_refuse_exits_2(tmp_path, capsys, default_sim, gate):
+    # sigma1/sigma2 >= 1, so a gate at or below 1 would pass any scene
+    raw_f = tmp_path / "raw.bsar"
+    est_f = tmp_path / "est.json"
+    fileio.write_matrix(default_sim[0], raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", gate]) == 2
+    single_error_line(capsys, "parameter")
+    assert not est_f.exists()
+
+
 def test_cli_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["estimate", "--in", str(tmp_path / "nope.bsar"),
                  "--out", str(tmp_path / "e.json")]) == 2

@@ -164,10 +164,10 @@ def test_sweep_limit_raises_with_last_sweep(monkeypatch):
     assert last.k == 3
     assert last.singular_values.shape == (3,)
     assert last.left_vectors.shape == (30, 3) and last.right_vectors.shape == (20, 3)
-    # one sweep already gives a Ritz triplet set that factorizes X
-    for i in range(3):
-        assert np.linalg.norm(X @ last.right_vectors[:, i]
-                              - last.singular_values[i] * last.left_vectors[:, i]) < 1e-8
+    assert np.all(np.diff(last.singular_values) <= 0) and last.singular_values[-1] > 0
+    # the Ritz vectors of that one sweep (right side: 20 <= 30) are orthonormal
+    V = last.right_vectors
+    assert np.max(np.abs(V.conj().T @ V - np.eye(3))) < 1e-10
 
 
 def test_phase_gauge_leaves_product_invariant():

@@ -15,7 +15,8 @@ import numpy as np
 from . import __version__, fileio
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
-from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, DEFAULT_TAPER, blind_estimate
+from .estimate import (CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, DEFAULT_TAPER, blind_estimate,
+                       check_gate)
 from .focus import FocusedImage, focus_pipeline
 from .quality import analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
@@ -85,6 +86,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    check_gate(args.gate)  # before the decomposition and the spectrum file
     raw = fileio.read_matrix(args.input)[0].astype(np.complex128)
     svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
     if args.spectrum:

@@ -190,15 +190,20 @@ def estimate_range(v1):
     return fit_quadratic_phase(v, support)
 
 
+def check_gate(gate):
+    """Refuse a gate that cannot refuse: sigma1/sigma2 >= 1 passes any gate <= 1."""
+    if not (1.0 < gate < np.inf):
+        raise ParameterError(f"gate must be finite and > 1, got {gate}")
+
+
 def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     """Full blind parameter extraction from a raw data matrix.
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
-    computed; without one, the leading pair is decomposed here.  `gate` must
-    be finite and above 1, since sigma1/sigma2 >= 1 always passes a lower one.
+    computed; without one, the leading pair is decomposed here.  `gate` is
+    checked by `check_gate`.
     """
-    if not (1.0 < gate < np.inf):
-        raise ParameterError(f"gate must be finite and > 1, got {gate}")
+    check_gate(gate)
     X = as_complex_matrix(raw)
     if svd is None:
         svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)))

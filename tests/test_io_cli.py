@@ -360,10 +360,12 @@ def test_cli_gate_that_cannot_refuse_exits_2(tmp_path, capsys, default_sim, gate
     # sigma1/sigma2 >= 1, so a gate at or below 1 would pass any scene
     raw_f = tmp_path / "raw.bsar"
     est_f = tmp_path / "est.json"
+    spectrum_f = tmp_path / "spectrum.csv"
     fileio.write_matrix(default_sim[0], raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", gate]) == 2
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
+                 "--spectrum", str(spectrum_f), "--gate", gate]) == 2
     single_error_line(capsys, "parameter")
-    assert not est_f.exists()
+    assert not est_f.exists() and not spectrum_f.exists()
 
 
 def test_cli_missing_input_file_exits_2(tmp_path, capsys):

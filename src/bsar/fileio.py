@@ -71,15 +71,21 @@ def render_magnitude(matrix, db_floor, path):
     """8-bit grayscale PGM of the magnitude in dB relative to the peak."""
     if not db_floor < 0:
         raise ParameterError("db_floor must be negative")
-    mag = np.abs(np.asarray(matrix.image if hasattr(matrix, "image") else matrix, np.complex128))
+    mag = np.abs(matrix.image if hasattr(matrix, "image") else matrix, dtype=np.float64)
     peak = float(np.max(mag))
     if peak == 0.0:
         warnings.warn("all-zero input: rendering a uniform black image")
         peak = 1.0  # every pixel then sits at -inf dB, below the floor
+    # dB, floor-scaled and clipped, then 8-bit levels, all within `mag`
+    mag /= peak
     with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(mag / peak)
-    scaled = np.clip((db - db_floor) / (0.0 - db_floor), 0.0, 1.0)
-    pixels = np.round(scaled * 255.0).astype(np.uint8)
+        np.log10(mag, out=mag)
+    mag *= 20.0
+    mag -= db_floor
+    mag /= 0.0 - db_floor
+    np.clip(mag, 0.0, 1.0, out=mag)
+    mag *= 255.0
+    pixels = np.round(mag, out=mag).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{mag.shape[1]} {mag.shape[0]}\n255\n".encode("ascii"))
         fh.write(pixels.tobytes())

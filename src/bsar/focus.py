@@ -13,9 +13,11 @@ The image is formed in four full-matrix FFT passes (``rcmc`` then
 
 In blind mode the migration is tracked first (``track_rcm``) on rows
 range-compressed in the time domain (``range_compress``), but only the rows
-inside the azimuth support.  Both full-matrix buffers have a padded row
-stride (``_padded_width``) so the two azimuth passes do not thrash the
-cache, and no stage writes into its input.
+inside the azimuth support.  The chain owns one full-size matrix: rcmc's
+range-Doppler buffer, whose padded row stride (``_padded_width``) keeps the
+two azimuth passes from thrashing the cache.  ``azimuth_compress`` filters
+that buffer in place and returns it as the image, so it consumes a
+complex128 input; ``range_compress`` and ``rcmc`` leave their inputs alone.
 
 Peak-position convention (fixed and relied on by the ground truth): after
 range compression a point echo's peak lands at the echo's phase-vertex
@@ -225,18 +227,16 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     """Azimuth matched filter in the frequency domain, then inverse DFT.
 
     `rd` must be in the range-Doppler domain; the reference is zero-padded to
-    the column length and conjugated in the frequency domain.  The image is
-    an M x N view of a padded buffer, and `rd` is left unchanged.
+    the column length and conjugated in the frequency domain.  A complex128
+    `rd` is consumed: it is filtered in place and returned as the image.
     """
     x = as_complex_matrix(rd)
     ref = as_complex_vector(azimuth_ref)
-    m, n = x.shape
-    if ref.size > m:
+    if ref.size > x.shape[0]:
         raise ParameterError("azimuth reference longer than a column")
-    image = np.empty((m, _padded_width(n)), dtype=np.complex128)[:, :n]
-    np.multiply(x, np.conj(np.fft.fft(ref, m))[:, None], out=image)
-    np.fft.ifft(image, axis=0, out=image)
-    return FocusedImage(image=image, provenance=provenance)
+    x *= np.conj(np.fft.fft(ref, x.shape[0]))[:, None]
+    np.fft.ifft(x, axis=0, out=x)
+    return FocusedImage(image=x, provenance=provenance)
 
 
 def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
@@ -245,7 +245,8 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
 
     taper_fraction defaults to the estimate's range-chirp taper.  An analytic
     RcmModel may be supplied to bypass peak tracking (oracle mode).  on_stage,
-    when given, is called with (stage_name, result) after every stage.
+    when given, is called with (stage_name, result) after every stage, before
+    the next stage overwrites rcmc's buffer with the image.
     `raw` may be complex64; only the rows it tracks and rcmc upcast it.
     """
     x = as_complex_matrix(raw, single=True)

@@ -168,7 +168,7 @@ def compare_images(a, b, window=None, db_floor=-120.0):
         ia = ia[r0:r1, c0:c1]
         ib = ib[r0:r1, c0:c1]
 
-    ma, mb = (np.abs(np.asarray(v, np.complex128)) for v in (ia, ib))
+    ma, mb = (np.abs(v, dtype=np.float64) for v in (ia, ib))
     denom = np.linalg.norm(ma) * np.linalg.norm(mb)
     correlation = float(np.sum(ma * mb) / denom) if denom > 0 else 0.0
 
@@ -180,9 +180,10 @@ def compare_images(a, b, window=None, db_floor=-120.0):
     if floor <= 0:
         rms_db = 0.0
     else:
-        da = 20.0 * np.log10(np.maximum(ma, floor))
-        db_ = 20.0 * np.log10(np.maximum(mb, floor))
-        rms_db = float(np.sqrt(np.mean((da - db_) ** 2)))
+        for mag in (ma, mb):  # to dB in place
+            np.log10(np.maximum(mag, floor, out=mag), out=mag)
+            mag *= 20.0
+        rms_db = float(np.sqrt(np.mean((ma - mb) ** 2)))
     return {
         "correlation": correlation,
         "peak_offset": offset,

@@ -17,7 +17,7 @@ import numpy as np
 from .core import ChirpModel, next_fast_len, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
-from .focus import RcmModel
+from .focus import RCMC_BLOCK_ROWS, RcmModel
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -151,7 +151,9 @@ def simulate_raw(config, scene):
     exact fractional-delay replicas of the transmitted pulse, weighted by the
     two-way beam pattern and the two-way propagation phase, plus seeded
     circular complex Gaussian noise (std = noise_sigma per I/Q component,
-    independent per-row substreams).
+    independent per-row substreams).  Each echo's spectrum is accumulated
+    RCMC_BLOCK_ROWS rows at a time and inverse-transformed in place, so the
+    working memory is one M x nfft buffer plus one row block of temporaries.
     """
     M, N = config.num_pulses, config.samples_per_pulse
     pulse = config.transmitted_pulse()
@@ -167,9 +169,11 @@ def simulate_raw(config, scene):
         r, lead, boresight, beam = _echo_geometry(config, sc)
         _validate_scatterer(config, sc, index, lead, boresight)
         amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
-        spectrum += (amp[:, None] * pulse_spectrum[None, :]) * np.exp(
-            -2j * np.pi * freqs[None, :] * lead[:, None]
-        )
+        for lo in range(0, M, RCMC_BLOCK_ROWS):
+            rows = slice(lo, lo + RCMC_BLOCK_ROWS)
+            spectrum[rows] += (amp[rows, None] * pulse_spectrum[None, :]) * np.exp(
+                -2j * np.pi * freqs[None, :] * lead[rows, None]
+            )
         row = sc.azimuth_time * config.prf
         col = (2.0 * sc.range_offset / SPEED_OF_LIGHT * config.range_sampling
                + (n_chirp - 1) / 2.0)
@@ -177,7 +181,7 @@ def simulate_raw(config, scene):
         if first is None:
             first = (sc, r, lead)
 
-    raw = np.fft.ifft(spectrum, axis=1)[:, :N]
+    raw = np.fft.ifft(spectrum, axis=1, out=spectrum)[:, :N]
 
     if config.noise_sigma > 0:
         for m in range(M):

@@ -4,9 +4,10 @@ These deliberately avoid the library's own code paths: smooth numbers built
 by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
 matrices, direct-summation correlation on a fine lag grid for sidelobe
 checks, the one-exp-per-sample RCMC ramp, roll-the-whole-buffer range
-compression and six-pass focusing chain that the focusing stages replace,
-and the whole-window 2-D oversampling that the point-target analysis
-replaces with two cuts.
+compression, out-of-place azimuth compression and six-pass focusing chain
+that the focusing stages replace, the whole-window 2-D oversampling that the
+point-target analysis replaces with two cuts, and the upcast-then-scale
+render levels that the PGM writer computes in place.
 """
 
 import numpy as np
@@ -132,7 +133,22 @@ def six_pass_focus(raw, range_ref, azimuth_ref, rcm, azimuth_rate, doppler_centr
 
     ramp = direct_shift_ramp(migration(offsets) - migration(zero_doppler), n)
     rd = np.fft.ifft(np.fft.fft(rd, axis=1) * ramp, axis=1)
-    return np.fft.ifft(rd * np.conj(np.fft.fft(azimuth_ref, m))[:, None], axis=0)
+    return out_of_place_azimuth_compress(rd, azimuth_ref)
+
+
+def out_of_place_azimuth_compress(rd, azimuth_ref):
+    """Azimuth matched filter as a new product matrix, then a new inverse
+    azimuth FFT; `rd` is left unchanged."""
+    return np.fft.ifft(rd * np.conj(np.fft.fft(azimuth_ref, rd.shape[0]))[:, None], axis=0)
+
+
+def pgm_levels(image, db_floor):
+    """8-bit render levels from the complex128 upcast of `image`, each step a
+    new array: dB relative to the peak, scaled from the floor and clipped."""
+    mag = np.abs(np.asarray(image, np.complex128))
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(mag / np.max(mag))
+    return np.round(np.clip((db - db_floor) / (0.0 - db_floor), 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
 def oversample_window(window, factor):

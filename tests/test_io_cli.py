@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ from bsar import fileio
 from bsar.cli import main
 from bsar.core import ChirpModel, synth_chirp
 from bsar.errors import FormatError
+from bsar.estimate import build_references
+from bsar.focus import focus_pipeline, rcmc
 from conftest import DEFAULT_CONFIG
+from oracles import pgm_levels
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -159,6 +163,33 @@ def test_render_header_for_512x1024(tmp_path):
         fileio.render_magnitude(np.zeros((512, 1024), dtype=np.complex128),
                                 -40.0, path)
     assert path.read_bytes().startswith(b"P5\n1024 512\n255\n")
+
+
+def complex64_image(shape=(512, 1024)):
+    rng = np.random.default_rng(9)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+
+
+def test_render_complex64_levels_match_the_upcast(tmp_path):
+    img = complex64_image((64, 96))
+    img[5:9] = 0.0  # -inf dB, clipped to the floor
+    path = tmp_path / "r.pgm"
+    for db_floor in (-40.0, -120.0):
+        fileio.render_magnitude(img, db_floor, path)
+        pixels = np.frombuffer(path.read_bytes()[len(b"P5\n96 64\n255\n"):], dtype=np.uint8)
+        np.testing.assert_array_equal(pixels.reshape(img.shape), pgm_levels(img, db_floor))
+
+
+def test_render_peak_memory():
+    # one float64 magnitude, scaled in place, and the uint8 pixels
+    img = complex64_image()
+    tracemalloc.start()
+    try:
+        fileio.render_magnitude(img, -40.0, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * img.nbytes, peak / img.nbytes
 
 
 def test_render_rejects_nonnegative_floor(tmp_path):
@@ -393,6 +424,20 @@ def test_cli_dump_stages(tmp_path):
                  "--dump-stages", str(stages)]) == 0
     names = sorted(p.name for p in stages.iterdir())
     assert names == ["azimuth_compress.bsar", "rcmc.bsar"]
+
+    # the RCMC dump is written before azimuth_compress filters that buffer
+    raw, _ = fileio.read_matrix(raw_f)
+    est, _ = fileio.read_estimate(est_f)
+    models = {}
+    focus_pipeline(raw, est, on_stage=models.__setitem__)
+    range_ref, _ = build_references(est, taper_fraction=est.range_chirp.taper_fraction)
+    rd = rcmc(raw, range_ref, models["track_rcm"], est.azimuth_chirp.rate,
+              est.doppler_centroid)
+    dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")
+    np.testing.assert_array_equal(dumped, rd.astype(np.complex64))
+    image, _ = fileio.read_matrix(stages / "azimuth_compress.bsar")
+    focused, _ = fileio.read_matrix(tmp_path / "slc.bsar")
+    np.testing.assert_array_equal(image, focused)
 
 
 def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):

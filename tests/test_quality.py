@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,32 @@ def test_compare_window_selects_region():
     b[:8, :8] += 100.0  # corruption outside the analysis window
     summary = compare_images(a, b, window=(16, 48, 16, 48))
     assert summary["correlation"] == pytest.approx(1.0, abs=1e-12)
+
+
+def complex64_pair(shape=(512, 1024)):
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return a.astype(np.complex64), (0.9 * a + 0.01).astype(np.complex64)
+
+
+def test_compare_complex64_equals_its_upcast():
+    a, b = complex64_pair((64, 96))
+    for window in (None, (3, 40, 10, 90)):
+        assert (compare_images(a, b, window=window)
+                == compare_images(a.astype(np.complex128), b.astype(np.complex128),
+                                  window=window))
+
+
+def test_compare_peak_memory():
+    # two float64 magnitudes, taken to dB in place, and one difference
+    a, b = complex64_pair()
+    tracemalloc.start()
+    try:
+        compare_images(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * a.nbytes, peak / a.nbytes
 
 
 def test_compare_rejects_mismatched_shapes():

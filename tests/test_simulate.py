@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
-from bsar.core import unwrap_phase
+from bsar.core import next_fast_len, unwrap_phase
 from bsar.errors import ConfigurationError, ParameterError
 from bsar.simulate import (
     SPEED_OF_LIGHT,
@@ -163,6 +165,22 @@ def test_squint_doppler_centroid(squint_sim, squint_scene):
     _, truth = squint_sim
     assert config.squint_offset != 0.0
     assert abs(truth.doppler_centroid) == pytest.approx(0.15, abs=0.001)
+
+
+@pytest.mark.parametrize("scene_name", ["default_scene", "squint_scene"])
+def test_simulate_raw_peak_memory(request, scene_name):
+    # one M x nfft spectrum buffer, inverse-transformed in place, plus one
+    # row block of per-echo temporaries
+    config, scene = request.getfixturevalue(scene_name)
+    nfft = next_fast_len(config.samples_per_pulse + config.chirp_samples)
+    spectrum_bytes = config.num_pulses * nfft * 16
+    tracemalloc.start()
+    try:
+        simulate_raw(config, scene)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * spectrum_bytes, peak / spectrum_bytes
 
 
 # --- raw_statistics -------------------------------------------------------------

@@ -113,14 +113,10 @@ def _cmd_focus(args):
                 fileio.write_matrix(data, os.path.join(args.dump_stages, f"{name}.bsar"))
 
     if args.est:
-        if not os.path.exists(args.est):
-            raise ParameterError(f"--est file not found: {args.est}")
         est, _ = fileio.read_estimate(args.est)
         img = focus_pipeline(raw, est, taper_fraction=args.taper,
                              provenance="blind", on_stage=on_stage)
     else:
-        if not os.path.exists(args.oracle):
-            raise ParameterError(f"--oracle file not found: {args.oracle}")
         truth = fileio.read_truth(args.oracle)
         if truth.config is None:
             raise ParameterError("--oracle truth file lacks the config block")

@@ -41,7 +41,7 @@ def as_complex_vector(data):
 class ChirpModel:
     """Quadratic phase law in cycles.
 
-    phase(n) = rate*(n - center)**2 + linear*(n - center) + constant
+    phase(n) = rate*(n - center)**2 + constant
 
     `support` is a half-open sample interval [start, stop); samples outside it
     are zero.  `taper_fraction` is the fraction of the support length covered
@@ -54,7 +54,6 @@ class ChirpModel:
     center: float
     support: tuple
     taper_fraction: float = 0.0
-    linear: float = 0.0
     constant: float = 0.0
     fit_rms: float = float("nan")
 
@@ -64,7 +63,7 @@ class ChirpModel:
             raise ParameterError(f"invalid chirp support [{start}, {stop})")
         if not (0.0 <= self.taper_fraction <= 0.5):
             raise ParameterError("taper_fraction must be in [0, 0.5]")
-        for name in ("rate", "center", "linear", "constant"):
+        for name in ("rate", "center", "constant"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"non-finite chirp parameter {name!r}")
 
@@ -74,12 +73,12 @@ class ChirpModel:
 
     def phase_cycles(self, n):
         d = np.asarray(n, dtype=np.float64) - self.center
-        return self.rate * d * d + self.linear * d + self.constant
+        return self.rate * d * d + self.constant
 
     def instantaneous_frequency(self, n):
         """Phase derivative in cycles/sample at position(s) n."""
         d = np.asarray(n, dtype=np.float64) - self.center
-        return 2.0 * self.rate * d + self.linear
+        return 2.0 * self.rate * d
 
 
 def taper_window(positions, start, stop, taper_fraction):

@@ -16,6 +16,7 @@ from .errors import ConvergenceError, ParameterError
 DEGENERACY_RATIO = 1.0 + 1e-6
 OVERSAMPLE = 5
 MAX_SWEEPS = 5000
+TOL = 1e-9  # relative sweep-to-sweep change that declares convergence
 
 
 @dataclass
@@ -56,12 +57,12 @@ def _orthonormal_completion(block, count, rng):
     return q
 
 
-def leading_triplets(X, k, tol=1e-9, seed=0):
+def leading_triplets(X, k, seed=0):
     """Compute the k dominant singular triplets of X.
 
     Block power iteration (with guard vectors) on the smaller Gram operator;
     convergence is declared when all k leading singular-value estimates change
-    by less than `tol` relatively between sweeps, and that sweep's Ritz pairs
+    by less than TOL relatively between sweeps, and that sweep's Ritz pairs
     are the result.  Raises ConvergenceError carrying the last sweep's
     triplets when MAX_SWEEPS sweeps pass without convergence.
     """
@@ -70,8 +71,6 @@ def leading_triplets(X, k, tol=1e-9, seed=0):
     k = int(k)
     if not (1 <= k <= min(M, N)):
         raise ParameterError(f"k={k} outside [1, min(M, N)={min(M, N)}]")
-    if not (tol > 0):
-        raise ParameterError("tol must be positive")
     total = float(np.vdot(X, X).real)
     if not np.isfinite(total):
         raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
@@ -101,7 +100,7 @@ def leading_triplets(X, k, tol=1e-9, seed=0):
         order = np.argsort(evals)[::-1][:k]
         sigma = np.sqrt(np.clip(evals[order], 0.0, None))
         scale = max(float(sigma[0]), np.finfo(float).tiny)
-        if prev is not None and np.all(np.abs(sigma - prev) <= tol * scale):
+        if prev is not None and np.all(np.abs(sigma - prev) <= TOL * scale):
             converged = True
             break
         prev = sigma
@@ -135,7 +134,7 @@ def leading_triplets(X, k, tol=1e-9, seed=0):
     )
     if not converged:
         raise ConvergenceError(
-            f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps",
+            f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps",
             last_iterate=result,
         )
     return result

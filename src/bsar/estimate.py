@@ -5,7 +5,8 @@ antenna beam pattern.  Each row of X = U S V^H is dominated by sigma1 * u1[m]
 * conj(v1), so conj(v1) carries the range chirp (up to the SVD phase gauge).
 Both are noisy, so clean references are re-synthesized from least-squares
 quadratic phase fits rather than used directly.  The Doppler centroid comes
-from the raw matrix itself, as the phase of its lag-one azimuth correlation.
+from the raw matrix itself, as the phase of its lag-one azimuth correlation,
+and the beam center is the row where the fitted azimuth chirp crosses it.
 """
 
 from dataclasses import dataclass, replace
@@ -37,15 +38,18 @@ class BlindEstimate:
     azimuth_chirp: ChirpModel
     doppler_centroid: float      # cycles/pulse, in (-0.5, 0.5]
     beam_envelope: np.ndarray    # smoothed |u1|, length M
-    beam_peak_index: float       # fractional pulse index of the beam center
+    beam_center_row: float       # fractional pulse index of the beam center
     dominance_ratio: float
     fit_residuals: dict          # RMS cycles per fit, keys "range"/"azimuth"
 
     def __post_init__(self):
         if not (-0.5 < self.doppler_centroid <= 0.5):
             raise ParameterError("doppler centroid outside (-0.5, 0.5] cycles/pulse")
-        if not np.isfinite(self.beam_peak_index):
-            raise ParameterError("non-finite beam peak index")
+        if not (0.0 <= self.beam_center_row < self.beam_envelope.size):
+            raise ParameterError(
+                f"beam center row {self.beam_center_row} outside the "
+                f"{self.beam_envelope.size}-pulse grid"
+            )
         for key, value in self.fit_residuals.items():
             if not np.isfinite(value):
                 raise ParameterError(f"non-finite fit residual for {key!r}")
@@ -107,7 +111,7 @@ def _parabolic_peak(values, index):
     return float(index + np.clip(shift, -0.5, 0.5))
 
 
-def fit_quadratic_phase(signal, support, taper_fraction=0.0):
+def fit_quadratic_phase(signal, support):
     """Magnitude-weighted LMS fit of a parabolic phase over the support.
 
     The phase of signal[start:stop] is unwrapped, converted to cycles, and fit
@@ -150,7 +154,6 @@ def fit_quadratic_phase(signal, support, taper_fraction=0.0):
         rate=float(a2),
         center=float(vertex),
         support=(start, stop),
-        taper_fraction=taper_fraction,
         constant=constant,
         fit_rms=rms,
     )
@@ -159,7 +162,7 @@ def fit_quadratic_phase(signal, support, taper_fraction=0.0):
 def estimate_azimuth(u1):
     """Azimuth chirp and beam pattern from the first left singular vector.
 
-    Returns (ChirpModel, beam_envelope, beam_peak_index).
+    Returns (ChirpModel, beam_envelope, envelope peak index).
     """
     u = as_complex_vector(u1)
     support, envelope = _auto_support(np.abs(u))
@@ -223,12 +226,16 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     v1 = svd.right_vectors[:, 0]
     az_model, envelope, peak = estimate_azimuth(u1)
     range_model = estimate_range(np.conj(v1))
+    dc = estimate_doppler_centroid(X)
+    # the beam center is the row where the azimuth chirp's frequency equals
+    # the centroid, taken nearest the envelope peak
+    crossing = wrap_half_open(dc - az_model.instantaneous_frequency(peak))
     return BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=az_model,
-        doppler_centroid=estimate_doppler_centroid(X),
+        doppler_centroid=dc,
         beam_envelope=envelope,
-        beam_peak_index=peak,
+        beam_center_row=peak + float(crossing) / (2.0 * az_model.rate),
         dominance_ratio=ratio,
         fit_residuals={"range": range_model.fit_rms, "azimuth": az_model.fit_rms},
     )

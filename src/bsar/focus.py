@@ -13,11 +13,13 @@ The image is formed in four full-matrix FFT passes (``rcmc`` then
 
 In blind mode the migration is tracked first (``track_rcm``) on rows
 range-compressed in the time domain (``range_compress``), but only the rows
-inside the azimuth support.  The chain owns one full-size matrix: rcmc's
-range-Doppler buffer, whose padded row stride (``_padded_width``) keeps the
-two azimuth passes from thrashing the cache.  ``azimuth_compress`` filters
-that buffer in place and returns it as the image, so it consumes a
-complex128 input; ``range_compress`` and ``rcmc`` leave their inputs alone.
+inside the azimuth support, fit against their pulse offsets from the
+estimate's beam center, the row ``rcmc`` counts pulses from.  The chain owns
+one full-size matrix: rcmc's range-Doppler buffer, whose padded row stride
+(``_padded_width``) keeps the two azimuth passes from thrashing the cache.
+``azimuth_compress`` filters that buffer in place and returns it as the
+image, so it consumes a complex128 input; ``range_compress`` and ``rcmc``
+leave their inputs alone.
 
 Peak-position convention (fixed and relied on by the ground truth): after
 range compression a point echo's peak lands at the echo's phase-vertex
@@ -29,7 +31,7 @@ compression uses the vertex-at-index-0 wrapped reference layout produced by
 zero-Doppler row.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,27 +50,20 @@ class RcmModel:
     """Quadratic range-migration trajectory around the beam center.
 
     delta(d_eta) = linear * d_eta + quadratic * d_eta**2   [range samples],
-    with d_eta the pulse offset from the beam center; delta(0) = 0 by
-    construction and reference_range_bin is the absolute peak bin there.
-    rcmc takes the beam center to be the row whose Doppler frequency is the
-    centroid; track_rcm fits around the envelope peak (see ``recentred``).
+    with d_eta the pulse offset from the beam center, the row where the
+    target's Doppler frequency is the centroid (``beam_center_row``);
+    delta(0) = 0 by construction and reference_range_bin is the absolute
+    peak bin there.
     """
 
     reference_range_bin: float
     linear: float
     quadratic: float
     fit_rms: float
-    source: str = "peak-tracking"  # or "analytic-oracle"
 
     def delta(self, pulse_offset):
         d = np.asarray(pulse_offset, dtype=np.float64)
         return self.linear * d + self.quadratic * d * d
-
-    def recentred(self, pulse_offset):
-        """The same trajectory with its origin moved `pulse_offset` pulses on."""
-        return replace(self,
-                       reference_range_bin=self.reference_range_bin + float(self.delta(pulse_offset)),
-                       linear=self.linear + 2.0 * self.quadratic * pulse_offset)
 
 
 @dataclass
@@ -103,28 +98,23 @@ def range_compress(raw, range_ref):
     return out
 
 
-def track_rcm(rc, beam_envelope, threshold=DEFAULT_THRESHOLD):
+def track_rcm(rc, offsets):
     """Fit the dominant scatterer's migration trajectory from compressed rows.
 
-    Within the azimuth support, the per-pulse range peak is located with
-    sub-sample parabolic interpolation and fit with a quadratic in the pulse
-    offset from the beam peak; outliers beyond 3x the residual MAD are
-    rejected once and the curve refit.
+    `offsets` gives each row's pulse offset from the beam center.  The
+    per-pulse range peak is located with sub-sample parabolic interpolation
+    and fit with a quadratic in that offset; outliers beyond 3x the residual
+    MAD are rejected once and the curve refit.
     """
     x = as_complex_matrix(rc)
-    env = np.asarray(beam_envelope, dtype=np.float64)
-    if env.size != x.shape[0]:
-        raise ParameterError("beam envelope length does not match the matrix")
-    start, stop = detect_support(env, threshold)
-    peak_row = _parabolic_peak(env, int(np.argmax(env)))
-
-    rows = np.arange(start, stop)
-    if rows.size < MIN_TRACK_POINTS:
-        raise TrackingError(f"only {rows.size} pulses inside the azimuth support")
-    mags = np.abs(x[start:stop])
+    offsets = np.asarray(offsets, dtype=np.float64)
+    if offsets.shape != (x.shape[0],):
+        raise ParameterError("one pulse offset per compressed row is required")
+    if offsets.size < MIN_TRACK_POINTS:
+        raise TrackingError(f"only {offsets.size} pulses inside the azimuth support")
+    mags = np.abs(x)
     cols = np.argmax(mags, axis=1)
-    peaks = np.array([_parabolic_peak(mags[i], cols[i]) for i in range(rows.size)])
-    offsets = rows.astype(np.float64) - peak_row
+    peaks = np.array([_parabolic_peak(mags[i], cols[i]) for i in range(offsets.size)])
 
     def fit(off, pk):
         design = np.column_stack([np.ones_like(off), off, off * off])
@@ -265,17 +255,9 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
     def track():
         # peaks are tracked only inside the azimuth support, so only those
         # rows are range-compressed in the time domain
-        envelope = estimate.beam_envelope
-        start, stop = detect_support(envelope, DEFAULT_THRESHOLD)
-        rcm = track_rcm(range_compress(x[start:stop], range_ref), envelope[start:stop])
-        # the curve is fit around the envelope peak; rcmc counts pulses from
-        # the row where the azimuth chirp crosses the Doppler centroid
-        chirp = estimate.azimuth_chirp
-        if chirp.rate == 0.0:
-            raise ParameterError("azimuth rate must be nonzero")
-        crossing = wrap_half_open(estimate.doppler_centroid
-                                  - chirp.instantaneous_frequency(estimate.beam_peak_index))
-        return rcm.recentred(float(crossing) / (2.0 * chirp.rate))
+        start, stop = detect_support(estimate.beam_envelope, DEFAULT_THRESHOLD)
+        return track_rcm(range_compress(x[start:stop], range_ref),
+                         np.arange(start, stop) - estimate.beam_center_row)
 
     range_ref, azimuth_ref = build_references(estimate, taper_fraction=taper)
     rcm = rcm_override

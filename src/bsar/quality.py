@@ -15,6 +15,8 @@ from .errors import NoTargetError, ParameterError
 
 MINUS_3DB = 10.0 ** (-3.0 / 20.0)
 ISLR_EXTENT = 10.0  # multiples of the -3 dB width integrated on each side
+OVERSAMPLE = 16     # analysis interpolation factor
+DB_FLOOR = -120.0   # compare_images clips magnitudes this far below the peak
 
 
 @dataclass
@@ -95,15 +97,13 @@ def cut_metrics(cut, peak_idx, factor):
     return irw, float(pslr), float(islr)
 
 
-def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
+def analyze_point_target(img, approx_position, window=64):
     """Oversampled impulse-response metrics around an approximate position."""
     x = np.asarray(img.image if hasattr(img, "image") else img)
     if x.ndim != 2:
         raise ParameterError("expected a 2-D image")
     if window < 32:
         raise ParameterError("analysis window must be at least 32 samples")
-    if oversample_factor < 8:
-        raise ParameterError("oversample factor must be at least 8")
     r = int(round(approx_position[0]))
     c = int(round(approx_position[1]))
     half = window // 2
@@ -121,7 +121,7 @@ def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
 
     # the fine peak lies within one coarse sample of the coarse one, on a
     # periodic fine grid; the two cuts through it are 1-D products
-    f = oversample_factor
+    f = OVERSAMPLE
     op = interpolation_operator(2 * half, f)
     rows = (peak_idx[0] * f + np.arange(-f, f + 1)) % op.shape[0]
     cols = (peak_idx[1] * f + np.arange(-f, f + 1)) % op.shape[0]
@@ -144,11 +144,11 @@ def analyze_point_target(img, approx_position, window=64, oversample_factor=16):
         pslr_azimuth=pslr_az,
         islr_range=islr_rg,
         islr_azimuth=islr_az,
-        oversample_factor=oversample_factor,
+        oversample_factor=OVERSAMPLE,
     )
 
 
-def compare_images(a, b, window=None, db_floor=-120.0):
+def compare_images(a, b, window=None):
     """Normalized magnitude correlation, peak offset and dB RMS difference.
 
     `window`, when given, is (row_start, row_stop, col_start, col_stop).
@@ -176,7 +176,7 @@ def compare_images(a, b, window=None, db_floor=-120.0):
     pb = np.unravel_index(np.argmax(mb), mb.shape)
     offset = (int(pb[0] - pa[0]), int(pb[1] - pa[1]))
 
-    floor = max(np.max(ma), np.max(mb)) * 10.0 ** (db_floor / 20.0)
+    floor = max(np.max(ma), np.max(mb)) * 10.0 ** (DB_FLOOR / 20.0)
     if floor <= 0:
         rms_db = 0.0
     else:

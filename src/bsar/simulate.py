@@ -10,7 +10,7 @@ nulls at +-beam_azimuth_extent/2 around the (possibly squinted) boresight.
 Sub-sample echo delays are realized exactly by frequency-domain phase ramps.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .estimate import BlindEstimate
 from .focus import RCMC_BLOCK_ROWS, RcmModel
 
 SPEED_OF_LIGHT = 299792458.0
+HISTOGRAM_BINS = 64  # raw_statistics histogram bins per part
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,11 @@ class AcquisitionConfig:
         """Transmitted chirp bandwidth as a fraction of the range sampling rate."""
         return self.chirp_rate * self.chirp_duration / self.range_sampling
 
-    def range_chirp_model(self, taper_fraction=0.0):
+    def range_chirp_model(self):
         """Transmitted pulse as a ChirpModel in cycles/sample^2 units."""
         n = self.chirp_samples
         rate = self.chirp_rate / (2.0 * self.range_sampling**2)
-        return ChirpModel(
-            rate=rate, center=(n - 1) / 2.0, support=(0, n),
-            taper_fraction=taper_fraction,
-        )
+        return ChirpModel(rate=rate, center=(n - 1) / 2.0, support=(0, n))
 
     def transmitted_pulse(self):
         return synth_chirp(self.range_chirp_model(), self.chirp_samples)
@@ -238,7 +236,7 @@ def _ground_truth(config, scene, positions, first):
     )
 
 
-def raw_statistics(raw, bins=64):
+def raw_statistics(raw):
     """Moment summary and fixed-bin histogram of the real and imaginary parts."""
     x = np.asarray(raw)
     if x.size == 0:
@@ -259,16 +257,12 @@ def raw_statistics(raw, bins=64):
                     "excess_kurtosis": float(m4 / m2**2 - 3.0),
                 }
         span = float(np.max(np.abs(part)))
-        edges = np.linspace(-span, span, bins + 1) if span > 0 else np.linspace(-1, 1, bins + 1)
+        half = span if span > 0 else 1.0
+        edges = np.linspace(-half, half, HISTOGRAM_BINS + 1)
         counts, edges = np.histogram(part, bins=edges)
         moments["histogram"] = {"counts": counts.tolist(), "edges": edges.tolist()}
         out[name] = moments
     return out
-
-
-def with_seed(config, seed):
-    """Copy of the config with a different noise seed (for Monte-Carlo runs)."""
-    return replace(config, rng_seed=int(seed))
 
 
 def oracle_estimate(truth):
@@ -306,14 +300,13 @@ def oracle_estimate(truth):
         linear=float(coeffs[1]),
         quadratic=float(coeffs[2]),
         fit_rms=float(np.sqrt(np.mean(resid**2))),
-        source="analytic-oracle",
     )
     estimate = BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=azimuth_model,
         doppler_centroid=truth.doppler_centroid,
         beam_envelope=envelope,
-        beam_peak_index=truth.beam_center_row,
+        beam_center_row=truth.beam_center_row,
         dominance_ratio=float("inf"),
         fit_residuals={"range": 0.0, "azimuth": 0.0},
     )

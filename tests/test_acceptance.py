@@ -6,10 +6,10 @@ import pytest
 from dataclasses import replace
 
 from bsar.decompose import gibbs_rotation_check, leading_triplets
-from bsar.estimate import blind_estimate, build_references
+from bsar.estimate import DEFAULT_THRESHOLD, blind_estimate, build_references, detect_support
 from bsar.focus import range_compress, rcmc, track_rcm
 from bsar.quality import analyze_point_target, compare_images
-from bsar.simulate import Scatterer, raw_statistics, simulate_raw, with_seed
+from bsar.simulate import Scatterer, raw_statistics, simulate_raw
 from bsar import fileio
 from bsar.focus import focus_pipeline
 
@@ -27,7 +27,7 @@ def test_a1_blind_parameter_recovery(capsys, default_scene, squint_scene):
     worst = {"kr": 0.0, "ka": 0.0, "dc": 0.0}
     for config, scene in (default_scene, squint_scene):
         for seed in seeds:
-            raw, truth = simulate_raw(with_seed(config, seed), scene)
+            raw, truth = simulate_raw(replace(config, rng_seed=seed), scene)
             est = blind_estimate(raw)
             kr = abs(est.range_chirp.rate - truth.range_chirp_rate) / abs(
                 truth.range_chirp_rate)
@@ -74,15 +74,15 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
     est = default_estimate
     range_ref, _ = build_references(est, taper_fraction=0.0)
     rc = range_compress(raw, range_ref)
-    rcm = track_rcm(rc, est.beam_envelope)
+    # tracked as focus_pipeline tracks: the support rows, against their
+    # offsets from the beam centre
+    lo, hi = detect_support(est.beam_envelope, DEFAULT_THRESHOLD)
+    rcm = track_rcm(rc[lo:hi], np.arange(lo, hi) - est.beam_center_row)
     rd = rcmc(raw, range_ref, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
-    # measure over the tracked support (rows the 10% threshold accepts); the
-    # outer main-lobe tails are noise-dominated and carry no usable peak
-    from bsar.estimate import detect_support
-
-    lo, hi = detect_support(est.beam_envelope, 0.1)
+    # measure over the tracked support; the outer main-lobe tails are
+    # noise-dominated and carry no usable peak
     rows = np.arange(lo + 2, hi - 2)
 
     def spread(matrix):
@@ -93,7 +93,7 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
 
     pre = spread(rc)
     post = spread(corrected)
-    predicted = rcm.reference_range_bin + rcm.delta(rows - est.beam_peak_index)
+    predicted = rcm.reference_range_bin + rcm.delta(rows - est.beam_center_row)
     analytic = truth.positions[0][1] + truth.rcm_curve[rows]
     rms = float(np.sqrt(np.mean((predicted - analytic) ** 2)))
     ok = pre > 2.0 and post < 1.0 and rms < 0.25

@@ -16,7 +16,7 @@ from oracles import smooth_numbers
 # --- synth_chirp --------------------------------------------------------------
 
 def test_zero_rate_chirp_is_constant():
-    model = ChirpModel(rate=0.0, center=0.0, support=(0, 8), linear=0.0)
+    model = ChirpModel(rate=0.0, center=0.0, support=(0, 8))
     out = synth_chirp(model, 8)
     np.testing.assert_allclose(out, np.ones(8, dtype=np.complex128), atol=1e-15)
 

@@ -17,7 +17,7 @@ from bsar.estimate import (
     estimate_range,
     fit_quadratic_phase,
 )
-from bsar.simulate import simulate_raw, with_seed
+from bsar.simulate import simulate_raw
 
 
 # --- detect_support -------------------------------------------------------------
@@ -156,15 +156,29 @@ def test_centroid_of_a_pure_doppler_tone(f):
     assert estimate_doppler_centroid(x) == pytest.approx(f, abs=1e-12)
 
 
-@pytest.mark.parametrize("which", ["default", "squint"])
-def test_blind_centroid_within_a1_bound_on_40_noise_seeds(request, which):
-    config, scene = request.getfixturevalue(f"{which}_scene")
-    errors = []
+@pytest.fixture(scope="module", params=["default", "squint"])
+def noise_seed_runs(request):
+    """(blind estimate, truth) on noise seeds 3000-3039 of a desk scene."""
+    config, scene = request.getfixturevalue(f"{request.param}_scene")
+    runs = []
     for seed in range(3000, 3040):
-        raw, truth = simulate_raw(with_seed(config, seed), scene)
-        dc = blind_estimate(raw).doppler_centroid
-        errors.append(abs(wrap_half_open(dc - truth.doppler_centroid)))
+        raw, truth = simulate_raw(replace(config, rng_seed=seed), scene)
+        runs.append((blind_estimate(raw), truth))
+    return runs
+
+
+def test_blind_centroid_within_a1_bound_on_40_noise_seeds(noise_seed_runs):
+    errors = [abs(wrap_half_open(est.doppler_centroid - truth.doppler_centroid))
+              for est, truth in noise_seed_runs]
     assert max(errors) < 0.01, max(errors)
+
+
+def test_blind_beam_center_on_40_noise_seeds(noise_seed_runs):
+    # the centroid-crossing row, not the envelope peak (3.4 pulses off on
+    # desk_default), is the beam centre the focusing counts pulses from
+    errors = [abs(est.beam_center_row - truth.beam_center_row)
+              for est, truth in noise_seed_runs]
+    assert max(errors) <= 0.25, max(errors)
 
 
 # --- estimate_range -------------------------------------------------------------
@@ -252,16 +266,15 @@ def test_range_reference_matches_transmitted_pulse(default_estimate, default_sce
 
 def test_azimuth_reference_frequency_at_beam_peak(default_estimate):
     # the synthesized reference carries the fitted chirp's frequency at the
-    # wrapped index corresponding to the beam peak offset
+    # wrapped index corresponding to the beam centre offset
     est = default_estimate
     model_f = wrap_half_open(
-        est.azimuth_chirp.instantaneous_frequency(est.beam_peak_index)
+        est.azimuth_chirp.instantaneous_frequency(est.beam_center_row)
     )
     _, azimuth_ref = build_references(est, taper_fraction=0.0)
     m_total = azimuth_ref.size
-    offset = int(round(est.beam_peak_index - est.azimuth_chirp.center))
-    idx = offset % m_total
-    seg = azimuth_ref[idx - 2:idx + 3]
+    offset = int(round(est.beam_center_row - est.azimuth_chirp.center))
+    seg = azimuth_ref[np.arange(offset - 2, offset + 3) % m_total]  # wrapped layout
     assert np.all(np.abs(seg) > 0)
     phase = unwrap_phase(np.angle(seg)) / (2.0 * np.pi)
     measured = wrap_half_open((phase[3] - phase[1]) / 2.0)
@@ -282,13 +295,17 @@ def test_estimate_validates_doppler_range(default_estimate):
             azimuth_chirp=default_estimate.azimuth_chirp,
             doppler_centroid=0.75,
             beam_envelope=default_estimate.beam_envelope,
-            beam_peak_index=default_estimate.beam_peak_index,
+            beam_center_row=default_estimate.beam_center_row,
             dominance_ratio=default_estimate.dominance_ratio,
             fit_residuals={"range": 0.0, "azimuth": 0.0},
         )
 
 
-def test_estimate_rejects_non_finite_beam_peak(default_estimate):
-    # focusing counts migration offsets from the beam peak
-    with pytest.raises(ParameterError, match="beam peak"):
-        replace(default_estimate, beam_peak_index=float("nan"))
+def test_estimate_rejects_off_grid_beam_center(default_estimate):
+    # focusing counts migration offsets from the beam centre, a row of the grid
+    m = default_estimate.beam_envelope.size
+    for row in (-0.5, float(m), float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="beam center"):
+            replace(default_estimate, beam_center_row=row)
+    for row in (0.0, m - 0.5):
+        assert replace(default_estimate, beam_center_row=row).beam_center_row == row

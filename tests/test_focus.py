@@ -6,7 +6,7 @@ import pytest
 
 from bsar.core import ChirpModel, next_fast_len, sample_chirp
 from bsar.errors import ParameterError, TrackingError
-from bsar.estimate import build_references
+from bsar.estimate import DEFAULT_THRESHOLD, build_references, detect_support
 from bsar.focus import (
     RcmModel,
     _padded_width,
@@ -125,10 +125,17 @@ def oracle_range_compressed(config, scene):
     return range_compress(raw, range_ref), truth, estimate
 
 
+def tracked(rc, estimate):
+    """track_rcm as focus_pipeline calls it: the rows of the azimuth support,
+    against their pulse offsets from the estimate's beam centre."""
+    lo, hi = detect_support(estimate.beam_envelope, DEFAULT_THRESHOLD)
+    return track_rcm(rc[lo:hi], np.arange(lo, hi) - estimate.beam_center_row)
+
+
 def test_tracked_curve_matches_truth(default_scene):
     config, scene = default_scene
     rc, truth, estimate = oracle_range_compressed(config, scene)
-    rcm = track_rcm(rc, estimate.beam_envelope)
+    rcm = tracked(rc, estimate)
     lo, hi = truth.azimuth_support
     rows = np.arange(lo + 1, hi - 1)
     predicted = rcm.reference_range_bin + rcm.delta(rows - truth.beam_center_row)
@@ -143,9 +150,8 @@ def test_zero_migration_input():
     m = 128
     rows = np.zeros((m, 300), dtype=np.complex128)
     rows[:, 100:100 + ref.size] = ref[None, :]
-    env = np.exp(-0.5 * ((np.arange(m) - 64.0) / 20.0) ** 2)
     rc = range_compress(rows, ref)
-    rcm = track_rcm(rc, env)
+    rcm = track_rcm(rc, np.arange(m) - 64.0)
     assert abs(rcm.quadratic) < 1e-3
     assert abs(rcm.linear) < 1e-3
 
@@ -157,8 +163,8 @@ def test_migration_scales_with_inverse_range(default_scene):
     near = replace(config, closest_range=config.closest_range / 2.0)
     near_scene = [replace(scene[0], range_offset=scene[0].range_offset / 2.0)]
     rc2, truth2, est2 = oracle_range_compressed(near, near_scene)
-    q1 = track_rcm(rc1, est1.beam_envelope).quadratic
-    q2 = track_rcm(rc2, est2.beam_envelope).quadratic
+    q1 = tracked(rc1, est1).quadratic
+    q2 = tracked(rc2, est2).quadratic
     assert q2 / q1 == pytest.approx(2.0, rel=0.05)
 
 
@@ -166,11 +172,28 @@ def test_tracking_needs_enough_pulses():
     _, ref = make_reference(half=20)
     rows = np.zeros((40, 200), dtype=np.complex128)
     rows[:, 80:80 + ref.size] = ref[None, :]
-    env = np.zeros(40)
-    env[18:26] = 1.0  # only 8 pulses inside the support
     rc = range_compress(rows, ref)
     with pytest.raises(TrackingError):
-        track_rcm(rc, env)
+        track_rcm(rc[18:26], np.arange(18, 26) - 22.0)  # only 8 pulses
+    with pytest.raises(ParameterError, match="offset"):
+        track_rcm(rc, np.arange(39) - 22.0)
+
+
+def test_track_rcm_origin_invariance(default_sim, default_estimate):
+    # moving the origin of the offsets re-parameterizes the same trajectory
+    raw, _ = default_sim
+    est = default_estimate
+    range_ref, _ = build_references(est, taper_fraction=0.0)
+    lo, hi = detect_support(est.beam_envelope, DEFAULT_THRESHOLD)
+    rc = range_compress(raw[lo:hi], range_ref)
+    offsets = np.arange(lo, hi) - est.beam_center_row
+    a = track_rcm(rc, offsets)
+    b = track_rcm(rc, offsets - 3.5)
+    np.testing.assert_allclose(b.reference_range_bin + b.delta(offsets - 3.5),
+                               a.reference_range_bin + a.delta(offsets),
+                               rtol=0.0, atol=1e-9)
+    assert b.quadratic == pytest.approx(a.quadratic, rel=1e-9)
+    assert b.fit_rms == pytest.approx(a.fit_rms, rel=1e-9)
 
 
 # --- rcmc -----------------------------------------------------------------------
@@ -215,16 +238,6 @@ def test_rcmc_leaves_zero_doppler_in_place():
     rcm = RcmModel(reference_range_bin=0.0, linear=0.02, quadratic=1e-4, fit_rms=0.0)
     out = rcmc(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.1)
     np.testing.assert_allclose(out[0] / m, profile, atol=1e-9)
-
-
-def test_recentred_curve_is_the_same_trajectory():
-    offsets = np.linspace(-200.0, 200.0, 41)
-    moved = MIGRATION.recentred(3.5)
-    np.testing.assert_allclose(moved.delta(offsets),
-                               MIGRATION.delta(offsets + 3.5) - MIGRATION.delta(3.5),
-                               rtol=0.0, atol=1e-12)
-    assert moved.reference_range_bin == pytest.approx(float(MIGRATION.delta(3.5)))
-    assert moved.quadratic == MIGRATION.quadratic
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023, 1024, 4097])
@@ -284,7 +297,7 @@ def test_rcmc_effectiveness(default_scene):
     config, scene = default_scene
     raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
     rc = range_compress(raw, range_ref)
-    rcm = track_rcm(rc, estimate.beam_envelope)
+    rcm = tracked(rc, estimate)
     rd = rcmc(raw, range_ref, rcm, truth.azimuth_chirp_rate, truth.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
@@ -389,19 +402,14 @@ def focus_inputs(request, scene, mode):
 @pytest.mark.parametrize("scene", ["default", "squint"])
 def test_pipeline_matches_six_pass_reference(request, scene, mode):
     # four fused passes against range compression, RCMC and azimuth
-    # compression done one after the other, with tracking on the whole matrix
+    # compression done one after the other, tracking on rows compressed from
+    # the whole matrix
     raw, truth, estimate, rcm = focus_inputs(request, scene, mode)
     image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
     range_ref, azimuth_ref = build_references(estimate, estimate.range_chirp.taper_fraction)
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
     if rcm is None:
-        rcm = track_rcm(rolled_range_compress(raw, range_ref, nfft), estimate.beam_envelope)
-        # move the curve's origin from the envelope peak to the row where the
-        # azimuth chirp's frequency equals the Doppler centroid
-        chirp = estimate.azimuth_chirp
-        f = estimate.doppler_centroid - chirp.instantaneous_frequency(estimate.beam_peak_index)
-        offset = (f - np.ceil(f - 0.5)) / (2.0 * chirp.rate)
-        rcm = replace(rcm, linear=rcm.linear + 2.0 * rcm.quadratic * offset)
+        rcm = tracked(rolled_range_compress(raw, range_ref, nfft), estimate)
     expected = six_pass_focus(raw, range_ref, azimuth_ref, rcm, estimate.azimuth_chirp.rate,
                               estimate.doppler_centroid, nfft)
     r, c = (int(round(v)) for v in truth.positions[0])

@@ -333,15 +333,37 @@ def test_cli_noise_only_exits_4(tmp_path):
                  "--out", str(tmp_path / "est.json")]) == 4
 
 
-def test_cli_missing_estimate_exits_2(tmp_path, capsys):
-    raw_f = tmp_path / "raw.bsar"
+def focus_with_missing_file_exits_2(tmp_path, capsys, option):
+    """`bsar focus OPTION missing.json` exits 2 with one parameter line."""
+    raw_f, missing = tmp_path / "raw.bsar", tmp_path / "missing.json"
     fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), raw_f)
-    code = main(["focus", "--in", str(raw_f),
-                 "--est", str(tmp_path / "missing.json"),
-                 "--out", str(tmp_path / "out.bsar")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("bsar: ") and "--est" in err
+    assert main(["focus", "--in", str(raw_f), option, str(missing),
+                 "--out", str(tmp_path / "out.bsar")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"bsar: parameter: file not found: {missing}"]
+    assert not (tmp_path / "out.bsar").exists()
+
+
+def test_cli_missing_estimate_exits_2(tmp_path, capsys):
+    focus_with_missing_file_exits_2(tmp_path, capsys, "--est")
+
+
+def test_cli_missing_oracle_exits_2(tmp_path, capsys):
+    focus_with_missing_file_exits_2(tmp_path, capsys, "--oracle")
+
+
+def test_cli_estimate_without_beam_center_exits_3(tmp_path, capsys, default_estimate):
+    # `beam_peak_index` held the envelope peak, not the beam centre, so an
+    # estimate that carries only that field is refused, not reinterpreted
+    raw_f, est_f, out_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "o.bsar"
+    fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), raw_f)
+    fileio.write_estimate(default_estimate, est_f)
+    doc = json.loads(est_f.read_text())
+    doc["beam_peak_index"] = doc.pop("beam_center_row")
+    est_f.write_text(json.dumps(doc))
+    assert main(["focus", "--in", str(raw_f), "--est", str(est_f), "--out", str(out_f)]) == 3
+    single_error_line(capsys, "format")
+    assert not out_f.exists()
 
 
 def test_cli_requires_exactly_one_parameter_source(tmp_path, capsys):

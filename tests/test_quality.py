@@ -140,8 +140,6 @@ def test_analysis_window_validation():
     with pytest.raises(ParameterError):
         analyze_point_target(img, (32, 32), window=16)
     with pytest.raises(ParameterError):
-        analyze_point_target(img, (32, 32), oversample_factor=4)
-    with pytest.raises(ParameterError):
         analyze_point_target(img, (2, 2), window=64)
 
 

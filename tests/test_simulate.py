@@ -11,7 +11,6 @@ from bsar.simulate import (
     Scatterer,
     raw_statistics,
     simulate_raw,
-    with_seed,
 )
 
 
@@ -70,7 +69,7 @@ def test_determinism(default_scene):
 def test_seed_changes_noise_only(default_scene):
     config, scene = default_scene
     a, _ = simulate_raw(config, scene)
-    b, _ = simulate_raw(with_seed(config, config.rng_seed + 1), scene)
+    b, _ = simulate_raw(replace(config, rng_seed=config.rng_seed + 1), scene)
     assert not np.array_equal(a, b)
     clean, _ = simulate_raw(quiet(config), scene)
     # noise realizations differ but the deterministic echo part is shared
@@ -207,10 +206,10 @@ def test_statistics_pure_noise_variance(default_scene):
 def test_statistics_histogram_shape():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
-    stats = raw_statistics(raw, bins=16)
+    stats = raw_statistics(raw)
     hist = stats["real"]["histogram"]
-    assert len(hist["counts"]) == 16
-    assert len(hist["edges"]) == 17
+    assert len(hist["counts"]) == 64
+    assert len(hist["edges"]) == 65
     assert sum(hist["counts"]) == raw.size
 
 

@@ -113,7 +113,7 @@ def _cmd_focus(args):
                 fileio.write_matrix(data, os.path.join(args.dump_stages, f"{name}.bsar"))
 
     if args.est:
-        est, _ = fileio.read_estimate(args.est)
+        est = fileio.read_estimate(args.est)
         img = focus_pipeline(raw, est, taper_fraction=args.taper,
                              provenance="blind", on_stage=on_stage)
     else:

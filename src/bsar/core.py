@@ -59,17 +59,15 @@ class ChirpModel:
 
     def __post_init__(self):
         start, stop = self.support
-        if not (0 <= start < stop):
+        # sample indices: focusing slices the raw rows with the azimuth support
+        integral = all(isinstance(b, (int, np.integer)) for b in self.support)
+        if not (integral and 0 <= start < stop):
             raise ParameterError(f"invalid chirp support [{start}, {stop})")
         if not (0.0 <= self.taper_fraction <= 0.5):
             raise ParameterError("taper_fraction must be in [0, 0.5]")
         for name in ("rate", "center", "constant"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"non-finite chirp parameter {name!r}")
-
-    @property
-    def support_length(self):
-        return self.support[1] - self.support[0]
 
     def phase_cycles(self, n):
         d = np.asarray(n, dtype=np.float64) - self.center

@@ -30,10 +30,6 @@ class DegenerateFitError(ParameterError):
 
     kind = "degenerate-fit"
 
-    def __init__(self, message, model=None):
-        super().__init__(message)
-        self.model = model
-
 
 class NoTargetError(ParameterError):
     """No point target found in the analysis window."""

@@ -37,7 +37,6 @@ class BlindEstimate:
     range_chirp: ChirpModel
     azimuth_chirp: ChirpModel
     doppler_centroid: float      # cycles/pulse, in (-0.5, 0.5]
-    beam_envelope: np.ndarray    # smoothed |u1|, length M
     beam_center_row: float       # fractional pulse index of the beam center
     dominance_ratio: float
     fit_residuals: dict          # RMS cycles per fit, keys "range"/"azimuth"
@@ -45,11 +44,6 @@ class BlindEstimate:
     def __post_init__(self):
         if not (-0.5 < self.doppler_centroid <= 0.5):
             raise ParameterError("doppler centroid outside (-0.5, 0.5] cycles/pulse")
-        if not (0.0 <= self.beam_center_row < self.beam_envelope.size):
-            raise ParameterError(
-                f"beam center row {self.beam_center_row} outside the "
-                f"{self.beam_envelope.size}-pulse grid"
-            )
         for key, value in self.fit_residuals.items():
             if not np.isfinite(value):
                 raise ParameterError(f"non-finite fit residual for {key!r}")
@@ -141,10 +135,7 @@ def fit_quadratic_phase(signal, support):
     a2, a1, a0 = coeffs
     scale = max(np.max(np.abs(cycles)), 1.0)
     if rank < 3 or abs(a2) < 1e-12 * scale / max((stop - start) ** 2, 1):
-        raise DegenerateFitError(
-            "rank-deficient quadratic phase fit (constant or linear phase)",
-            model=ChirpModel(rate=0.0, center=n_mid, support=(start, stop)),
-        )
+        raise DegenerateFitError("rank-deficient quadratic phase fit (constant or linear phase)")
 
     residual = rhs - design @ coeffs
     rms = float(np.sqrt(np.sum(residual**2) / np.sum(w**2)))
@@ -160,14 +151,14 @@ def fit_quadratic_phase(signal, support):
 
 
 def estimate_azimuth(u1):
-    """Azimuth chirp and beam pattern from the first left singular vector.
+    """Azimuth chirp from the first left singular vector.
 
-    Returns (ChirpModel, beam_envelope, envelope peak index).
+    Returns (ChirpModel, sub-sample peak row of the smoothed |u1|).
     """
     u = as_complex_vector(u1)
     support, envelope = _auto_support(np.abs(u))
     peak = _parabolic_peak(envelope, int(np.argmax(envelope)))
-    return fit_quadratic_phase(u, support), envelope, peak
+    return fit_quadratic_phase(u, support), peak
 
 
 def estimate_doppler_centroid(raw):
@@ -224,7 +215,7 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
         )
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
-    az_model, envelope, peak = estimate_azimuth(u1)
+    az_model, peak = estimate_azimuth(u1)
     range_model = estimate_range(np.conj(v1))
     dc = estimate_doppler_centroid(X)
     # the beam center is the row where the azimuth chirp's frequency equals
@@ -234,26 +225,35 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
         range_chirp=range_model,
         azimuth_chirp=az_model,
         doppler_centroid=dc,
-        beam_envelope=envelope,
         beam_center_row=peak + float(crossing) / (2.0 * az_model.rate),
         dominance_ratio=ratio,
         fit_residuals={"range": range_model.fit_rms, "azimuth": az_model.fit_rms},
     )
 
 
-def build_references(estimate, taper_fraction=DEFAULT_TAPER):
+def build_references(estimate, num_pulses, taper_fraction):
     """Synthesize clean, tapered reference functions from the fitted models.
 
     Range reference: odd-length vector sampled symmetrically around the fitted
     vertex, so the phase vertex sits exactly at the center index (the group
     delay assumed by range compression).
 
-    Azimuth reference: full-length vector in vertex-at-index-0 wrapped layout
-    (index m holds the chirp at signed pulse offset ((m + M/2) mod M) - M/2
-    from the vertex), ready for circular matched filtering.
+    Azimuth reference: vector of length num_pulses, the raw matrix's row
+    count, in vertex-at-index-0 wrapped layout (index m holds the chirp at
+    signed pulse offset ((m + M/2) mod M) - M/2 from the vertex), ready for
+    circular matched filtering.  The beam center and the azimuth support
+    must lie on that pulse grid.
     """
     if not (0.0 <= taper_fraction <= 0.5):
         raise ParameterError("taper_fraction must be in [0, 0.5]")
+    m_total = num_pulses
+    if not (0.0 <= estimate.beam_center_row < m_total):
+        raise ParameterError(
+            f"beam center row {estimate.beam_center_row} outside the {m_total}-pulse grid"
+        )
+    a = estimate.azimuth_chirp
+    if a.support[1] > m_total:
+        raise ParameterError(f"azimuth support {a.support} outside the {m_total}-pulse grid")
 
     r = estimate.range_chirp
     start, stop = r.support
@@ -264,8 +264,6 @@ def build_references(estimate, taper_fraction=DEFAULT_TAPER):
     range_positions = r.center + np.arange(-half, half + 1, dtype=np.float64)
     range_ref = sample_chirp(r_model, range_positions)
 
-    a = estimate.azimuth_chirp
-    m_total = estimate.beam_envelope.size
     a_model = replace(a, taper_fraction=taper_fraction)
     if a.support[0] < a.center - m_total // 2 or a.support[1] > a.center + m_total // 2:
         raise ParameterError("azimuth support does not fit the wrapped reference grid")

@@ -159,8 +159,8 @@ def write_estimate(estimate, path, input_hash=""):
 
 
 def read_estimate(path):
-    """Load a BlindEstimate JSON; returns (estimate, input_sha256)."""
-    return _load_json(path, lambda doc: (_typed(BlindEstimate, doc), doc.get("input_sha256", "")))
+    """Load a BlindEstimate JSON; keys that are not fields of it are ignored."""
+    return _load_json(path, lambda doc: _typed(BlindEstimate, doc))
 
 
 def _write_csv(path, rows):

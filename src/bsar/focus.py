@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import as_complex_matrix, as_complex_vector, next_fast_len, wrap_half_open
 from .errors import BsarError, ParameterError, TrackingError
-from .estimate import DEFAULT_THRESHOLD, _parabolic_peak, build_references, detect_support
+from .estimate import _parabolic_peak, build_references
 
 MIN_TRACK_POINTS = 16
 MAD_REJECT = 3.0
@@ -233,6 +233,7 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
                    provenance="blind", on_stage=None):
     """Compose the full focusing chain from a parameter estimate.
 
+    The pulse grid is the raw matrix's: the references are built on its rows.
     taper_fraction defaults to the estimate's range-chirp taper.  An analytic
     RcmModel may be supplied to bypass peak tracking (oracle mode).  on_stage,
     when given, is called with (stage_name, result) after every stage, before
@@ -255,11 +256,11 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
     def track():
         # peaks are tracked only inside the azimuth support, so only those
         # rows are range-compressed in the time domain
-        start, stop = detect_support(estimate.beam_envelope, DEFAULT_THRESHOLD)
+        start, stop = estimate.azimuth_chirp.support
         return track_rcm(range_compress(x[start:stop], range_ref),
                          np.arange(start, stop) - estimate.beam_center_row)
 
-    range_ref, azimuth_ref = build_references(estimate, taper_fraction=taper)
+    range_ref, azimuth_ref = build_references(estimate, x.shape[0], taper)
     rcm = rcm_override
     if rcm is None:
         rcm = stage("track_rcm", track)

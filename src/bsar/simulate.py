@@ -287,11 +287,8 @@ def oracle_estimate(truth):
         support=truth.azimuth_support, fit_rms=0.0,
     )
 
-    rows = np.arange(config.num_pulses, dtype=np.float64)
-    envelope = np.sinc(2.0 * (rows - truth.beam_center_row) / truth.beam_rows) ** 2
-
     lo, hi = truth.azimuth_support
-    offsets = rows[lo:hi] - truth.beam_center_row
+    offsets = np.arange(lo, hi, dtype=np.float64) - truth.beam_center_row
     design = np.column_stack([np.ones_like(offsets), offsets, offsets**2])
     coeffs, _, _, _ = np.linalg.lstsq(design, truth.rcm_curve[lo:hi], rcond=None)
     resid = truth.rcm_curve[lo:hi] - design @ coeffs
@@ -305,7 +302,6 @@ def oracle_estimate(truth):
         range_chirp=range_model,
         azimuth_chirp=azimuth_model,
         doppler_centroid=truth.doppler_centroid,
-        beam_envelope=envelope,
         beam_center_row=truth.beam_center_row,
         dominance_ratio=float("inf"),
         fit_residuals={"range": 0.0, "azimuth": 0.0},

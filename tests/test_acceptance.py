@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from bsar.decompose import gibbs_rotation_check, leading_triplets
-from bsar.estimate import DEFAULT_THRESHOLD, blind_estimate, build_references, detect_support
+from bsar.estimate import blind_estimate, build_references
 from bsar.focus import range_compress, rcmc, track_rcm
 from bsar.quality import analyze_point_target, compare_images
 from bsar.simulate import Scatterer, raw_statistics, simulate_raw
@@ -72,11 +72,11 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
 
     raw, truth = default_sim
     est = default_estimate
-    range_ref, _ = build_references(est, taper_fraction=0.0)
+    range_ref, _ = build_references(est, raw.shape[0], 0.0)
     rc = range_compress(raw, range_ref)
     # tracked as focus_pipeline tracks: the support rows, against their
     # offsets from the beam centre
-    lo, hi = detect_support(est.beam_envelope, DEFAULT_THRESHOLD)
+    lo, hi = est.azimuth_chirp.support
     rcm = track_rcm(rc[lo:hi], np.arange(lo, hi) - est.beam_center_row)
     rd = rcmc(raw, range_ref, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
@@ -175,7 +175,7 @@ def test_a7_determinism_and_roundtrip(capsys, tmp_path, default_scene,
 
     est_path = tmp_path / "est.json"
     fileio.write_estimate(default_estimate, est_path)
-    reloaded, _ = fileio.read_estimate(est_path)
+    reloaded = fileio.read_estimate(est_path)
     img1 = focus_pipeline(raw, default_estimate).image
     img2 = focus_pipeline(raw, reloaded).image
     refocus_exact = np.array_equal(img1, img2)

@@ -63,6 +63,9 @@ def test_chirp_model_validation():
         ChirpModel(rate=0.1, center=0.0, support=(5, 5))
     with pytest.raises(ParameterError):
         ChirpModel(rate=0.1, center=0.0, support=(-1, 5))
+    for support in ((0.5, 8), (0, 8.0)):
+        with pytest.raises(ParameterError):
+            ChirpModel(rate=0.1, center=0.0, support=support)
     with pytest.raises(ParameterError):
         ChirpModel(rate=0.1, center=0.0, support=(0, 8), taper_fraction=0.6)
     with pytest.raises(ParameterError):

@@ -97,9 +97,8 @@ def test_fit_noise_robustness(default_scene):
 
 def test_fit_degenerate_phase_rejected():
     signal = np.ones(32, dtype=np.complex128)
-    with pytest.raises(DegenerateFitError) as info:
+    with pytest.raises(DegenerateFitError):
         fit_quadratic_phase(signal, (0, 32))
-    assert info.value.model is None or info.value.model.rate == 0.0
 
 
 def test_fit_support_validation():
@@ -137,10 +136,10 @@ def test_azimuth_gauge_invariance(default_sim):
     raw, _ = default_sim
     svd = leading_triplets(raw, k=2)
     u1 = svd.left_vectors[:, 0]
-    base_model, _, base_peak = estimate_azimuth(u1)
+    base_model, base_peak = estimate_azimuth(u1)
     rng = np.random.default_rng(1)
     for theta in rng.uniform(0, 2 * np.pi, 3):
-        model, _, peak = estimate_azimuth(u1 * np.exp(1j * theta))
+        model, peak = estimate_azimuth(u1 * np.exp(1j * theta))
         assert model.rate == pytest.approx(base_model.rate, abs=1e-15)
         assert model.center == pytest.approx(base_model.center, abs=1e-9)
         assert peak == pytest.approx(base_peak, abs=1e-9)
@@ -243,8 +242,8 @@ def test_all_zero_matrix_is_unsuitable():
 
 # --- build_references -----------------------------------------------------------
 
-def test_references_untapered_are_rectangular(default_estimate):
-    range_ref, azimuth_ref = build_references(default_estimate, taper_fraction=0.0)
+def test_references_untapered_are_rectangular(default_estimate, default_sim):
+    range_ref, azimuth_ref = build_references(default_estimate, default_sim[0].shape[0], 0.0)
     for ref in (range_ref, azimuth_ref):
         mag = np.abs(ref)
         nz = mag > 0
@@ -254,7 +253,7 @@ def test_references_untapered_are_rectangular(default_estimate):
 
 def test_range_reference_matches_transmitted_pulse(default_estimate, default_scene):
     config, _ = default_scene
-    range_ref, _ = build_references(default_estimate, taper_fraction=0.0)
+    range_ref, _ = build_references(default_estimate, config.num_pulses, 0.0)
     pulse = config.transmitted_pulse()
     n = min(range_ref.size, pulse.size)
     corr = np.correlate(range_ref, pulse, mode="full")
@@ -264,14 +263,14 @@ def test_range_reference_matches_transmitted_pulse(default_estimate, default_sce
     assert peak * max(range_ref.size, pulse.size) / n >= 0.98
 
 
-def test_azimuth_reference_frequency_at_beam_peak(default_estimate):
+def test_azimuth_reference_frequency_at_beam_peak(default_estimate, default_sim):
     # the synthesized reference carries the fitted chirp's frequency at the
     # wrapped index corresponding to the beam centre offset
     est = default_estimate
     model_f = wrap_half_open(
         est.azimuth_chirp.instantaneous_frequency(est.beam_center_row)
     )
-    _, azimuth_ref = build_references(est, taper_fraction=0.0)
+    _, azimuth_ref = build_references(est, default_sim[0].shape[0], 0.0)
     m_total = azimuth_ref.size
     offset = int(round(est.beam_center_row - est.azimuth_chirp.center))
     seg = azimuth_ref[np.arange(offset - 2, offset + 3) % m_total]  # wrapped layout
@@ -281,9 +280,9 @@ def test_azimuth_reference_frequency_at_beam_peak(default_estimate):
     assert measured == pytest.approx(model_f, abs=1e-3)
 
 
-def test_references_taper_validation(default_estimate):
+def test_references_taper_validation(default_estimate, default_sim):
     with pytest.raises(ParameterError):
-        build_references(default_estimate, taper_fraction=0.7)
+        build_references(default_estimate, default_sim[0].shape[0], 0.7)
 
 
 def test_estimate_validates_doppler_range(default_estimate):
@@ -294,18 +293,19 @@ def test_estimate_validates_doppler_range(default_estimate):
             range_chirp=default_estimate.range_chirp,
             azimuth_chirp=default_estimate.azimuth_chirp,
             doppler_centroid=0.75,
-            beam_envelope=default_estimate.beam_envelope,
             beam_center_row=default_estimate.beam_center_row,
             dominance_ratio=default_estimate.dominance_ratio,
             fit_residuals={"range": 0.0, "azimuth": 0.0},
         )
 
 
-def test_estimate_rejects_off_grid_beam_center(default_estimate):
-    # focusing counts migration offsets from the beam centre, a row of the grid
-    m = default_estimate.beam_envelope.size
+def test_estimate_rejects_off_grid_beam_center(default_estimate, default_sim):
+    # focusing counts migration offsets from the beam centre, a row of the
+    # raw matrix's pulse grid
+    m = default_sim[0].shape[0]
     for row in (-0.5, float(m), float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="beam center"):
-            replace(default_estimate, beam_center_row=row)
+            build_references(replace(default_estimate, beam_center_row=row), m, 0.0)
     for row in (0.0, m - 0.5):
-        assert replace(default_estimate, beam_center_row=row).beam_center_row == row
+        build_references(replace(default_estimate, beam_center_row=row), m, 0.0)
+

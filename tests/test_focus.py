@@ -6,7 +6,7 @@ import pytest
 
 from bsar.core import ChirpModel, next_fast_len, sample_chirp
 from bsar.errors import ParameterError, TrackingError
-from bsar.estimate import DEFAULT_THRESHOLD, build_references, detect_support
+from bsar.estimate import build_references
 from bsar.focus import (
     RcmModel,
     _padded_width,
@@ -116,7 +116,7 @@ def noiseless_oracle(config, scene):
     """(raw, untapered range reference, truth, oracle estimate)."""
     raw, truth = simulate_raw(replace(config, noise_sigma=0.0), scene)
     estimate, _ = oracle_estimate(truth)
-    range_ref, _ = build_references(estimate, taper_fraction=0.0)
+    range_ref, _ = build_references(estimate, raw.shape[0], 0.0)
     return raw, range_ref, truth, estimate
 
 
@@ -128,7 +128,7 @@ def oracle_range_compressed(config, scene):
 def tracked(rc, estimate):
     """track_rcm as focus_pipeline calls it: the rows of the azimuth support,
     against their pulse offsets from the estimate's beam centre."""
-    lo, hi = detect_support(estimate.beam_envelope, DEFAULT_THRESHOLD)
+    lo, hi = estimate.azimuth_chirp.support
     return track_rcm(rc[lo:hi], np.arange(lo, hi) - estimate.beam_center_row)
 
 
@@ -183,8 +183,8 @@ def test_track_rcm_origin_invariance(default_sim, default_estimate):
     # moving the origin of the offsets re-parameterizes the same trajectory
     raw, _ = default_sim
     est = default_estimate
-    range_ref, _ = build_references(est, taper_fraction=0.0)
-    lo, hi = detect_support(est.beam_envelope, DEFAULT_THRESHOLD)
+    range_ref, _ = build_references(est, raw.shape[0], 0.0)
+    lo, hi = est.azimuth_chirp.support
     rc = range_compress(raw[lo:hi], range_ref)
     offsets = np.arange(lo, hi) - est.beam_center_row
     a = track_rcm(rc, offsets)
@@ -406,7 +406,8 @@ def test_pipeline_matches_six_pass_reference(request, scene, mode):
     # the whole matrix
     raw, truth, estimate, rcm = focus_inputs(request, scene, mode)
     image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
-    range_ref, azimuth_ref = build_references(estimate, estimate.range_chirp.taper_fraction)
+    range_ref, azimuth_ref = build_references(estimate, raw.shape[0],
+                                              estimate.range_chirp.taper_fraction)
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
     if rcm is None:
         rcm = tracked(rolled_range_compress(raw, range_ref, nfft), estimate)

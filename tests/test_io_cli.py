@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from bsar.core import ChirpModel, synth_chirp
 from bsar.errors import FormatError
 from bsar.estimate import build_references
 from bsar.focus import focus_pipeline, rcmc
+from bsar.quality import analyze_point_target
+from bsar.simulate import simulate_raw
 from conftest import DEFAULT_CONFIG
 from oracles import pgm_levels
 
@@ -204,13 +207,12 @@ def test_render_rejects_nonnegative_floor(tmp_path):
 def test_estimate_roundtrip(tmp_path, default_estimate):
     path = tmp_path / "est.json"
     fileio.write_estimate(default_estimate, path, input_hash="abc123")
-    back, input_hash = fileio.read_estimate(path)
-    assert input_hash == "abc123"
+    back = fileio.read_estimate(path)
+    assert strict_json(path)["input_sha256"] == "abc123"
     assert back.range_chirp == default_estimate.range_chirp
     assert back.azimuth_chirp == default_estimate.azimuth_chirp
     assert back.doppler_centroid == default_estimate.doppler_centroid
-    np.testing.assert_array_equal(back.beam_envelope,
-                                  default_estimate.beam_envelope)
+    assert back.beam_center_row == default_estimate.beam_center_row
 
 
 def test_truth_roundtrip(tmp_path, default_sim):
@@ -264,7 +266,7 @@ def test_infinite_dominance_ratio_is_strict_json(tmp_path):
     assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
                  "--spectrum", str(spec_f)]) == 0
     assert strict_json(est_f)["dominance_ratio"] == "inf"
-    est, _ = fileio.read_estimate(est_f)
+    est = fileio.read_estimate(est_f)
     assert est.dominance_ratio == math.inf
     assert spec_f.read_text().strip().splitlines()[-1] == "dominance_ratio,inf"
 
@@ -366,6 +368,67 @@ def test_cli_estimate_without_beam_center_exits_3(tmp_path, capsys, default_esti
     assert not out_f.exists()
 
 
+def estimate_default_scene(tmp_path, default_sim):
+    """raw.bsar of the 512-pulse default scene and est.json estimated from it."""
+    raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
+    fileio.write_matrix(default_sim[0], raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
+    return raw_f, est_f
+
+
+def test_cli_focus_takes_the_pulse_grid_from_the_raw_file(tmp_path, default_scene,
+                                                          default_sim):
+    # noise is seeded per row, so the first 512 rows of a 1024-pulse raw are
+    # the 512-pulse raw; the same estimate must focus both to the same target
+    config, scene = default_scene
+    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+    long_raw, _ = simulate_raw(replace(config, num_pulses=2 * config.num_pulses), scene)
+    long_f = tmp_path / "long.bsar"
+    fileio.write_matrix(long_raw, long_f)
+    position = default_sim[1].positions[0]
+    reports = []
+    for raw_in in (raw_f, long_f):
+        out_f = tmp_path / f"{raw_in.stem}_slc.bsar"
+        assert main(["focus", "--in", str(raw_in), "--est", str(est_f), "--out", str(out_f)]) == 0
+        reports.append(analyze_point_target(fileio.read_matrix(out_f)[0], position))
+    short, long = reports
+    assert long.irw_azimuth == pytest.approx(short.irw_azimuth, abs=0.01)
+    assert long.pslr_azimuth == pytest.approx(short.pslr_azimuth, abs=0.1)
+
+
+def test_cli_estimate_with_a_beam_envelope_focuses_the_same(tmp_path, default_sim):
+    # older estimates carry the smoothed |u1|; focusing ignores the key
+    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+    old_f = tmp_path / "old.json"
+    doc = json.loads(est_f.read_text())
+    doc["beam_envelope"] = [1.0] * default_sim[0].shape[0]
+    old_f.write_text(json.dumps(doc))
+    for name, est in (("new", est_f), ("old", old_f)):
+        assert main(["focus", "--in", str(raw_f), "--est", str(est),
+                     "--out", str(tmp_path / f"{name}.bsar")]) == 0
+    assert (tmp_path / "new.bsar").read_bytes() == (tmp_path / "old.bsar").read_bytes()
+
+
+@pytest.mark.parametrize("case", ["beam-centre", "support"])
+def test_cli_estimate_off_the_raw_grid_exits_2(tmp_path, capsys, default_sim, case):
+    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+    doc = json.loads(est_f.read_text())
+    if case == "beam-centre":
+        doc["beam_center_row"] = float(default_sim[0].shape[0])
+        est_f.write_text(json.dumps(doc))
+    else:
+        # a raw file that ends inside the estimate's azimuth support, after
+        # its beam centre
+        fileio.write_matrix(default_sim[0][:doc["azimuth_chirp"]["support"][1] - 1], raw_f)
+    out_f = tmp_path / "o.bsar"
+    capsys.readouterr()
+    assert main(["focus", "--in", str(raw_f), "--est", str(est_f), "--out", str(out_f)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bsar: parameter: "), err
+    assert "pulse grid" in err[0], err
+    assert not out_f.exists()
+
+
 def test_cli_requires_exactly_one_parameter_source(tmp_path, capsys):
     raw_f = tmp_path / "raw.bsar"
     fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), raw_f)
@@ -449,10 +512,10 @@ def test_cli_dump_stages(tmp_path):
 
     # the RCMC dump is written before azimuth_compress filters that buffer
     raw, _ = fileio.read_matrix(raw_f)
-    est, _ = fileio.read_estimate(est_f)
+    est = fileio.read_estimate(est_f)
     models = {}
     focus_pipeline(raw, est, on_stage=models.__setitem__)
-    range_ref, _ = build_references(est, taper_fraction=est.range_chirp.taper_fraction)
+    range_ref, _ = build_references(est, raw.shape[0], est.range_chirp.taper_fraction)
     rd = rcmc(raw, range_ref, models["track_rcm"], est.azimuth_chirp.rate,
               est.doppler_centroid)
     dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+RAMP_STEP = 64  # fine-table length of the factored phase ramp
 
 
 def as_complex_matrix(data, single=False):
@@ -159,6 +160,21 @@ def next_fast_len(target):
         if rest == 1:
             return n
         n += 1
+
+
+def shift_ramp(delta, n):
+    """exp(2j*pi*delta[:, None]*fftfreq(n)), a writable view of a new array,
+    from coarse and fine exp tables (RCMC's shifts and the simulator's delays).
+
+    Column k = a*RAMP_STEP + b is coarse[a] * fine[b]; the columns where
+    fftfreq is negative, (k - n)/n, also take the factor exp(-2j*pi*delta).
+    """
+    d = 2j * np.pi * np.asarray(delta, dtype=np.float64)[:, None]
+    coarse = np.exp(d * (np.arange(0, n, RAMP_STEP) / n))
+    fine = np.exp(d * (np.arange(RAMP_STEP) / n))
+    ramp = (coarse[:, :, None] * fine[:, None, :]).reshape(d.shape[0], -1)[:, :n]
+    ramp[:, (n + 1) // 2:] *= np.exp(-d)
+    return ramp
 
 
 def wrap_half_open(f):

@@ -89,7 +89,7 @@ def leading_triplets(X, k, seed=0):
 
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
-    prev = None
+    prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
     converged = False
     for _ in range(MAX_SWEEPS):
         Q, _ = np.linalg.qr(Y)
@@ -100,7 +100,8 @@ def leading_triplets(X, k, seed=0):
         order = np.argsort(evals)[::-1][:k]
         sigma = np.sqrt(np.clip(evals[order], 0.0, None))
         scale = max(float(sigma[0]), np.finfo(float).tiny)
-        if prev is not None and np.all(np.abs(sigma - prev) <= TOL * scale):
+        step = float(np.max(np.abs(sigma - prev))) if prev is not None else step
+        if step <= TOL * scale:
             converged = True
             break
         prev = sigma
@@ -134,7 +135,8 @@ def leading_triplets(X, k, seed=0):
     )
     if not converged:
         raise ConvergenceError(
-            f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps",
+            f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps: "
+            f"last relative Ritz change max|dsigma|/sigma1 = {step / scale:.6g}",
             last_iterate=result,
         )
     return result

@@ -26,7 +26,7 @@ class ConfigurationError(ParameterError):
 
 
 class DegenerateFitError(ParameterError):
-    """Least-squares phase fit has rank-deficient normal equations."""
+    """Least-squares phase fit is rank-deficient or its phase is not quadratic."""
 
     kind = "degenerate-fit"
 

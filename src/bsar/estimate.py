@@ -28,6 +28,7 @@ DEFAULT_THRESHOLD = 0.1       # fraction of the envelope peak
 DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
 DEFAULT_TAPER = 0.1
 CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
+MIN_PHASE_EXCURSION = 0.125  # cycles, |rate|*L^2/4: a time-bandwidth product of 1
 
 
 @dataclass
@@ -133,9 +134,9 @@ def fit_quadratic_phase(signal, support):
     rhs = cycles * w
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     a2, a1, a0 = coeffs
-    scale = max(np.max(np.abs(cycles)), 1.0)
-    if rank < 3 or abs(a2) < 1e-12 * scale / max((stop - start) ** 2, 1):
-        raise DegenerateFitError("rank-deficient quadratic phase fit (constant or linear phase)")
+    excursion = abs(a2) * (stop - start) ** 2 / 4.0  # cycles, support centre to either edge
+    if rank < 3 or excursion < MIN_PHASE_EXCURSION:
+        raise DegenerateFitError(f"phase excursion {excursion:.3g} < {MIN_PHASE_EXCURSION} cycles")
 
     residual = rhs - design @ coeffs
     rms = float(np.sqrt(np.sum(residual**2) / np.sum(w**2)))

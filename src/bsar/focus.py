@@ -35,14 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_complex_matrix, as_complex_vector, next_fast_len, wrap_half_open
+from .core import as_complex_matrix, as_complex_vector, next_fast_len, shift_ramp, wrap_half_open
 from .errors import BsarError, ParameterError, TrackingError
 from .estimate import _parabolic_peak, build_references
 
 MIN_TRACK_POINTS = 16
 MAD_REJECT = 3.0
 RCMC_BLOCK_ROWS = 64  # rows per in-place range FFT and ramp / inverse range FFT block
-RAMP_STEP = 64        # fine-table length of the factored RCMC phase ramp
 
 
 @dataclass
@@ -182,7 +181,7 @@ def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
     shift = delta - (ref.size - 1) // 2  # the group delay is a constant shift
     for lo in range(0, m, RCMC_BLOCK_ROWS):
         block = rd[lo:lo + RCMC_BLOCK_ROWS]
-        block *= _shift_ramp(shift[lo:lo + RCMC_BLOCK_ROWS], nfft)
+        block *= shift_ramp(shift[lo:lo + RCMC_BLOCK_ROWS], nfft)
         np.fft.ifft(block, axis=1, out=block)
     return rd[:, :n]
 
@@ -197,20 +196,6 @@ def _padded_width(n):
     sets.
     """
     return n + (4 - n) % 8
-
-
-def _shift_ramp(delta, n):
-    """exp(2j*pi*delta[:, None]*fftfreq(n)) from coarse and fine exp tables.
-
-    Column k = a*RAMP_STEP + b is coarse[a] * fine[b]; the columns where
-    fftfreq is negative, (k - n)/n, also take the factor exp(-2j*pi*delta).
-    """
-    d = 2j * np.pi * np.asarray(delta, dtype=np.float64)[:, None]
-    coarse = np.exp(d * (np.arange(0, n, RAMP_STEP) / n))
-    fine = np.exp(d * (np.arange(RAMP_STEP) / n))
-    ramp = (coarse[:, :, None] * fine[:, None, :]).reshape(d.shape[0], -1)[:, :n]
-    ramp[:, (n + 1) // 2:] *= np.exp(-d)
-    return ramp
 
 
 def azimuth_compress(rd, azimuth_ref, provenance="blind"):

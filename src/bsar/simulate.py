@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChirpModel, next_fast_len, synth_chirp, wrap_half_open
+from .core import ChirpModel, next_fast_len, shift_ramp, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
 from .focus import RCMC_BLOCK_ROWS, RcmModel
@@ -149,29 +149,25 @@ def simulate_raw(config, scene):
     exact fractional-delay replicas of the transmitted pulse, weighted by the
     two-way beam pattern and the two-way propagation phase, plus seeded
     circular complex Gaussian noise (std = noise_sigma per I/Q component,
-    independent per-row substreams).  Each echo's spectrum is accumulated
-    RCMC_BLOCK_ROWS rows at a time and inverse-transformed in place, so the
-    working memory is one M x nfft buffer plus one row block of temporaries.
+    independent per-row substreams).  RCMC_BLOCK_ROWS rows at a time, every
+    echo's amplitude times its delay ramp (``core.shift_ramp``) is summed,
+    times the pulse spectrum once, and inverse-transformed in place: one
+    M x nfft buffer plus one row block of ramp tables.
     """
     M, N = config.num_pulses, config.samples_per_pulse
     pulse = config.transmitted_pulse()
     n_chirp = pulse.size
     nfft = next_fast_len(N + n_chirp)
     pulse_spectrum = np.fft.fft(pulse, nfft)
-    freqs = np.fft.fftfreq(nfft)
 
-    spectrum = np.zeros((M, nfft), dtype=np.complex128)
+    echoes = []  # (amplitude, leading-edge column) per pulse, per scatterer
     positions = []
     first = None
     for index, sc in enumerate(scene):
         r, lead, boresight, beam = _echo_geometry(config, sc)
         _validate_scatterer(config, sc, index, lead, boresight)
         amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
-        for lo in range(0, M, RCMC_BLOCK_ROWS):
-            rows = slice(lo, lo + RCMC_BLOCK_ROWS)
-            spectrum[rows] += (amp[rows, None] * pulse_spectrum[None, :]) * np.exp(
-                -2j * np.pi * freqs[None, :] * lead[rows, None]
-            )
+        echoes.append((amp, lead))
         row = sc.azimuth_time * config.prf
         col = (2.0 * sc.range_offset / SPEED_OF_LIGHT * config.range_sampling
                + (n_chirp - 1) / 2.0)
@@ -179,7 +175,17 @@ def simulate_raw(config, scene):
         if first is None:
             first = (sc, r, lead)
 
-    raw = np.fft.ifft(spectrum, axis=1, out=spectrum)[:, :N]
+    spectrum = np.zeros((M, nfft), dtype=np.complex128)
+    for lo in range(0, M, RCMC_BLOCK_ROWS):
+        rows = slice(lo, lo + RCMC_BLOCK_ROWS)
+        block = spectrum[rows]
+        for amp, lead in echoes:
+            ramp = shift_ramp(-lead[rows], nfft)
+            ramp *= amp[rows, None]
+            block += ramp
+        block *= pulse_spectrum
+        np.fft.ifft(block, axis=1, out=block)
+    raw = spectrum[:, :N]
 
     if config.noise_sigma > 0:
         for m in range(M):

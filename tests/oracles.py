@@ -3,11 +3,13 @@
 These deliberately avoid the library's own code paths: smooth numbers built
 by multiplication for FFT lengths, a cyclic Jacobi eigensolver for Hermitian
 matrices, direct-summation correlation on a fine lag grid for sidelobe
-checks, the one-exp-per-sample RCMC ramp, roll-the-whole-buffer range
-compression, out-of-place azimuth compression and six-pass focusing chain
-that the focusing stages replace, the whole-window 2-D oversampling that the
-point-target analysis replaces with two cuts, and the upcast-then-scale
-render levels that the PGM writer computes in place.
+checks, the one-exp-per-element echo spectrum that the simulator builds
+from factored ramp tables, the one-exp-per-sample RCMC ramp,
+roll-the-whole-buffer range compression, out-of-place azimuth compression
+and six-pass focusing chain that the focusing stages replace, the
+whole-window 2-D oversampling that the point-target analysis replaces with
+two cuts, and the upcast-then-scale render levels that the PGM writer
+computes in place.
 """
 
 import numpy as np
@@ -100,6 +102,39 @@ def sinc_peak_metrics(bandwidth_fraction, halfwidth=12.0, step=1.0 / 256.0):
     side = max(np.max(mag[:left]), np.max(mag[right + 1:]))
     pslr = 20.0 * np.log10(side / mag[peak])
     return pslr, irw
+
+
+def direct_echoes(config, scene):
+    """Noise-free raw echoes from the closed form, in one M x nfft spectrum.
+
+    Per scatterer and pulse: slant range r, leading-edge delay in samples,
+    two-way sinc^2 beam weight and two-way phase exp(-4j*pi*r/wavelength),
+    with the delay applied as exp(-2j*pi*f*lead), one np.exp per element.
+    The sum is multiplied by the transmitted chirp's nfft-point spectrum and
+    inverse-transformed once; nfft is the smallest 11-smooth length that
+    holds a row plus the chirp.
+    """
+    c = 299792458.0
+    m, n = config.num_pulses, config.samples_per_pulse
+    chirp = int(round(config.chirp_duration * config.range_sampling))
+    smooth = smooth_numbers(2 * (n + chirp), (2, 3, 5, 7, 11))
+    nfft = int(smooth[smooth >= n + chirp][0])
+    t = (np.arange(chirp) - (chirp - 1) / 2.0) / config.range_sampling
+    pulse = np.exp(1j * np.pi * config.chirp_rate * t * t)
+    freqs = np.fft.fftfreq(nfft)
+    eta = np.arange(m) / config.prf
+    spectrum = np.zeros((m, nfft), dtype=np.complex128)
+    for sc in scene:
+        # sqrt of the sum of squares, as the simulator: at a range of km a
+        # rounding of r by 1 ulp moves the two-way phase by 1e-11 rad
+        r = np.sqrt((config.closest_range + sc.range_offset) ** 2
+                    + (config.platform_speed * (eta - sc.azimuth_time)) ** 2)
+        lead = 2.0 * (r - config.closest_range) / c * config.range_sampling
+        off_boresight = eta - sc.azimuth_time - config.squint_offset
+        beam = np.sinc(2.0 * off_boresight / config.beam_azimuth_extent) ** 2
+        amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
+        spectrum += amp[:, None] * np.exp(-2j * np.pi * freqs[None, :] * lead[:, None])
+    return np.fft.ifft(spectrum * np.fft.fft(pulse, nfft), axis=1)[:, :n]
 
 
 def direct_shift_ramp(delta, n):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -157,7 +158,8 @@ def test_peak_memory_stays_below_an_eighth_of_the_matrix(shape):
 def test_sweep_limit_raises_with_last_sweep(monkeypatch):
     monkeypatch.setattr(decompose, "MAX_SWEEPS", 1)
     X = random_complex(np.random.default_rng(18), (30, 20))
-    with pytest.raises(ConvergenceError, match="within 1 sweeps") as info:
+    # one sweep has no predecessor, so no Ritz change to report
+    with pytest.raises(ConvergenceError, match=r"within 1 sweeps: .* change .* = nan") as info:
         leading_triplets(X, k=3)
     last = info.value.last_iterate
     assert last.k == 3
@@ -167,6 +169,18 @@ def test_sweep_limit_raises_with_last_sweep(monkeypatch):
     # the Ritz vectors of that one sweep (right side: 20 <= 30) are orthonormal
     V = last.right_vectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(3))) < 1e-10
+    # after more sweeps the message carries their count and the last change
+    # max|dsigma|/sigma1, here between the seeded runs' sweeps 2 and 3
+    sigmas, messages = [], []
+    for sweeps in (2, 3):
+        monkeypatch.setattr(decompose, "MAX_SWEEPS", sweeps)
+        with pytest.raises(ConvergenceError, match=f"within {sweeps} sweeps") as info:
+            leading_triplets(X, k=3)
+        sigmas.append(info.value.last_iterate.singular_values)
+        messages.append(str(info.value))
+    change = float(re.search(r"max\|dsigma\|/sigma1 = (\S+)$", messages[1]).group(1))
+    expected = np.max(np.abs(sigmas[1] - sigmas[0])) / sigmas[1][0]
+    assert 0 < change == pytest.approx(expected, rel=1e-5)
 
 
 def test_phase_gauge_leaves_product_invariant():

@@ -9,6 +9,7 @@ from bsar.errors import (
     UnsuitableSceneError,
 )
 from bsar.estimate import (
+    MIN_PHASE_EXCURSION,
     blind_estimate,
     build_references,
     detect_support,
@@ -99,6 +100,23 @@ def test_fit_degenerate_phase_rejected():
     signal = np.ones(32, dtype=np.complex128)
     with pytest.raises(DegenerateFitError):
         fit_quadratic_phase(signal, (0, 32))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0], ids=["below", "above"])
+def test_fit_degeneracy_is_judged_by_phase_excursion(factor):
+    # a chirp whose phase moves |rate| * L**2 / 4 cycles from the support
+    # centre to either edge, with its vertex off centre and a linear term
+    length = 200
+    rate = factor * MIN_PHASE_EXCURSION * 4.0 / length**2
+    n = np.arange(length)
+    signal = np.exp(2j * np.pi * (rate * (n - 80.0) ** 2 + 0.05 * n))
+    if factor < 1.0:
+        with pytest.raises(DegenerateFitError, match="excursion"):
+            fit_quadratic_phase(signal, (0, length))
+    else:
+        model = fit_quadratic_phase(signal, (0, length))
+        assert model.rate == pytest.approx(rate, rel=1e-9)
+        assert model.center == pytest.approx(80.0 - 0.05 / (2.0 * rate), rel=1e-9)
 
 
 def test_fit_support_validation():

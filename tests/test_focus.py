@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsar.core import ChirpModel, next_fast_len, sample_chirp
+from bsar.core import ChirpModel, next_fast_len, sample_chirp, shift_ramp
 from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import build_references
 from bsar.focus import (
     RcmModel,
     _padded_width,
-    _shift_ramp,
     azimuth_compress,
     focus_pipeline,
     range_compress,
@@ -243,7 +242,7 @@ def test_rcmc_leaves_zero_doppler_in_place():
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1023, 1024, 4097])
 def test_shift_ramp_matches_direct_exp(n):
     delta = np.linspace(-6.0, 6.0, 37)  # shifts of a few samples either way
-    np.testing.assert_allclose(_shift_ramp(delta, n), direct_shift_ramp(delta, n),
+    np.testing.assert_allclose(shift_ramp(delta, n), direct_shift_ramp(delta, n),
                                rtol=0.0, atol=1e-13)
 
 

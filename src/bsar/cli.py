@@ -1,8 +1,8 @@
 """Command-line pipeline: simulate, estimate, focus, analyze, compare, render.
 
 Exit statuses: 0 success, 2 parameter error, 3 format error, 4 unsuitable
-scene, 5 convergence/tracking failure.  Every failure prints a single
-machine-parsable line to stderr: ``bsar: <kind>: <message>``.
+scene, 5 convergence/tracking failure.  Every failure prints one line to
+stderr, ``bsar: <kind>: <message>``, with line breaks in the message as spaces.
 """
 
 import argparse
@@ -88,10 +88,10 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     check_gate(args.gate)  # before the decomposition and the spectrum file
     raw = fileio.read_matrix(args.input)[0].astype(np.complex128)
-    svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed)
+    svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed, gate=args.gate)
+    est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
-    est = blind_estimate(raw, gate=args.gate, svd=svd)
     est.range_chirp = replace(est.range_chirp, taper_fraction=args.taper)
     est.azimuth_chirp = replace(est.azimuth_chirp, taper_fraction=args.taper)
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input))
@@ -113,16 +113,14 @@ def _cmd_focus(args):
                 fileio.write_matrix(data, os.path.join(args.dump_stages, f"{name}.bsar"))
 
     if args.est:
-        est = fileio.read_estimate(args.est)
-        img = focus_pipeline(raw, est, taper_fraction=args.taper,
-                             provenance="blind", on_stage=on_stage)
+        est, rcm = fileio.read_estimate(args.est), None
     else:
         truth = fileio.read_truth(args.oracle)
         if truth.config is None:
             raise ParameterError("--oracle truth file lacks the config block")
         est, rcm = oracle_estimate(truth)
-        img = focus_pipeline(raw, est, taper_fraction=args.taper, rcm_override=rcm,
-                             provenance="oracle", on_stage=on_stage)
+    img = focus_pipeline(raw, est, taper_fraction=args.taper, rcm_override=rcm,
+                         provenance="blind" if args.est else "oracle", on_stage=on_stage)
     fileio.write_matrix(img.image, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 
@@ -180,7 +178,7 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](args)
     except BsarError as exc:
-        print(f"bsar: {exc.kind}: {exc}", file=sys.stderr)
+        print(f"bsar: {exc.kind}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return exc.exit_status
     except FileNotFoundError as exc:
         print(f"bsar: parameter: file not found: {exc.filename}", file=sys.stderr)

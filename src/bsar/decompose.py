@@ -17,6 +17,7 @@ DEGENERACY_RATIO = 1.0 + 1e-6
 OVERSAMPLE = 5
 MAX_SWEEPS = 5000
 TOL = 1e-9  # relative sweep-to-sweep change that declares convergence
+ROUNDING = 1e-12  # allowance, relative to ||X||_F^2, on each bound of the gate certificate
 
 
 @dataclass
@@ -29,7 +30,8 @@ class TruncatedSVD:
     reconstruction energy.  degenerate_pairs lists indices i where
     sigma_i / sigma_{i+1} is too close to 1 for the pair to be resolved;
     rank_deficient marks trailing zero singular values whose vectors are an
-    arbitrary orthonormal completion.
+    arbitrary orthonormal completion.  ratio_bound is the last of the `sweeps`
+    sweeps' proven upper bound on sigma1/sigma2 (inf when no gate was given).
     """
 
     k: int
@@ -39,6 +41,8 @@ class TruncatedSVD:
     residual_energy: float
     degenerate_pairs: tuple = field(default_factory=tuple)
     rank_deficient: bool = False
+    sweeps: int = 0
+    ratio_bound: float = np.inf
 
     @property
     def dominance_ratio(self):
@@ -57,14 +61,32 @@ def _orthonormal_completion(block, count, rng):
     return q
 
 
-def leading_triplets(X, k, seed=0):
+def _ratio_bound(Q, Y, H, evals, total):
+    """Proven upper bound on sigma1/sigma2 from Y = A Q, H = Q^H Y and its
+    ascending eigenvalues, A the Gram operator (Parlett, 1998): sigma2^2 >=
+    theta2 by Cauchy interlacing, and sigma1^2 <= lambda_max([[theta1, beta],
+    [beta, tau]]) as beta = ||Y - Q H||_F >= ||Q_perp^H A Q|| and the PSD block
+    Q_perp^H A Q_perp has trace tau = trace A - trace H.  Each term moves by
+    ROUNDING * trace A to its loose side."""
+    slack = ROUNDING * total
+    theta1, theta2 = evals[-1] + slack, evals[-2] - slack
+    beta = np.linalg.norm(Y - Q @ H) + slack
+    tau = total - float(np.trace(H).real) + slack
+    top = 0.5 * (theta1 + tau) + np.hypot(0.5 * (theta1 - tau), beta)
+    return float(np.sqrt(top / theta2)) if theta2 > 0 else np.inf
+
+
+def leading_triplets(X, k, seed=0, gate=None):
     """Compute the k dominant singular triplets of X.
 
     Block power iteration (with guard vectors) on the smaller Gram operator;
     convergence is declared when all k leading singular-value estimates change
     by less than TOL relatively between sweeps, and that sweep's Ritz pairs
-    are the result.  Raises ConvergenceError carrying the last sweep's
-    triplets when MAX_SWEEPS sweeps pass without convergence.
+    are the result.  With a `gate`, every sweep also bounds sigma1/sigma2
+    from above (`_ratio_bound`).  At the first sweep that proves it below the
+    gate, the iteration stops and returns that sweep's Ritz pairs unconverged,
+    for the caller to refuse the scene.  Raises ConvergenceError carrying the
+    last sweep's triplets when MAX_SWEEPS sweeps pass without either.
     """
     X = as_complex_matrix(X)
     M, N = X.shape
@@ -90,8 +112,8 @@ def leading_triplets(X, k, seed=0):
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
-    converged = False
-    for _ in range(MAX_SWEEPS):
+    stalled, bound = False, np.inf  # bound: on sigma1/sigma2, sought only with a gate
+    for sweeps in range(1, MAX_SWEEPS + 1):
         Q, _ = np.linalg.qr(Y)
         W = to_other(Q)
         Y = to_basis(W)
@@ -99,12 +121,17 @@ def leading_triplets(X, k, seed=0):
         evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
         order = np.argsort(evals)[::-1][:k]
         sigma = np.sqrt(np.clip(evals[order], 0.0, None))
+        if gate is not None and block >= 2:
+            bound = _ratio_bound(Q, Y, H, evals, total)
+            if bound < gate:
+                break  # refusal proven: this sweep's Ritz pairs are returned unconverged
         scale = max(float(sigma[0]), np.finfo(float).tiny)
         step = float(np.max(np.abs(sigma - prev))) if prev is not None else step
         if step <= TOL * scale:
-            converged = True
             break
         prev = sigma
+    else:
+        stalled = True
 
     # Ritz vectors on the iterated side, and their images X v or X^H u
     basis = Q @ evecs[:, order]
@@ -132,8 +159,10 @@ def leading_triplets(X, k, seed=0):
         residual_energy=residual,
         degenerate_pairs=degenerate,
         rank_deficient=rank_deficient,
+        sweeps=sweeps,
+        ratio_bound=bound,
     )
-    if not converged:
+    if stalled:
         raise ConvergenceError(
             f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps: "
             f"last relative Ritz change max|dsigma|/sigma1 = {step / scale:.6g}",

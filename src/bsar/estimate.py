@@ -121,6 +121,8 @@ def fit_quadratic_phase(signal, support):
         raise ParameterError("support too short for a quadratic phase fit")
 
     seg = x[start:stop]
+    if not np.all(np.isfinite(seg)):
+        raise ParameterError(f"non-finite sample in the phase-fit support [{start}, {stop})")
     mag = np.abs(seg)
     if np.all(mag == 0.0):
         raise DegenerateFitError("all-zero signal over the support")
@@ -195,16 +197,20 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     """Full blind parameter extraction from a raw data matrix.
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
-    computed; without one, the leading pair is decomposed here.  `gate` is
-    checked by `check_gate`.
+    computed with the same gate; without one, the leading pair is decomposed
+    here.  `gate` is checked by `check_gate`.
     """
     check_gate(gate)
     X = as_complex_matrix(raw)
     if svd is None:
-        svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)))
+        svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)), gate=gate)
     if svd.singular_values[0] == 0.0:
         raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
     ratio = svd.dominance_ratio
+    if svd.ratio_bound < gate:
+        raise UnsuitableSceneError(
+            f"dominance ratio at most {svd.ratio_bound:.3f} (Ritz ratio {ratio:.3f} after "
+            f"{svd.sweeps} sweeps) below gate {gate:.3f}: scene lacks a strong point scatterer")
     if 0 in svd.degenerate_pairs:
         raise UnsuitableSceneError(
             "first singular pair is degenerate: no dominant point scatterer"

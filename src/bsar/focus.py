@@ -97,6 +97,13 @@ def range_compress(raw, range_ref):
     return out
 
 
+def _fit_quadratic(offsets, values):
+    """Least-squares (c0, c1, c2) of values ~ c0 + c1*offsets + c2*offsets^2, and residuals."""
+    design = np.column_stack([np.ones_like(offsets), offsets, offsets * offsets])
+    coeffs, _, _, _ = np.linalg.lstsq(design, values, rcond=None)
+    return coeffs, values - design @ coeffs
+
+
 def track_rcm(rc, offsets):
     """Fit the dominant scatterer's migration trajectory from compressed rows.
 
@@ -114,20 +121,13 @@ def track_rcm(rc, offsets):
     mags = np.abs(x)
     cols = np.argmax(mags, axis=1)
     peaks = np.array([_parabolic_peak(mags[i], cols[i]) for i in range(offsets.size)])
-
-    def fit(off, pk):
-        design = np.column_stack([np.ones_like(off), off, off * off])
-        coeffs, _, _, _ = np.linalg.lstsq(design, pk, rcond=None)
-        resid = pk - design @ coeffs
-        return coeffs, resid
-
-    coeffs, resid = fit(offsets, peaks)
+    coeffs, resid = _fit_quadratic(offsets, peaks)
     mad = np.median(np.abs(resid - np.median(resid)))
     if mad > 0:
         keep = np.abs(resid - np.median(resid)) <= MAD_REJECT * mad
         if np.sum(keep) < MIN_TRACK_POINTS:
             raise TrackingError("too few inlier peaks after outlier rejection")
-        coeffs, resid = fit(offsets[keep], peaks[keep])
+        coeffs, resid = _fit_quadratic(offsets[keep], peaks[keep])
     rms = float(np.sqrt(np.mean(resid**2)))
     return RcmModel(
         reference_range_bin=float(coeffs[0]),

@@ -17,7 +17,7 @@ import numpy as np
 from .core import ChirpModel, next_fast_len, shift_ramp, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
-from .focus import RCMC_BLOCK_ROWS, RcmModel
+from .focus import RCMC_BLOCK_ROWS, RcmModel, _fit_quadratic
 
 SPEED_OF_LIGHT = 299792458.0
 HISTOGRAM_BINS = 64  # raw_statistics histogram bins per part
@@ -199,16 +199,14 @@ def simulate_raw(config, scene):
 
 
 def _ground_truth(config, scene, positions, first):
+    common = dict(range_chirp_rate=config.range_chirp_model().rate,
+                  chirp_samples=config.chirp_samples,
+                  bandwidth_fraction=config.bandwidth_fraction,
+                  beam_rows=float(config.beam_azimuth_extent * config.prf), config=config)
     if first is None:
-        rcm = np.zeros(config.num_pulses)
-        return GroundTruth(
-            positions=[], range_chirp_rate=config.range_chirp_model().rate,
-            azimuth_chirp_rate=0.0, doppler_centroid=0.0, rcm_curve=rcm,
-            chirp_samples=config.chirp_samples,
-            bandwidth_fraction=config.bandwidth_fraction,
-            beam_center_row=float("nan"), beam_rows=config.beam_azimuth_extent * config.prf,
-            range_support=(0, 0), azimuth_support=(0, 0), config=config,
-        )
+        return GroundTruth(positions=[], azimuth_chirp_rate=0.0, doppler_centroid=0.0,
+                           rcm_curve=np.zeros(config.num_pulses), beam_center_row=float("nan"),
+                           range_support=(0, 0), azimuth_support=(0, 0), **common)
 
     sc, r, lead = first
     r0s = config.closest_range + sc.range_offset
@@ -223,22 +221,18 @@ def _ground_truth(config, scene, positions, first):
 
     lead0 = 2.0 * sc.range_offset / SPEED_OF_LIGHT * config.range_sampling
     beam_center = (sc.azimuth_time + config.squint_offset) * config.prf
-    beam_rows = config.beam_azimuth_extent * config.prf
+    beam_rows = common["beam_rows"]
     az_lo = max(int(np.floor(beam_center - beam_rows / 2.0)), 0)
     az_hi = min(int(np.ceil(beam_center + beam_rows / 2.0)) + 1, config.num_pulses)
     return GroundTruth(
         positions=positions,
-        range_chirp_rate=config.range_chirp_model().rate,
         azimuth_chirp_rate=az_rate,
         doppler_centroid=dc,
         rcm_curve=rcm,
-        chirp_samples=config.chirp_samples,
-        bandwidth_fraction=config.bandwidth_fraction,
         beam_center_row=float(beam_center),
-        beam_rows=float(beam_rows),
         range_support=(int(np.floor(lead0)), int(np.ceil(lead0)) + config.chirp_samples),
         azimuth_support=(az_lo, az_hi),
-        config=config,
+        **common,
     )
 
 
@@ -283,21 +277,14 @@ def oracle_estimate(truth):
     config = truth.config
     row0, col0 = truth.positions[0]
 
-    base = config.range_chirp_model()
-    start, stop = truth.range_support
-    range_model = ChirpModel(
-        rate=base.rate, center=col0, support=(start, stop), fit_rms=0.0,
-    )
-    azimuth_model = ChirpModel(
-        rate=truth.azimuth_chirp_rate, center=row0,
-        support=truth.azimuth_support, fit_rms=0.0,
-    )
+    range_model = ChirpModel(rate=config.range_chirp_model().rate, center=col0,
+                             support=truth.range_support, fit_rms=0.0)
+    azimuth_model = ChirpModel(rate=truth.azimuth_chirp_rate, center=row0,
+                               support=truth.azimuth_support, fit_rms=0.0)
 
     lo, hi = truth.azimuth_support
     offsets = np.arange(lo, hi, dtype=np.float64) - truth.beam_center_row
-    design = np.column_stack([np.ones_like(offsets), offsets, offsets**2])
-    coeffs, _, _, _ = np.linalg.lstsq(design, truth.rcm_curve[lo:hi], rcond=None)
-    resid = truth.rcm_curve[lo:hi] - design @ coeffs
+    coeffs, resid = _fit_quadratic(offsets, truth.rcm_curve[lo:hi])
     rcm = RcmModel(
         reference_range_bin=float(col0 + coeffs[0]),
         linear=float(coeffs[1]),

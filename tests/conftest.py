@@ -9,7 +9,7 @@ import pytest
 from bsar import fileio
 from bsar.estimate import blind_estimate
 from bsar.focus import focus_pipeline
-from bsar.simulate import oracle_estimate, simulate_raw
+from bsar.simulate import SPEED_OF_LIGHT, Scatterer, oracle_estimate, simulate_raw
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DEFAULT_CONFIG = CONFIG_DIR / "desk_default.json"
@@ -36,6 +36,23 @@ def default_sim(default_scene):
 def squint_sim(squint_scene):
     config, scene = squint_scene
     return simulate_raw(config, scene)
+
+
+@pytest.fixture(scope="session")
+def clutter_sim(default_scene):
+    """Raw matrix of 20 unit-modulus scatterers with random phases on the
+    desk_default grid: no scatterer dominates, so sigma1/sigma2 sits near 1."""
+    config, _ = default_scene
+    rng = np.random.default_rng(1301)
+    half = config.beam_azimuth_extent / 2.0
+    t_max = (config.num_pulses - 1) / config.prf
+    max_offset = (config.samples_per_pulse - config.chirp_samples - 20) / (
+        2.0 * config.range_sampling / SPEED_OF_LIGHT)
+    scene = [Scatterer(azimuth_time=float(rng.uniform(half + 0.02, t_max - half - 0.02)),
+                       range_offset=float(rng.uniform(0.0, max_offset)),
+                       reflectivity=complex(np.exp(2j * np.pi * rng.uniform())))
+             for _ in range(20)]
+    return simulate_raw(config, scene)[0]
 
 
 @pytest.fixture(scope="session")

@@ -194,6 +194,93 @@ def test_phase_gauge_leaves_product_invariant():
                                s * np.outer(u2, v2.conj()), atol=1e-12)
 
 
+# --- gate certificate -----------------------------------------------------------
+
+GATE = 3.0
+
+
+def planted(rng, shape, ratio, tail, level, decay):
+    """U diag(s) V^H with s = [ratio, 1, level * decay**i for i < tail]."""
+    rank = 2 + tail
+    U, _ = np.linalg.qr(random_complex(rng, (shape[0], rank)))
+    V, _ = np.linalg.qr(random_complex(rng, (shape[1], rank)))
+    s = np.concatenate([[ratio, 1.0], level * decay ** np.arange(tail)])
+    return (U * s) @ V.conj().T
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shape", [(70, 120), (120, 70)], ids=["wide", "tall"])
+def test_gate_certificate_is_sound(shape, seed):
+    # sigma1/sigma2 planted 0.1 % either side of the gate, over flat and
+    # decaying tails of 5 to 60 values: a certified bound must never sit
+    # below the dense ratio, and so never below the gate when the scene
+    # passes it
+    certified = 0
+    for tail in (5, 20, 60):
+        for level in (0.05, 0.3, 0.9):
+            for decay in (1.0, 0.9):
+                for side in (-1, 1):
+                    rng = np.random.default_rng([seed, tail, round(100 * level),
+                                                 round(10 * decay), side + 1])
+                    X = planted(rng, shape, GATE * (1 + side * 1e-3), tail, level, decay)
+                    s = np.linalg.svd(X, compute_uv=False)
+                    svd = leading_triplets(X, k=2, gate=GATE)
+                    assert svd.ratio_bound >= s[0] / s[1], (tail, level, decay, side)
+                    if svd.ratio_bound < GATE:
+                        certified += 1
+                        assert side < 0, (tail, level, decay)
+    assert certified >= 10  # the bound is tight enough to decide most planted cases
+
+
+@pytest.mark.parametrize("tilted", ["first", "all"])
+def test_ratio_bound_holds_for_any_orthonormal_block(tilted):
+    # the bound must hold for whatever block a sweep has reached: here the
+    # dominant eigenvectors of A = X^H X, tilted by eps toward the rest of
+    # the spectrum, either the first one alone or all of them
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([[GATE * (1 + 1e-3), 1.0], 0.3 * 0.9 ** np.arange(20)])
+        V, _ = np.linalg.qr(random_complex(rng, (40, 40)))
+        A = (V[:, :s.size] * s**2) @ V[:, :s.size].conj().T
+        for eps in (1e-3, 1e-2, 0.1, 0.5):
+            tilt = eps * random_complex(rng, (40, 7))
+            if tilted == "first":
+                tilt[:, 1:] = 0.0
+            Q, _ = np.linalg.qr(V[:, :7] + tilt)
+            Y = A @ Q
+            H = Q.conj().T @ Y
+            bound = decompose._ratio_bound(Q, Y, H, np.linalg.eigvalsh(H), float(np.sum(s**2)))
+            assert bound >= s[0] / s[1], (seed, eps)
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_gate_certificate_never_fires_on_the_gate(n):
+    # sigma1/sigma2 exactly 3: the Ritz pairs are exact after one sweep, so
+    # only the rounding allowance keeps the bound at or above the gate
+    X = np.diag(np.r_[GATE, np.ones(n - 1)]).astype(np.complex128)
+    svd = leading_triplets(X, k=2, gate=GATE)
+    assert svd.ratio_bound >= GATE
+
+
+def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
+    svd = leading_triplets(clutter_sim, k=2, gate=GATE)
+    assert svd.sweeps <= 3 and svd.ratio_bound < GATE
+    s = np.linalg.svd(clutter_sim, compute_uv=False)
+    assert s[0] / s[1] <= svd.ratio_bound
+    # without a gate the same scene only stops once both values converge
+    assert leading_triplets(clutter_sim, k=2).sweeps > svd.sweeps
+
+
+def test_gate_leaves_an_accepted_decomposition_unchanged(default_sim):
+    raw, _ = default_sim
+    plain = leading_triplets(raw, k=2)
+    gated = leading_triplets(raw, k=2, gate=GATE)
+    assert plain.ratio_bound == np.inf and gated.sweeps == plain.sweeps
+    assert plain.dominance_ratio <= gated.ratio_bound
+    for name in ("singular_values", "left_vectors", "right_vectors"):
+        assert np.array_equal(getattr(plain, name), getattr(gated, name))
+
+
 # --- dominance_ratio ------------------------------------------------------------
 
 def test_dominance_ratio_value():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -117,6 +119,18 @@ def test_fit_degeneracy_is_judged_by_phase_excursion(factor):
         model = fit_quadratic_phase(signal, (0, length))
         assert model.rate == pytest.approx(rate, rel=1e-9)
         assert model.center == pytest.approx(80.0 - 0.05 / (2.0 * rate), rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_fit_rejects_non_finite_samples(capfd, bad):
+    # refused before LAPACK sees them, so nothing reaches stderr
+    signal = np.exp(2j * np.pi * 0.002 * (np.arange(32) - 16.0) ** 2)
+    signal[20] = bad
+    with pytest.raises(ParameterError, match="non-finite sample") as info:
+        fit_quadratic_phase(signal, (0, 32))
+    assert type(info.value) is ParameterError
+    assert capfd.readouterr().err == ""
 
 
 def test_fit_support_validation():
@@ -246,6 +260,16 @@ def test_gate_refuses_noise_only():
     noise = rng.standard_normal((96, 128)) + 1j * rng.standard_normal((96, 128))
     with pytest.raises(UnsuitableSceneError):
         blind_estimate(noise)
+
+
+def test_gate_refuses_clutter_on_a_proven_bound(clutter_sim):
+    # the message names the bound, the Ritz ratio and the sweep count
+    with pytest.raises(UnsuitableSceneError, match=r"dominance ratio at most (\S+) "
+                       r"\(Ritz ratio \S+ after [123] sweeps\) below gate 3\.000") as info:
+        blind_estimate(clutter_sim)
+    bound = float(re.search(r"at most (\S+) ", str(info.value)).group(1))
+    s = np.linalg.svd(clutter_sim, compute_uv=False)
+    assert s[0] / s[1] <= bound < 3.0
 
 
 def test_gate_refuses_degenerate_first_pair():

@@ -335,6 +335,17 @@ def test_cli_noise_only_exits_4(tmp_path):
                  "--out", str(tmp_path / "est.json")]) == 4
 
 
+def test_cli_clutter_refusal_writes_no_file(tmp_path, capsys, clutter_sim):
+    # refused on a proven bound after a few sweeps; those Ritz values are no
+    # spectrum, so neither the estimate nor the spectrum CSV is written
+    raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
+    fileio.write_matrix(clutter_sim, raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--k", "4",
+                 "--spectrum", str(spec_f)]) == 4
+    single_error_line(capsys, "unsuitable-scene")
+    assert not est_f.exists() and not spec_f.exists()
+
+
 def focus_with_missing_file_exits_2(tmp_path, capsys, option):
     """`bsar focus OPTION missing.json` exits 2 with one parameter line."""
     raw_f, missing = tmp_path / "raw.bsar", tmp_path / "missing.json"

@@ -1,14 +1,18 @@
-"""Property tests of the file round-trips: BSAR matrices and estimate JSON."""
+"""Property tests of the file round-trips (BSAR matrices and estimate JSON)
+and of the CLI's mapping from error to exit status."""
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bsar import fileio
+from bsar import cli, errors, fileio
 from bsar.core import ChirpModel
 from bsar.estimate import BlindEstimate
 
@@ -87,3 +91,27 @@ def test_estimate_json_roundtrip_is_exact(estimate, input_hash):
 
 def reject_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
+
+
+def error_classes(base=errors.BsarError):
+    return [base] + [c for sub in base.__subclasses__() for c in error_classes(sub)]
+
+
+# the statuses the CLI documents, by the first listed base class an error has
+DOCUMENTED_STATUS = ((errors.ParameterError, 2), (errors.FormatError, 3),
+                     (errors.UnsuitableSceneError, 4), (errors.ConvergenceError, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cls=st.sampled_from(error_classes()), message=st.text())
+def test_error_maps_to_its_exit_status_and_one_line(cls, message):
+    def command(args):
+        raise cls(message)
+
+    err = io.StringIO()
+    with mock.patch.dict(cli.COMMANDS, {"render": command}), contextlib.redirect_stderr(err):
+        status = cli.main(["render", "--in", "in.bsar", "--out", "out.pgm"])
+    expected = next((code for base, code in DOCUMENTED_STATUS if issubclass(cls, base)), 1)
+    assert status == cls.exit_status == expected
+    # line breaks inside the message become spaces, so it stays one line
+    assert err.getvalue().splitlines() == [f"bsar: {cls.kind}: {' '.join(message.splitlines())}"]

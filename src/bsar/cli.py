@@ -87,11 +87,16 @@ def _cmd_simulate(args):
 
 def _cmd_estimate(args):
     check_gate(args.gate)  # before the decomposition and the spectrum file
+    if args.k < 1:
+        raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
     raw = fileio.read_matrix(args.input)[0].astype(np.complex128)
-    svd = leading_triplets(raw, k=min(args.k, min(raw.shape)), seed=args.seed, gate=args.gate)
+    # the estimate consumes the leading pair whatever length --k asks for
+    k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
+    svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
     est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
     if args.spectrum:
-        fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
+        fileio.write_spectrum_csv(svd.singular_values[:args.k], svd.dominance_ratio,
+                                  args.spectrum)
     est.range_chirp = replace(est.range_chirp, taper_fraction=args.taper)
     est.azimuth_chirp = replace(est.azimuth_chirp, taper_fraction=args.taper)
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input))

@@ -1,4 +1,5 @@
-"""Complex signal primitives: chirp synthesis, phase unwrapping, FFT lengths.
+"""Complex signal primitives: chirp synthesis, phase unwrapping, FFT lengths,
+and the worker threads that run block passes (``run_blocks``).
 
 Conventions used throughout the package:
 
@@ -12,6 +13,8 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -19,6 +22,7 @@ from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
 RAMP_STEP = 64  # fine-table length of the factored phase ramp
+RCMC_BLOCK_ROWS = 64  # rows in flight in a block pass, shared by its workers
 
 
 def as_complex_matrix(data, single=False):
@@ -175,6 +179,57 @@ def shift_ramp(delta, n):
     ramp = (coarse[:, :, None] * fine[:, None, :]).reshape(d.shape[0], -1)[:, :n]
     ramp[:, (n + 1) // 2:] *= np.exp(-d)
     return ramp
+
+
+def block_workers():
+    """Threads for a block pass: the CPUs this process may run on, at most
+    RCMC_BLOCK_ROWS (each worker keeps at least one row in flight)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, RCMC_BLOCK_ROWS)
+
+
+def run_blocks(fn, stop):
+    """Call fn(block) for the slices of `RCMC_BLOCK_ROWS // workers` indices
+    that tile range(stop), shared among `block_workers()` threads.
+
+    The blocks must be independent.  The calling thread is one of the
+    workers, so with one worker this is a plain loop.  Every thread is joined
+    before the first exception a block raised is re-raised here.  numpy's
+    FFTs and array loops release the GIL, so the threads run in parallel;
+    each index is computed by the same operations whichever thread takes it.
+    """
+    workers = block_workers()
+    step = RCMC_BLOCK_ROWS // workers
+    pending = iter(range(0, stop, step))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        while not errors:
+            with lock:
+                lo = next(pending, None)
+            if lo is None:
+                return
+            try:
+                fn(slice(lo, lo + step))
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(workers, -(-stop // step)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def wrap_half_open(f):

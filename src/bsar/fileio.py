@@ -21,6 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .core import RCMC_BLOCK_ROWS
 from .errors import FormatError, ParameterError
 from .estimate import BlindEstimate
 from .simulate import AcquisitionConfig, GroundTruth, Scatterer
@@ -32,14 +33,16 @@ FLAG_FOCUSED = 0x1
 
 
 def write_matrix(matrix, path, flags=0):
-    """Write a complex matrix as a BSAR file (float32 payload)."""
+    """Write a complex matrix as a BSAR file (float32 payload), casting
+    RCMC_BLOCK_ROWS rows at a time rather than copying the whole matrix."""
     x = np.asarray(matrix)
     if x.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
     m, n = x.shape
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
-        x.astype("<c8", order="C").tofile(fh)  # interleaved float32 (I, Q), row-major
+        for lo in range(0, m, RCMC_BLOCK_ROWS):  # interleaved float32 (I, Q), row-major
+            x[lo:lo + RCMC_BLOCK_ROWS].astype("<c8", order="C").tofile(fh)
 
 
 def read_matrix(path):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChirpModel, next_fast_len, shift_ramp, synth_chirp, wrap_half_open
+from .core import ChirpModel, next_fast_len, run_blocks, shift_ramp, synth_chirp, wrap_half_open
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
-from .focus import RCMC_BLOCK_ROWS, RcmModel, _fit_quadratic
+from .focus import RcmModel, _fit_quadratic
 
 SPEED_OF_LIGHT = 299792458.0
 HISTOGRAM_BINS = 64  # raw_statistics histogram bins per part
@@ -149,10 +149,11 @@ def simulate_raw(config, scene):
     exact fractional-delay replicas of the transmitted pulse, weighted by the
     two-way beam pattern and the two-way propagation phase, plus seeded
     circular complex Gaussian noise (std = noise_sigma per I/Q component,
-    independent per-row substreams).  RCMC_BLOCK_ROWS rows at a time, every
-    echo's amplitude times its delay ramp (``core.shift_ramp``) is summed,
-    times the pulse spectrum once, and inverse-transformed in place: one
-    M x nfft buffer plus one row block of ramp tables.
+    independent per-row substreams).  Row block by row block, every echo's
+    amplitude times its delay ramp (``core.shift_ramp``) is summed, times the
+    pulse spectrum once, inverse-transformed in place and given its rows'
+    noise: one M x nfft buffer plus RCMC_BLOCK_ROWS rows of ramp tables,
+    shared among the worker threads of ``core.run_blocks``.
     """
     M, N = config.num_pulses, config.samples_per_pulse
     pulse = config.transmitted_pulse()
@@ -176,23 +177,25 @@ def simulate_raw(config, scene):
             first = (sc, r, lead)
 
     spectrum = np.zeros((M, nfft), dtype=np.complex128)
-    for lo in range(0, M, RCMC_BLOCK_ROWS):
-        rows = slice(lo, lo + RCMC_BLOCK_ROWS)
+    raw = spectrum[:, :N]
+
+    def synthesize(rows):
         block = spectrum[rows]
         for amp, lead in echoes:
             ramp = shift_ramp(-lead[rows], nfft)
             ramp *= amp[rows, None]
             block += ramp
+            del ramp  # before the next table: one per worker at a time
         block *= pulse_spectrum
         np.fft.ifft(block, axis=1, out=block)
-    raw = spectrum[:, :N]
+        if config.noise_sigma > 0:
+            for m in range(*rows.indices(M)):
+                rng = np.random.default_rng([config.rng_seed, m])
+                raw[m] += config.noise_sigma * (
+                    rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                )
 
-    if config.noise_sigma > 0:
-        for m in range(M):
-            rng = np.random.default_rng([config.rng_seed, m])
-            raw[m] += config.noise_sigma * (
-                rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            )
+    run_blocks(synthesize, M)
 
     truth = _ground_truth(config, scene, positions, first)
     return raw, truth

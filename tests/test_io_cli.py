@@ -79,6 +79,26 @@ def test_file_size_formula(tmp_path):
     assert path.stat().st_size == 32 + 512 * 1024 * 8
 
 
+def test_matrix_written_in_row_blocks_is_one_cast(tmp_path):
+    # 130 rows: two whole blocks and a ragged one
+    x = np.random.default_rng(6).standard_normal((130, 7)) * (1 + 1j)
+    fileio.write_matrix(x, tmp_path / "m.bsar")
+    payload = (tmp_path / "m.bsar").read_bytes()[fileio.HEADER.size:]
+    assert payload == x.astype("<c8").tobytes()
+
+
+def test_write_matrix_peak_memory():
+    # rows are cast block by block, never the whole image at once
+    x = np.ones((1024, 1024), dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        fileio.write_matrix(x, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes / 8, peak / x.nbytes
+
+
 @pytest.mark.parametrize("layout", ["transposed", "column-strided"])
 def test_matrix_written_row_major_whatever_the_layout(tmp_path, layout):
     rng = np.random.default_rng(5)
@@ -560,6 +580,28 @@ def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):
     report = dict(zip(header.split(","), (float(v) for v in line.split(","))))
     assert abs(report["peak_row"] - row0) <= 1.0
     assert report["oversample_factor"] == 16
+
+
+def test_cli_estimate_k1_lists_one_singular_value(tmp_path, default_sim):
+    # --k only sets the spectrum length: the estimate still uses sigma1 and sigma2
+    raw_f, spec_f = tmp_path / "raw.bsar", tmp_path / "spectrum.csv"
+    fileio.write_matrix(default_sim[0], raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est1.json"),
+                 "--k", "1", "--spectrum", str(spec_f)]) == 0
+    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est2.json")]) == 0
+    assert (tmp_path / "est1.json").read_bytes() == (tmp_path / "est2.json").read_bytes()
+    header, *rows = spec_f.read_text().splitlines()
+    assert [r.split(",")[0] for r in rows] == ["0", "dominance_ratio"]
+    assert float(rows[1].split(",")[1]) == strict_json(tmp_path / "est1.json")["dominance_ratio"]
+
+
+def test_cli_estimate_k0_exits_2(tmp_path, capsys):
+    raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
+    fileio.write_matrix(np.ones((8, 8), dtype=np.complex128), raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--k", "0",
+                 "--spectrum", str(spec_f)]) == 2
+    single_error_line(capsys, "parameter")
+    assert not est_f.exists() and not spec_f.exists()
 
 
 def test_cli_nan_sample_exits_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, fileio
+from .core import RCMC_BLOCK_ROWS
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import (CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, DEFAULT_TAPER, blind_estimate,
@@ -76,6 +77,18 @@ def build_parser():
     return parser
 
 
+def _read(path):
+    """The BSAR file's matrix; a NaN or infinite sample, sought RCMC_BLOCK_ROWS
+    rows at a time, is a parameter error naming the first one."""
+    matrix, _ = fileio.read_matrix(path)
+    for lo in range(0, matrix.shape[0], RCMC_BLOCK_ROWS):
+        block = matrix[lo:lo + RCMC_BLOCK_ROWS]
+        if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
+            row, col = np.argwhere(~np.isfinite(block))[0]
+            raise ParameterError(f"{path}: non-finite sample at row {lo + row}, column {col}")
+    return matrix
+
+
 def _cmd_simulate(args):
     config, scene = fileio.load_scene(args.config)
     raw, truth = simulate_raw(config, scene)
@@ -89,7 +102,7 @@ def _cmd_estimate(args):
     check_gate(args.gate)  # before the decomposition and the spectrum file
     if args.k < 1:
         raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
-    raw = fileio.read_matrix(args.input)[0].astype(np.complex128)
+    raw = _read(args.input).astype(np.complex128)
     # the estimate consumes the leading pair whatever length --k asks for
     k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
     svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
@@ -106,7 +119,7 @@ def _cmd_estimate(args):
 def _cmd_focus(args):
     if bool(args.est) == bool(args.oracle):
         raise ParameterError("exactly one of --est or --oracle is required")
-    raw, _ = fileio.read_matrix(args.input)
+    raw = _read(args.input)
 
     on_stage = None
     if args.dump_stages:
@@ -131,7 +144,7 @@ def _cmd_focus(args):
 
 
 def _cmd_analyze(args):
-    img, _ = fileio.read_matrix(args.input)
+    img = _read(args.input)
     report = analyze_point_target(img, (args.row, args.col), window=args.window)
     fileio.write_report_csv(report, args.out)
     if args.json:
@@ -150,15 +163,14 @@ def _parse_window(text):
 
 
 def _cmd_compare(args):
-    a, _ = fileio.read_matrix(args.a)
-    b, _ = fileio.read_matrix(args.b)
+    a, b = _read(args.a), _read(args.b)
     window = _parse_window(args.window) if args.window else None
     fileio.write_json(compare_images(a, b, window=window), args.out)
     return 0
 
 
 def _cmd_render(args):
-    img, _ = fileio.read_matrix(args.input)
+    img = _read(args.input)
     fileio.render_magnitude(img, args.db, args.out)
     return 0
 

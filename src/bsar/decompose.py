@@ -1,19 +1,18 @@
 """Leading singular triplets of the complex raw-data matrix.
 
-Only the few dominant triplets are ever consumed downstream, so the
-decomposition is computed by block power iteration with Rayleigh-Ritz
-extraction on whichever Gram operator has the smaller dimension.  Start
-vectors are seeded, so runs are reproducible.
+Only the few dominant triplets are ever consumed downstream, so only they
+are computed, by block power iteration with Rayleigh-Ritz extraction on
+whichever Gram operator has the smaller dimension, from seeded start vectors.
+The result holds the triplets, the sweep count and the gate's sigma1/sigma2 bound.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_complex_matrix, as_complex_vector
 from .errors import ConvergenceError, ParameterError
 
-DEGENERACY_RATIO = 1.0 + 1e-6
 OVERSAMPLE = 5
 MAX_SWEEPS = 5000
 TOL = 1e-9  # relative sweep-to-sweep change that declares convergence
@@ -24,41 +23,26 @@ ROUNDING = 1e-12  # allowance, relative to ||X||_F^2, on each bound of the gate 
 class TruncatedSVD:
     """Leading k singular triplets of an M x N complex matrix.
 
-    singular_values are non-negative and non-increasing; the columns of
-    left_vectors (M x k) and right_vectors (N x k) are orthonormal and satisfy
-    X @ v_i = sigma_i * u_i.  residual_energy is ||X||_F^2 minus the rank-k
-    reconstruction energy.  degenerate_pairs lists indices i where
-    sigma_i / sigma_{i+1} is too close to 1 for the pair to be resolved;
-    rank_deficient marks trailing zero singular values whose vectors are an
-    arbitrary orthonormal completion.  ratio_bound is the last of the `sweeps`
-    sweeps' proven upper bound on sigma1/sigma2 (inf when no gate was given).
+    singular_values (k of them) are non-negative and non-increasing; the
+    columns of left_vectors (M x k) and right_vectors (N x k) satisfy
+    X @ v_i = sigma_i * u_i, and those of non-zero singular values are
+    orthonormal.  The vectors of a zero singular value are zero.  ratio_bound
+    is the last of the `sweeps` sweeps' proven upper bound on sigma1/sigma2
+    (inf when no gate was given).
     """
 
-    k: int
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    residual_energy: float
-    degenerate_pairs: tuple = field(default_factory=tuple)
-    rank_deficient: bool = False
-    sweeps: int = 0
-    ratio_bound: float = np.inf
+    sweeps: int
+    ratio_bound: float
 
     @property
     def dominance_ratio(self):
-        if self.k < 2:
-            raise ParameterError("dominance ratio undefined for k < 2")
+        if self.singular_values.size < 2:
+            raise ParameterError("dominance ratio undefined for fewer than two singular values")
         s1, s2 = self.singular_values[0], self.singular_values[1]
         return float(s1 / s2) if s2 > 0 else float("inf")
-
-
-def _orthonormal_completion(block, count, rng):
-    """Append `count` orthonormal columns orthogonal to the given block."""
-    dim = block.shape[0]
-    extra = rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
-    extra -= block @ (block.conj().T @ extra)
-    q, _ = np.linalg.qr(extra)
-    return q
 
 
 def _ratio_bound(Q, Y, H, evals, total):
@@ -137,31 +121,13 @@ def leading_triplets(X, k, seed=0, gate=None):
     basis = Q @ evecs[:, order]
     image = W @ evecs[:, order]
     nonzero = sigma > 1e-12 * (sigma[0] if sigma[0] > 0 else 1.0)
-    rank_deficient = not bool(np.all(nonzero))
     sigma = np.where(nonzero, sigma, 0.0)
+    basis[:, ~nonzero] = 0.0
     other = np.zeros_like(image)
     other[:, nonzero] = image[:, nonzero] / sigma[nonzero]
-    if rank_deficient:
-        other[:, ~nonzero] = _orthonormal_completion(other[:, nonzero], int(np.sum(~nonzero)), rng)
     U, V = (other, basis) if right_side else (basis, other)
-
-    degenerate = tuple(
-        i for i in range(k - 1)
-        if sigma[i + 1] > 0 and sigma[i] / sigma[i + 1] < DEGENERACY_RATIO
-    )
-    residual = max(total - float(np.sum(sigma**2)), 0.0)
-
-    result = TruncatedSVD(
-        k=k,
-        singular_values=sigma,
-        left_vectors=U,
-        right_vectors=V,
-        residual_energy=residual,
-        degenerate_pairs=degenerate,
-        rank_deficient=rank_deficient,
-        sweeps=sweeps,
-        ratio_bound=bound,
-    )
+    result = TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
+                          sweeps=sweeps, ratio_bound=bound)
     if stalled:
         raise ConvergenceError(
             f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps: "

@@ -24,8 +24,9 @@ from .core import (
 from .decompose import leading_triplets
 from .errors import DegenerateFitError, ParameterError, UnsuitableSceneError
 
-DEFAULT_THRESHOLD = 0.1       # fraction of the envelope peak
+SUPPORT_THRESHOLD = 0.1       # fraction of the envelope peak that bounds a support
 DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
+DEGENERACY_RATIO = 1.0 + 1e-6  # sigma1/sigma2 refused whatever the gate: an unresolved pair
 DEFAULT_TAPER = 0.1
 CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
 MIN_PHASE_EXCURSION = 0.125  # cycles, |rate|*L^2/4: a time-bandwidth product of 1
@@ -51,31 +52,25 @@ class BlindEstimate:
 
 
 def smooth_envelope(magnitude, window):
-    """Boxcar smoothing with edge replication; window is forced odd, >= 1."""
+    """Boxcar smoothing with edge replication; an even window grows by one."""
     x = np.asarray(magnitude, dtype=np.float64)
-    w = max(int(window), 1)
+    w = int(window)
     if w % 2 == 0:
         w += 1
-    if w == 1 or x.size < 2:
-        return x.copy()
     pad = w // 2
     padded = np.concatenate([np.full(pad, x[0]), x, np.full(pad, x[-1])])
     kernel = np.full(w, 1.0 / w)
     return np.convolve(padded, kernel, mode="valid")
 
 
-def detect_support(envelope, threshold_fraction):
+def detect_support(envelope):
     """Widest contiguous interval [start, stop) around the global peak where
-    envelope >= threshold_fraction * peak."""
+    envelope >= SUPPORT_THRESHOLD * peak."""
     env = np.asarray(envelope, dtype=np.float64)
-    if env.size == 0:
-        raise ParameterError("empty envelope")
-    if not (0.0 < threshold_fraction < 1.0):
-        raise ParameterError("threshold_fraction must lie in (0, 1)")
     peak = int(np.argmax(env))
     if env[peak] <= 0.0:
         raise UnsuitableSceneError("no signal: envelope is identically zero")
-    level = threshold_fraction * env[peak]
+    level = SUPPORT_THRESHOLD * env[peak]
     start = peak
     while start > 0 and env[start - 1] >= level:
         start -= 1
@@ -87,10 +82,10 @@ def detect_support(envelope, threshold_fraction):
 
 def _auto_support(signal_mag):
     """Two-pass support detection: a light first smoothing sizes the window."""
-    first = detect_support(smooth_envelope(signal_mag, 5), DEFAULT_THRESHOLD)
+    first = detect_support(smooth_envelope(signal_mag, 5))
     window = max(5, (first[1] - first[0]) // 50)
     env = smooth_envelope(signal_mag, window)
-    return detect_support(env, DEFAULT_THRESHOLD), env
+    return detect_support(env), env
 
 
 def _parabolic_peak(values, index):
@@ -198,28 +193,25 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
     computed with the same gate; without one, the leading pair is decomposed
-    here.  `gate` is checked by `check_gate`.
+    here.  `gate` is checked by `check_gate`.  A Ritz ratio sigma1/sigma2 below
+    max(gate, DEGENERACY_RATIO) refuses the scene: so does a bound proven below
+    the gate, as it is never below the same sweep's Ritz ratio.
     """
     check_gate(gate)
     X = as_complex_matrix(raw)
+    if min(X.shape) < 2:
+        raise ParameterError(f"raw matrix is {X.shape[0]}x{X.shape[1]}: "
+                             "the estimate needs at least 2 rows and 2 columns")
     if svd is None:
-        svd = leading_triplets(X, k=min(CONSUMED_TRIPLETS, min(X.shape)), gate=gate)
+        svd = leading_triplets(X, k=CONSUMED_TRIPLETS, gate=gate)
     if svd.singular_values[0] == 0.0:
         raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
     ratio = svd.dominance_ratio
-    if svd.ratio_bound < gate:
+    if ratio < max(gate, DEGENERACY_RATIO):
         raise UnsuitableSceneError(
-            f"dominance ratio at most {svd.ratio_bound:.3f} (Ritz ratio {ratio:.3f} after "
-            f"{svd.sweeps} sweeps) below gate {gate:.3f}: scene lacks a strong point scatterer")
-    if 0 in svd.degenerate_pairs:
-        raise UnsuitableSceneError(
-            "first singular pair is degenerate: no dominant point scatterer"
-        )
-    if ratio < gate:
-        raise UnsuitableSceneError(
-            f"dominance ratio {ratio:.3f} below gate {gate:.3f}: "
-            "scene lacks a strong point scatterer"
-        )
+            f"Ritz ratio {ratio:.3f} after {svd.sweeps} sweeps below gate "
+            f"{max(gate, DEGENERACY_RATIO):.3f} (sigma1/sigma2 proven at most "
+            f"{svd.ratio_bound:.3f}): scene lacks a strong point scatterer")
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]
     az_model, peak = estimate_azimuth(u1)

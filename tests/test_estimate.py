@@ -10,7 +10,9 @@ from bsar.errors import (
     ParameterError,
     UnsuitableSceneError,
 )
+from bsar.decompose import leading_triplets
 from bsar.estimate import (
+    DEGENERACY_RATIO,
     MIN_PHASE_EXCURSION,
     blind_estimate,
     build_references,
@@ -27,29 +29,16 @@ from bsar.simulate import simulate_raw
 
 def test_support_simple_peak():
     env = [0.0, 0.05, 0.5, 1.0, 0.5, 0.05, 0.0]
-    assert detect_support(env, 0.1) == (2, 5)
+    assert detect_support(env) == (2, 5)
 
 
 def test_support_constant_envelope():
-    assert detect_support(np.ones(11), 0.1) == (0, 11)
-
-
-def test_support_monotone_in_threshold():
-    rng = np.random.default_rng(0)
-    env = np.convolve(rng.uniform(0, 1, 200), np.ones(9) / 9, mode="same")
-    prev = None
-    for frac in (0.5, 0.3, 0.1, 0.05):
-        start, stop = detect_support(env, frac)
-        if prev is not None:
-            assert start <= prev[0] and stop >= prev[1]
-        prev = (start, stop)
+    assert detect_support(np.ones(11)) == (0, 11)
 
 
 def test_support_zero_envelope_errors():
     with pytest.raises(UnsuitableSceneError):
-        detect_support(np.zeros(16), 0.1)
-    with pytest.raises(ParameterError):
-        detect_support(np.ones(4), 1.5)
+        detect_support(np.zeros(16))
 
 
 def test_support_length_matches_chirp(default_estimate, default_sim):
@@ -262,19 +251,49 @@ def test_gate_refuses_noise_only():
         blind_estimate(noise)
 
 
+REFUSAL = re.compile(r"Ritz ratio (\S+) after (\d+) sweeps below gate 3\.000 "
+                     r"\(sigma1/sigma2 proven at most (\S+)\): ")
+
+
+def refusal(raw):
+    """(Ritz ratio, sweeps, proven bound) named by blind_estimate's refusal."""
+    with pytest.raises(UnsuitableSceneError) as info:
+        blind_estimate(raw)
+    match = REFUSAL.search(str(info.value))
+    assert match, str(info.value)
+    return float(match.group(1)), int(match.group(2)), float(match.group(3))
+
+
 def test_gate_refuses_clutter_on_a_proven_bound(clutter_sim):
-    # the message names the bound, the Ritz ratio and the sweep count
-    with pytest.raises(UnsuitableSceneError, match=r"dominance ratio at most (\S+) "
-                       r"\(Ritz ratio \S+ after [123] sweeps\) below gate 3\.000") as info:
-        blind_estimate(clutter_sim)
-    bound = float(re.search(r"at most (\S+) ", str(info.value)).group(1))
+    # the message names the Ritz ratio, the sweep count and the bound
+    _, sweeps, bound = refusal(clutter_sim)
     s = np.linalg.svd(clutter_sim, compute_uv=False)
-    assert s[0] / s[1] <= bound < 3.0
+    assert sweeps <= 3 and s[0] / s[1] <= bound < 3.0
+
+
+def test_refusal_ritz_ratio_within_its_bound(clutter_sim):
+    # one message for both paths: a bound proven below the gate (clutter),
+    # and a converged Ritz ratio below it whose bound is not (noise)
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal((96, 128)) + 1j * rng.standard_normal((96, 128))
+    for raw, certified in ((clutter_sim, True), (noise, False)):
+        ratio, _, bound = refusal(raw)
+        assert 1.0 <= ratio <= bound and (bound < 3.0) == certified, (ratio, bound)
 
 
 def test_gate_refuses_degenerate_first_pair():
-    with pytest.raises(UnsuitableSceneError, match="degenerate"):
-        blind_estimate(np.eye(16, dtype=np.complex128))
+    # identity: Ritz ratio exactly 1, and no bound below the gate
+    assert refusal(np.eye(16, dtype=np.complex128))[0] == 1.0
+
+
+def test_unresolved_first_pair_refused_under_a_lower_gate():
+    # sigma1/sigma2 = 1 + 5e-7 passes a gate of 1 + 1e-7 but not DEGENERACY_RATIO
+    gate = 1.0 + 1e-7
+    X = np.diag(np.r_[1.0 + 5e-7, 1.0, 0.01 * np.ones(14)]).astype(np.complex128)
+    svd = leading_triplets(X, k=2, gate=gate)
+    assert gate < svd.dominance_ratio < DEGENERACY_RATIO
+    with pytest.raises(UnsuitableSceneError, match=r"below gate 1\.000 "):
+        blind_estimate(X, gate=gate, svd=svd)
 
 
 def test_all_zero_matrix_is_unsuitable():

@@ -613,6 +613,52 @@ def test_cli_nan_sample_exits_2(tmp_path, capsys):
     single_error_line(capsys, "parameter")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["estimate", "focus-est", "focus-oracle", "analyze",
+                                     "compare-a", "compare-b", "render"])
+def test_cli_non_finite_sample_exits_2(tmp_path, capsys, default_sim, default_estimate,
+                                       bad, command):
+    # one bad sample past the first row block of the desk scene's raw file:
+    # the error names the file, its row and column, and nothing is written
+    raw, truth = default_sim
+    good_f, bad_f, est_f, truth_f = (tmp_path / name for name in (
+        "good.bsar", "bad.bsar", "est.json", "truth.json"))
+    fileio.write_matrix(raw, good_f)
+    damaged = raw.copy()
+    damaged[300, 17] = bad
+    fileio.write_matrix(damaged, bad_f)
+    fileio.write_estimate(default_estimate, est_f)
+    fileio.write_json(truth, truth_f)
+    argv = {
+        "estimate": ["estimate", "--in", bad_f, "--spectrum", tmp_path / "s.csv"],
+        "focus-est": ["focus", "--in", bad_f, "--est", est_f, "--dump-stages", tmp_path / "st"],
+        "focus-oracle": ["focus", "--in", bad_f, "--oracle", truth_f],
+        "analyze": ["analyze", "--in", bad_f, "--row", "256", "--col", "480"],
+        "compare-a": ["compare", "--a", bad_f, "--b", good_f],
+        "compare-b": ["compare", "--a", good_f, "--b", bad_f],
+        "render": ["render", "--in", bad_f],
+    }[command]
+    capsys.readouterr()
+    assert main([str(arg) for arg in [*argv, "--out", tmp_path / "out"]]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: {bad_f}: non-finite sample at row 300, column 17"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bad.bsar", "est.json", "good.bsar", "truth.json"]
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (64, 1)], ids=["one-row", "one-column"])
+def test_cli_one_row_or_column_exits_2(tmp_path, capsys, shape):
+    raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
+    chirp = np.exp(2j * np.pi * 1e-3 * (np.arange(64) - 32.0) ** 2)
+    fileio.write_matrix(chirp.reshape(shape), raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
+                 "--spectrum", str(spec_f)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: raw matrix is {shape[0]}x{shape[1]}: "
+        "the estimate needs at least 2 rows and 2 columns"]
+    assert not est_f.exists() and not spec_f.exists()
+
+
 def test_cli_all_zero_matrix_exits_4(tmp_path, capsys):
     raw_f = tmp_path / "zero.bsar"
     fileio.write_matrix(np.zeros((32, 48), dtype=np.complex128), raw_f)

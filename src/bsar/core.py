@@ -235,3 +235,15 @@ def run_blocks(fn, stop):
 def wrap_half_open(f):
     """Wrap frequency (cycles/sample) into the interval (-0.5, 0.5]."""
     return f - np.ceil(np.asarray(f, dtype=np.float64) - 0.5)
+
+
+def median(values):
+    """np.median of a non-empty real array, bit for bit and NaN if any value
+    is NaN, without the numpy.ma import that np.median's NaN check makes."""
+    x = np.ravel(values)
+    half = x.size // 2
+    kth = [half, -1] if x.size % 2 else [half - 1, half, -1]
+    part = np.partition(x, kth)  # a NaN sorts last
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[half] if x.size % 2 else (part[half - 1] + part[half]) / 2

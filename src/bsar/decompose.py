@@ -3,7 +3,9 @@
 Only the few dominant triplets are ever consumed downstream, so only they
 are computed, by block power iteration with Rayleigh-Ritz extraction on
 whichever Gram operator has the smaller dimension, from seeded start vectors.
-The result holds the triplets, the sweep count and the gate's sigma1/sigma2 bound.
+Each sweep takes its Ritz values from its first product over X, so the sweep
+that converges, or proves the gate's refusal, skips its second.  The result
+holds the triplets, the sweep count and the gate's sigma1/sigma2 bound.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ class TruncatedSVD:
     columns of left_vectors (M x k) and right_vectors (N x k) satisfy
     X @ v_i = sigma_i * u_i, and those of non-zero singular values are
     orthonormal.  The vectors of a zero singular value are zero.  ratio_bound
-    is the last of the `sweeps` sweeps' proven upper bound on sigma1/sigma2
+    is the least proven upper bound on sigma1/sigma2 over the `sweeps` sweeps
     (inf when no gate was given).
     """
 
@@ -45,17 +47,19 @@ class TruncatedSVD:
         return float(s1 / s2) if s2 > 0 else float("inf")
 
 
-def _ratio_bound(Q, Y, H, evals, total):
-    """Proven upper bound on sigma1/sigma2 from Y = A Q, H = Q^H Y and its
-    ascending eigenvalues, A the Gram operator (Parlett, 1998): sigma2^2 >=
-    theta2 by Cauchy interlacing, and sigma1^2 <= lambda_max([[theta1, beta],
-    [beta, tau]]) as beta = ||Y - Q H||_F >= ||Q_perp^H A Q|| and the PSD block
-    Q_perp^H A Q_perp has trace tau = trace A - trace H.  Each term moves by
-    ROUNDING * trace A to its loose side."""
+def _ratio_bound(evals, total, residual=np.inf):
+    """Proven upper bound on sigma1/sigma2 from the ascending eigenvalues of
+    H = Q^H A Q, A the Gram operator and Q an orthonormal block (Parlett,
+    1998): sigma2^2 >= theta2 by Cauchy interlacing, and sigma1^2 <=
+    lambda_max([[theta1, beta], [beta, tau]]), where the PSD block Q_perp^H A
+    Q_perp has trace tau = trace A - trace H and beta bounds Q_perp^H A Q by
+    the residual ||A Q - Q H||_F, when A Q is at hand, and by sqrt(theta1 *
+    tau), as A is PSD; that term alone gives sigma1^2 <= theta1 + tau.  Each
+    term moves by ROUNDING * trace A to its loose side."""
     slack = ROUNDING * total
     theta1, theta2 = evals[-1] + slack, evals[-2] - slack
-    beta = np.linalg.norm(Y - Q @ H) + slack
-    tau = total - float(np.trace(H).real) + slack
+    tau = total - float(np.sum(evals)) + slack
+    beta = min(residual + slack, np.sqrt(theta1 * tau))
     top = 0.5 * (theta1 + tau) + np.hypot(0.5 * (theta1 - tau), beta)
     return float(np.sqrt(top / theta2)) if theta2 > 0 else np.inf
 
@@ -63,16 +67,20 @@ def _ratio_bound(Q, Y, H, evals, total):
 def leading_triplets(X, k, seed=0, gate=None):
     """Compute the k dominant singular triplets of X.
 
-    Block power iteration (with guard vectors) on the smaller Gram operator;
-    convergence is declared when all k leading singular-value estimates change
-    by less than TOL relatively between sweeps, and that sweep's Ritz pairs
-    are the result.  With a `gate`, every sweep also bounds sigma1/sigma2
-    from above (`_ratio_bound`).  At the first sweep that proves it below the
-    gate, the iteration stops and returns that sweep's Ritz pairs unconverged,
-    for the caller to refuse the scene.  Raises ConvergenceError carrying the
-    last sweep's triplets when MAX_SWEEPS sweeps pass without either.
+    Block power iteration (with guard vectors) on the smaller Gram operator A.
+    Each sweep orthonormalizes the block Q, forms W = X Q (or X^H Q) and takes
+    its Ritz values from H = W^H W = Q^H A Q; only a sweep that goes on forms
+    the next block A Q from W.  Convergence is declared when all k leading
+    singular-value estimates change by less than TOL relatively between
+    sweeps, and that sweep's Ritz pairs are the result.  With a `gate`, every
+    sweep bounds sigma1/sigma2 from above (`_ratio_bound`) from H alone, and
+    again once A Q gives its residual.  At the first bound below the gate,
+    the iteration stops and returns that sweep's Ritz pairs unconverged, for
+    the caller to refuse the scene.  Raises ConvergenceError carrying the last
+    sweep's triplets when MAX_SWEEPS sweeps pass without either.  X is made
+    C-contiguous once, so that no product takes numpy's strided path.
     """
-    X = as_complex_matrix(X)
+    X = np.ascontiguousarray(as_complex_matrix(X))
     M, N = X.shape
     k = int(k)
     if not (1 <= k <= min(M, N)):
@@ -92,6 +100,7 @@ def leading_triplets(X, k, seed=0, gate=None):
     to_other, to_basis = (forward, adjoint) if right_side else (adjoint, forward)
     dim = N if right_side else M
     block = min(k + OVERSAMPLE, dim)
+    gated = gate is not None and block >= 2
 
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
@@ -100,13 +109,12 @@ def leading_triplets(X, k, seed=0, gate=None):
     for sweeps in range(1, MAX_SWEEPS + 1):
         Q, _ = np.linalg.qr(Y)
         W = to_other(Q)
-        Y = to_basis(W)
-        H = Q.conj().T @ Y
-        evals, evecs = np.linalg.eigh(0.5 * (H + H.conj().T))
+        H = W.conj().T @ W  # Q^H A Q, of which eigh reads one triangle
+        evals, evecs = np.linalg.eigh(H)
         order = np.argsort(evals)[::-1][:k]
         sigma = np.sqrt(np.clip(evals[order], 0.0, None))
-        if gate is not None and block >= 2:
-            bound = _ratio_bound(Q, Y, H, evals, total)
+        if gated:
+            bound = min(bound, _ratio_bound(evals, total))
             if bound < gate:
                 break  # refusal proven: this sweep's Ritz pairs are returned unconverged
         scale = max(float(sigma[0]), np.finfo(float).tiny)
@@ -114,6 +122,11 @@ def leading_triplets(X, k, seed=0, gate=None):
         if step <= TOL * scale:
             break
         prev = sigma
+        Y = to_basis(W)
+        if gated:
+            bound = min(bound, _ratio_bound(evals, total, float(np.linalg.norm(Y - Q @ H))))
+            if bound < gate:
+                break
     else:
         stalled = True
 

@@ -193,12 +193,14 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
     computed with the same gate; without one, the leading pair is decomposed
-    here.  `gate` is checked by `check_gate`.  A Ritz ratio sigma1/sigma2 below
-    max(gate, DEGENERACY_RATIO) refuses the scene: so does a bound proven below
-    the gate, as it is never below the same sweep's Ritz ratio.
+    here.  A strided `raw` is copied to C order once, for the decomposition
+    and the centroid.  `gate` is checked by `check_gate`.  A Ritz ratio
+    sigma1/sigma2 below max(gate, DEGENERACY_RATIO) refuses the scene: so does
+    a bound proven below the gate, as it is never below the Ritz ratio of the
+    sweep that proves it.
     """
     check_gate(gate)
-    X = as_complex_matrix(raw)
+    X = np.ascontiguousarray(as_complex_matrix(raw))
     if min(X.shape) < 2:
         raise ParameterError(f"raw matrix is {X.shape[0]}x{X.shape[1]}: "
                              "the estimate needs at least 2 rows and 2 columns")

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (as_complex_matrix, as_complex_vector, next_fast_len, run_blocks, shift_ramp,
-                   wrap_half_open)
+from .core import (as_complex_matrix, as_complex_vector, median, next_fast_len, run_blocks,
+                   shift_ramp, wrap_half_open)
 from .errors import BsarError, ParameterError, TrackingError
 from .estimate import _parabolic_peak, build_references
 
@@ -129,9 +129,10 @@ def track_rcm(rc, offsets):
     cols = np.argmax(mags, axis=1)
     peaks = np.array([_parabolic_peak(mags[i], cols[i]) for i in range(offsets.size)])
     coeffs, resid = _fit_quadratic(offsets, peaks)
-    mad = np.median(np.abs(resid - np.median(resid)))
+    spread = np.abs(resid - median(resid))
+    mad = median(spread)
     if mad > 0:
-        keep = np.abs(resid - np.median(resid)) <= MAD_REJECT * mad
+        keep = spread <= MAD_REJECT * mad
         if np.sum(keep) < MIN_TRACK_POINTS:
             raise TrackingError("too few inlier peaks after outlier rejection")
         coeffs, resid = _fit_quadratic(offsets[keep], peaks[keep])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import median
 from .errors import NoTargetError, ParameterError
 
 MINUS_3DB = 10.0 ** (-3.0 / 20.0)
@@ -113,7 +114,7 @@ def analyze_point_target(img, approx_position, window=64):
 
     mag = np.abs(win)
     peak_idx = np.unravel_index(np.argmax(mag), mag.shape)
-    background = float(np.median(mag))
+    background = float(median(mag))
     if mag[peak_idx] == 0.0 or mag[peak_idx] < background * 10.0:
         raise NoTargetError(
             "no local peak 20 dB above the surrounding median in the window"

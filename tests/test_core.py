@@ -3,6 +3,7 @@ import pytest
 
 from bsar.core import (
     ChirpModel,
+    median,
     next_fast_len,
     sample_chirp,
     synth_chirp,
@@ -185,3 +186,21 @@ def test_sample_chirp_fractional_positions():
     out = sample_chirp(model, pos)
     expected = np.exp(2j * np.pi * model.phase_cycles(pos))
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+# --- median ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [1, 2, 7, 64, 1001, (64, 64)])
+def test_median_matches_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(np.prod(shape))
+    for x in (rng.standard_normal(shape), rng.integers(-3, 4, shape).astype(np.float64)):
+        kept = x.copy()
+        assert median(x).tobytes() == np.median(x).tobytes()
+        assert np.array_equal(x, kept)  # the input is left as it was
+
+
+def test_median_propagates_nan():
+    for size in (5, 6):
+        x = np.arange(float(size))
+        x[1] = np.nan
+        assert np.isnan(median(x)) and np.isnan(np.median(x))

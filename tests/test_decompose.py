@@ -235,8 +235,12 @@ def test_ratio_bound_holds_for_any_orthonormal_block(tilted):
             Q, _ = np.linalg.qr(V[:, :7] + tilt)
             Y = A @ Q
             H = Q.conj().T @ Y
-            bound = decompose._ratio_bound(Q, Y, H, np.linalg.eigvalsh(H), float(np.sum(s**2)))
-            assert bound >= s[0] / s[1], (seed, eps)
+            evals, total = np.linalg.eigvalsh(H), float(np.sum(s**2))
+            # from H alone, as after a sweep's first product, and with the
+            # residual of A Q, as after its second
+            alone = decompose._ratio_bound(evals, total)
+            with_residual = decompose._ratio_bound(evals, total, np.linalg.norm(Y - Q @ H))
+            assert alone >= with_residual >= s[0] / s[1], (seed, eps)
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -255,6 +259,22 @@ def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
     assert s[0] / s[1] <= svd.ratio_bound
     # without a gate the same scene only stops once both values converge
     assert leading_triplets(clutter_sim, k=2).sweeps > svd.sweeps
+
+
+def test_clutter_scene_is_certified_before_a_fourth_product(clutter_sim, monkeypatch):
+    # the gate's bounds in the order computed: sweep 1 from H = W^H W alone,
+    # sweep 1 with the residual of Y = A Q, then sweep 2 from its W alone,
+    # which refuses: three products over X, and no second one in sweep 2
+    calls, ratio_bound = [], decompose._ratio_bound
+
+    def recorded(evals, total, residual=np.inf):
+        calls.append((residual, ratio_bound(evals, total, residual)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(decompose, "_ratio_bound", recorded)
+    svd = leading_triplets(clutter_sim, k=2, gate=GATE)
+    assert svd.sweeps == 2 and [np.isfinite(r) for r, _ in calls] == [False, True, False]
+    assert calls[2][1] == svd.ratio_bound < GATE <= min(calls[0][1], calls[1][1])
 
 
 def test_gate_leaves_an_accepted_decomposition_unchanged(default_sim):

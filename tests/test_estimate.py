@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bsar.errors import (
 )
 from bsar.decompose import leading_triplets
 from bsar.estimate import (
+    DEFAULT_DOMINANCE_GATE,
     DEGENERACY_RATIO,
     MIN_PHASE_EXCURSION,
     blind_estimate,
@@ -242,6 +244,36 @@ def test_scale_invariance(default_sim, default_estimate):
     assert scaled.dominance_ratio == pytest.approx(base.dominance_ratio, rel=1e-9)
     assert scaled.range_chirp.support == base.range_chirp.support
     assert scaled.azimuth_chirp.support == base.azimuth_chirp.support
+
+
+def test_layout_leaves_the_decomposition_and_estimate_bit_identical(default_sim):
+    # simulate_raw returns a [:, :N] view of its padded buffer; a transposed
+    # copy's .T is Fortran-ordered, and a copy is C-ordered
+    raw, _ = default_sim
+    assert not raw.flags.c_contiguous
+    svd = leading_triplets(raw, k=2, gate=DEFAULT_DOMINANCE_GATE)
+    est = blind_estimate(raw)
+    for X in (raw.T.copy().T, raw.copy()):
+        other = leading_triplets(X, k=2, gate=DEFAULT_DOMINANCE_GATE)
+        for name in ("singular_values", "left_vectors", "right_vectors"):
+            assert np.array_equal(getattr(other, name), getattr(svd, name)), name
+        assert (other.sweeps, other.ratio_bound) == (svd.sweeps, svd.ratio_bound)
+        assert blind_estimate(X) == est
+
+
+@pytest.mark.parametrize("step", [lambda X: leading_triplets(X, k=2), blind_estimate],
+                         ids=["leading_triplets", "blind_estimate"])
+def test_strided_raw_is_copied_once(default_sim, step):
+    # one C-ordered copy of X, where np.vdot's strided path copied both operands
+    raw, _ = default_sim
+    step(raw)  # warm-up: lazy imports inside numpy are not the method's
+    tracemalloc.start()
+    try:
+        step(raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * raw.nbytes, f"peak {peak / raw.nbytes:.3f} x X.nbytes"
 
 
 def test_gate_refuses_noise_only():

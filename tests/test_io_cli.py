@@ -685,6 +685,22 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_focus_and_analyze_leave_numpy_ma_out(tmp_path):
+    # np.median's NaN check imports numpy.ma, which costs a fresh process
+    # more than a focus step's tracking does
+    raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
+    assert main(["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(raw_f)]) == 0
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
+    probe = ("import sys; from bsar.cli import main; status = main(sys.argv[1:]); "
+             "print(status, 'numpy.ma' in sys.modules)")
+    for step in (["focus", "--in", "raw.bsar", "--est", "est.json", "--out", "blind.bsar"],
+                 ["analyze", "--in", "blind.bsar", "--row", "256.5", "--col", "480.5",
+                  "--out", "report.csv"]):
+        proc = run_python(["-c", probe, *step], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"], (step, proc.stdout)
+
+
 def test_benchmark_tracer_finds_every_wrapped_name(tmp_path):
     # the tracer wraps bsar functions by name; a deleted name fails install
     proc = run_python([str(REPO / "bench" / "tracing.py"), str(tmp_path / "spans.json"),

@@ -8,7 +8,6 @@ stderr, ``bsar: <kind>: <message>``, with line breaks in the message as spaces.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -16,17 +15,22 @@ from . import __version__, fileio
 from .core import RCMC_BLOCK_ROWS
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
-from .estimate import (CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, DEFAULT_TAPER, blind_estimate,
-                       check_gate)
+from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate, check_gate
 from .focus import FocusedImage, focus_pipeline
 from .quality import analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a parameter error, reported on the one error line;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bsar", description="Blind SAR focusing toolkit"
-    )
+    parser = _Parser(prog="bsar", description="Blind SAR focusing toolkit")
     parser.add_argument("--version", action="version", version=f"bsar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -42,8 +46,6 @@ def build_parser():
                    help="singular values listed by --spectrum; the estimate uses the first two")
     p.add_argument("--gate", type=float, default=DEFAULT_DOMINANCE_GATE,
                    help="sigma1/sigma2 dominance gate")
-    p.add_argument("--taper", type=float, default=DEFAULT_TAPER,
-                   help="reference taper fraction")
     p.add_argument("--seed", type=int, default=0, help="decomposition start seed")
     p.add_argument("--spectrum", help="optional singular-value CSV")
 
@@ -52,7 +54,6 @@ def build_parser():
     p.add_argument("--est", help="estimate JSON from the estimate step")
     p.add_argument("--oracle", help="ground-truth JSON for oracle-mode focusing")
     p.add_argument("--out", required=True, help="output focused BSAR file")
-    p.add_argument("--taper", type=float, help="override reference taper fraction")
     p.add_argument("--dump-stages",
                    help="directory for BSAR dumps of the RCMC output and the image")
 
@@ -110,8 +111,6 @@ def _cmd_estimate(args):
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values[:args.k], svd.dominance_ratio,
                                   args.spectrum)
-    est.range_chirp = replace(est.range_chirp, taper_fraction=args.taper)
-    est.azimuth_chirp = replace(est.azimuth_chirp, taper_fraction=args.taper)
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input))
     return 0
 
@@ -137,8 +136,8 @@ def _cmd_focus(args):
         if truth.config is None:
             raise ParameterError("--oracle truth file lacks the config block")
         est, rcm = oracle_estimate(truth)
-    img = focus_pipeline(raw, est, taper_fraction=args.taper, rcm_override=rcm,
-                         provenance="blind" if args.est else "oracle", on_stage=on_stage)
+    img = focus_pipeline(raw, est, rcm_override=rcm, provenance="blind" if args.est else "oracle",
+                         on_stage=on_stage)
     fileio.write_matrix(img.image, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 
@@ -186,14 +185,11 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, which matches the parameter status
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return COMMANDS[args.command](args)
+    except SystemExit as exc:  # only --help and --version exit, with status 0
+        return exc.code
     except BsarError as exc:
         print(f"bsar: {exc.kind}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return exc.exit_status

@@ -48,9 +48,8 @@ class ChirpModel:
 
     phase(n) = rate*(n - center)**2 + constant
 
-    `support` is a half-open sample interval [start, stop); samples outside it
-    are zero.  `taper_fraction` is the fraction of the support length covered
-    by a raised-cosine amplitude ramp at each end.  `fit_rms` records the RMS
+    `support` is a half-open sample interval [start, stop); the chirp has
+    unit amplitude inside it and is zero outside.  `fit_rms` records the RMS
     residual (cycles) of the least-squares fit that produced the model, NaN
     for models written down directly.
     """
@@ -58,7 +57,6 @@ class ChirpModel:
     rate: float
     center: float
     support: tuple
-    taper_fraction: float = 0.0
     constant: float = 0.0
     fit_rms: float = float("nan")
 
@@ -68,8 +66,6 @@ class ChirpModel:
         integral = all(isinstance(b, (int, np.integer)) for b in self.support)
         if not (integral and 0 <= start < stop):
             raise ParameterError(f"invalid chirp support [{start}, {stop})")
-        if not (0.0 <= self.taper_fraction <= 0.5):
-            raise ParameterError("taper_fraction must be in [0, 0.5]")
         for name in ("rate", "center", "constant"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"non-finite chirp parameter {name!r}")
@@ -84,38 +80,14 @@ class ChirpModel:
         return 2.0 * self.rate * d
 
 
-def taper_window(positions, start, stop, taper_fraction):
-    """Raised-cosine window over [start, stop) evaluated at (fractional) positions.
-
-    Amplitude ramps from 0 to 1 over taper_fraction of the support length at
-    each end; zero outside the support.
-    """
-    x = np.asarray(positions, dtype=np.float64)
-    length = float(stop - start)
-    w = np.zeros_like(x)
-    inside = (x >= start) & (x < stop)
-    if taper_fraction <= 0.0:
-        w[inside] = 1.0
-        return w
-    ramp = taper_fraction * length
-    u = x[inside] - start
-    v = np.ones(u.shape)
-    lo = u < ramp
-    v[lo] = 0.5 * (1.0 - np.cos(np.pi * u[lo] / ramp))
-    hi = u > length - ramp
-    v[hi] = 0.5 * (1.0 - np.cos(np.pi * (length - u[hi]) / ramp))
-    w[inside] = v
-    return w
-
-
 def sample_chirp(model, positions):
-    """Evaluate a ChirpModel at arbitrary (fractional) sample positions."""
+    """Evaluate a ChirpModel at arbitrary (fractional) sample positions:
+    unit amplitude inside the support, zero outside."""
     start, stop = model.support
-    w = taper_window(positions, start, stop, model.taper_fraction)
-    out = np.zeros(np.shape(positions), dtype=np.complex128)
-    nz = w > 0.0
     pos = np.asarray(positions, dtype=np.float64)
-    out[nz] = w[nz] * np.exp(1j * TWO_PI * model.phase_cycles(pos[nz]))
+    inside = (pos >= start) & (pos < stop)
+    out = np.zeros(pos.shape, dtype=np.complex128)
+    out[inside] = np.exp(1j * TWO_PI * model.phase_cycles(pos[inside]))
     return out
 
 

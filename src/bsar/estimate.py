@@ -4,12 +4,14 @@ The first left singular vector carries the azimuth chirp modulated by the
 antenna beam pattern.  Each row of X = U S V^H is dominated by sigma1 * u1[m]
 * conj(v1), so conj(v1) carries the range chirp (up to the SVD phase gauge).
 Both are noisy, so clean references are re-synthesized from least-squares
-quadratic phase fits rather than used directly.  The Doppler centroid comes
+quadratic phase fits rather than used directly, with unit amplitude over the
+fitted support: the two-way beam pattern in the data already weights the
+azimuth spectrum, so no edge weighting is added.  The Doppler centroid comes
 from the raw matrix itself, as the phase of its lag-one azimuth correlation,
 and the beam center is the row where the fitted azimuth chirp crosses it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,6 @@ from .errors import DegenerateFitError, ParameterError, UnsuitableSceneError
 SUPPORT_THRESHOLD = 0.1       # fraction of the envelope peak that bounds a support
 DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
 DEGENERACY_RATIO = 1.0 + 1e-6  # sigma1/sigma2 refused whatever the gate: an unresolved pair
-DEFAULT_TAPER = 0.1
 CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
 MIN_PHASE_EXCURSION = 0.125  # cycles, |rate|*L^2/4: a time-bandwidth product of 1
 
@@ -41,14 +42,10 @@ class BlindEstimate:
     doppler_centroid: float      # cycles/pulse, in (-0.5, 0.5]
     beam_center_row: float       # fractional pulse index of the beam center
     dominance_ratio: float
-    fit_residuals: dict          # RMS cycles per fit, keys "range"/"azimuth"
 
     def __post_init__(self):
         if not (-0.5 < self.doppler_centroid <= 0.5):
             raise ParameterError("doppler centroid outside (-0.5, 0.5] cycles/pulse")
-        for key, value in self.fit_residuals.items():
-            if not np.isfinite(value):
-                raise ParameterError(f"non-finite fit residual for {key!r}")
 
 
 def smooth_envelope(magnitude, window):
@@ -228,12 +225,13 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
         doppler_centroid=dc,
         beam_center_row=peak + float(crossing) / (2.0 * az_model.rate),
         dominance_ratio=ratio,
-        fit_residuals={"range": range_model.fit_rms, "azimuth": az_model.fit_rms},
     )
 
 
-def build_references(estimate, num_pulses, taper_fraction):
-    """Synthesize clean, tapered reference functions from the fitted models.
+def build_references(estimate, num_pulses):
+    """Synthesize clean reference functions from the fitted models: unit
+    amplitude over each model's support, zero outside (Cumming & Wong,
+    *Digital Processing of Synthetic Aperture Radar Data*, 2005, ch. 6).
 
     Range reference: odd-length vector sampled symmetrically around the fitted
     vertex, so the phase vertex sits exactly at the center index (the group
@@ -245,8 +243,6 @@ def build_references(estimate, num_pulses, taper_fraction):
     circular matched filtering.  The beam center and the azimuth support
     must lie on that pulse grid.
     """
-    if not (0.0 <= taper_fraction <= 0.5):
-        raise ParameterError("taper_fraction must be in [0, 0.5]")
     m_total = num_pulses
     if not (0.0 <= estimate.beam_center_row < m_total):
         raise ParameterError(
@@ -261,13 +257,11 @@ def build_references(estimate, num_pulses, taper_fraction):
     half = int(np.floor(min(r.center - start, (stop - 1) - r.center)))
     if half < 1:
         raise ParameterError("range chirp vertex too close to the support edge")
-    r_model = replace(r, taper_fraction=taper_fraction)
     range_positions = r.center + np.arange(-half, half + 1, dtype=np.float64)
-    range_ref = sample_chirp(r_model, range_positions)
+    range_ref = sample_chirp(r, range_positions)
 
-    a_model = replace(a, taper_fraction=taper_fraction)
     if a.support[0] < a.center - m_total // 2 or a.support[1] > a.center + m_total // 2:
         raise ParameterError("azimuth support does not fit the wrapped reference grid")
     offsets = (np.arange(m_total) + m_total // 2) % m_total - m_total // 2
-    azimuth_ref = sample_chirp(a_model, a.center + offsets.astype(np.float64))
+    azimuth_ref = sample_chirp(a, a.center + offsets.astype(np.float64))
     return range_ref, azimuth_ref

@@ -237,19 +237,17 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     return FocusedImage(image=x, provenance=provenance)
 
 
-def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
-                   provenance="blind", on_stage=None):
+def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stage=None):
     """Compose the full focusing chain from a parameter estimate.
 
-    The pulse grid is the raw matrix's: the references are built on its rows.
-    taper_fraction defaults to the estimate's range-chirp taper.  An analytic
-    RcmModel may be supplied to bypass peak tracking (oracle mode).  on_stage,
-    when given, is called with (stage_name, result) after every stage, before
-    the next stage overwrites rcmc's buffer with the image.
+    The pulse grid is the raw matrix's: `build_references` builds the
+    references on its rows.  An analytic RcmModel may be supplied to bypass
+    peak tracking (oracle mode).  on_stage, when given, is called with
+    (stage_name, result) after every stage, before the next stage
+    overwrites rcmc's buffer with the image.
     `raw` may be complex64; only the rows it tracks and rcmc upcast it.
     """
     x = as_complex_matrix(raw, single=True)
-    taper = estimate.range_chirp.taper_fraction if taper_fraction is None else taper_fraction
 
     def stage(name, fn, *args):
         try:
@@ -268,7 +266,7 @@ def focus_pipeline(raw, estimate, taper_fraction=None, rcm_override=None,
         return track_rcm(range_compress(x[start:stop], range_ref),
                          np.arange(start, stop) - estimate.beam_center_row)
 
-    range_ref, azimuth_ref = build_references(estimate, x.shape[0], taper)
+    range_ref, azimuth_ref = build_references(estimate, x.shape[0])
     rcm = rcm_override
     if rcm is None:
         rcm = stage("track_rcm", track)

@@ -300,6 +300,5 @@ def oracle_estimate(truth):
         doppler_centroid=truth.doppler_centroid,
         beam_center_row=truth.beam_center_row,
         dominance_ratio=float("inf"),
-        fit_residuals={"range": 0.0, "azimuth": 0.0},
     )
     return estimate, rcm

@@ -81,15 +81,14 @@ def squint_oracle(squint_sim):
 
 @pytest.fixture(scope="session")
 def blind_image(default_sim, default_estimate):
-    """Blind-focused default scene with untapered references."""
+    """Blind-focused default scene."""
     raw, _ = default_sim
-    return focus_pipeline(raw, default_estimate, taper_fraction=0.0)
+    return focus_pipeline(raw, default_estimate)
 
 
 @pytest.fixture(scope="session")
 def oracle_image(default_sim, default_oracle):
-    """Oracle-focused default scene with untapered references."""
+    """Oracle-focused default scene."""
     raw, _ = default_sim
     estimate, rcm = default_oracle
-    return focus_pipeline(raw, estimate, taper_fraction=0.0,
-                          rcm_override=rcm, provenance="oracle")
+    return focus_pipeline(raw, estimate, rcm_override=rcm, provenance="oracle")

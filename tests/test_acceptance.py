@@ -72,7 +72,7 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
 
     raw, truth = default_sim
     est = default_estimate
-    range_ref, _ = build_references(est, raw.shape[0], 0.0)
+    range_ref, _ = build_references(est, raw.shape[0])
     rc = range_compress(raw, range_ref)
     # tracked as focus_pipeline tracks: the support rows, against their
     # offsets from the beam centre
@@ -194,7 +194,7 @@ def test_pipeline_runtime_budget(capsys, default_scene):
     t0 = time.perf_counter()
     raw, truth = simulate_raw(config, scene)
     est = blind_estimate(raw)
-    img = focus_pipeline(raw, est, taper_fraction=0.0)
+    img = focus_pipeline(raw, est)
     analyze_point_target(img, truth.positions[0])
     elapsed = time.perf_counter() - t0
     report(capsys, "Full-pipeline runtime", elapsed < 30.0,

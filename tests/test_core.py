@@ -68,24 +68,13 @@ def test_chirp_model_validation():
         with pytest.raises(ParameterError):
             ChirpModel(rate=0.1, center=0.0, support=support)
     with pytest.raises(ParameterError):
-        ChirpModel(rate=0.1, center=0.0, support=(0, 8), taper_fraction=0.6)
-    with pytest.raises(ParameterError):
         ChirpModel(rate=float("nan"), center=0.0, support=(0, 8))
 
 
-def test_taper_zero_gives_rectangular_magnitude():
-    model = ChirpModel(rate=2e-3, center=16.0, support=(0, 32), taper_fraction=0.0)
+def test_support_mask_gives_rectangular_magnitude():
+    model = ChirpModel(rate=2e-3, center=16.0, support=(0, 32))
     out = synth_chirp(model, 32)
     np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-14)
-
-
-def test_taper_ramps_to_zero_at_edges():
-    model = ChirpModel(rate=2e-3, center=16.0, support=(0, 32), taper_fraction=0.25)
-    out = synth_chirp(model, 32)
-    mag = np.abs(out)
-    assert mag[0] < 1e-12                      # cosine ramp starts at zero
-    assert mag[15] == pytest.approx(1.0)       # flat top in the middle
-    assert np.all(np.diff(mag[:8]) > 0)        # monotone rise over the ramp
 
 
 # --- unwrap_phase --------------------------------------------------------------

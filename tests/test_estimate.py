@@ -335,8 +335,8 @@ def test_all_zero_matrix_is_unsuitable():
 
 # --- build_references -----------------------------------------------------------
 
-def test_references_untapered_are_rectangular(default_estimate, default_sim):
-    range_ref, azimuth_ref = build_references(default_estimate, default_sim[0].shape[0], 0.0)
+def test_references_are_rectangular(default_estimate, default_sim):
+    range_ref, azimuth_ref = build_references(default_estimate, default_sim[0].shape[0])
     for ref in (range_ref, azimuth_ref):
         mag = np.abs(ref)
         nz = mag > 0
@@ -346,7 +346,7 @@ def test_references_untapered_are_rectangular(default_estimate, default_sim):
 
 def test_range_reference_matches_transmitted_pulse(default_estimate, default_scene):
     config, _ = default_scene
-    range_ref, _ = build_references(default_estimate, config.num_pulses, 0.0)
+    range_ref, _ = build_references(default_estimate, config.num_pulses)
     pulse = config.transmitted_pulse()
     n = min(range_ref.size, pulse.size)
     corr = np.correlate(range_ref, pulse, mode="full")
@@ -363,7 +363,7 @@ def test_azimuth_reference_frequency_at_beam_peak(default_estimate, default_sim)
     model_f = wrap_half_open(
         est.azimuth_chirp.instantaneous_frequency(est.beam_center_row)
     )
-    _, azimuth_ref = build_references(est, default_sim[0].shape[0], 0.0)
+    _, azimuth_ref = build_references(est, default_sim[0].shape[0])
     m_total = azimuth_ref.size
     offset = int(round(est.beam_center_row - est.azimuth_chirp.center))
     seg = azimuth_ref[np.arange(offset - 2, offset + 3) % m_total]  # wrapped layout
@@ -371,11 +371,6 @@ def test_azimuth_reference_frequency_at_beam_peak(default_estimate, default_sim)
     phase = unwrap_phase(np.angle(seg)) / (2.0 * np.pi)
     measured = wrap_half_open((phase[3] - phase[1]) / 2.0)
     assert measured == pytest.approx(model_f, abs=1e-3)
-
-
-def test_references_taper_validation(default_estimate, default_sim):
-    with pytest.raises(ParameterError):
-        build_references(default_estimate, default_sim[0].shape[0], 0.7)
 
 
 def test_estimate_validates_doppler_range(default_estimate):
@@ -388,7 +383,6 @@ def test_estimate_validates_doppler_range(default_estimate):
             doppler_centroid=0.75,
             beam_center_row=default_estimate.beam_center_row,
             dominance_ratio=default_estimate.dominance_ratio,
-            fit_residuals={"range": 0.0, "azimuth": 0.0},
         )
 
 
@@ -398,7 +392,7 @@ def test_estimate_rejects_off_grid_beam_center(default_estimate, default_sim):
     m = default_sim[0].shape[0]
     for row in (-0.5, float(m), float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="beam center"):
-            build_references(replace(default_estimate, beam_center_row=row), m, 0.0)
+            build_references(replace(default_estimate, beam_center_row=row), m)
     for row in (0.0, m - 0.5):
-        build_references(replace(default_estimate, beam_center_row=row), m, 0.0)
+        build_references(replace(default_estimate, beam_center_row=row), m)
 

@@ -115,7 +115,7 @@ def noiseless_oracle(config, scene):
     """(raw, untapered range reference, truth, oracle estimate)."""
     raw, truth = simulate_raw(replace(config, noise_sigma=0.0), scene)
     estimate, _ = oracle_estimate(truth)
-    range_ref, _ = build_references(estimate, raw.shape[0], 0.0)
+    range_ref, _ = build_references(estimate, raw.shape[0])
     return raw, range_ref, truth, estimate
 
 
@@ -182,7 +182,7 @@ def test_track_rcm_origin_invariance(default_sim, default_estimate):
     # moving the origin of the offsets re-parameterizes the same trajectory
     raw, _ = default_sim
     est = default_estimate
-    range_ref, _ = build_references(est, raw.shape[0], 0.0)
+    range_ref, _ = build_references(est, raw.shape[0])
     lo, hi = est.azimuth_chirp.support
     rc = range_compress(raw[lo:hi], range_ref)
     offsets = np.arange(lo, hi) - est.beam_center_row
@@ -405,8 +405,7 @@ def test_pipeline_matches_six_pass_reference(request, scene, mode):
     # the whole matrix
     raw, truth, estimate, rcm = focus_inputs(request, scene, mode)
     image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
-    range_ref, azimuth_ref = build_references(estimate, raw.shape[0],
-                                              estimate.range_chirp.taper_fraction)
+    range_ref, azimuth_ref = build_references(estimate, raw.shape[0])
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
     if rcm is None:
         rcm = tracked(rolled_range_compress(raw, range_ref, nfft), estimate)

@@ -308,11 +308,11 @@ def test_cli_end_to_end(tmp_path, default_sim):
     assert main(["simulate", "--config", str(DEFAULT_CONFIG),
                  "--out", str(raw_f), "--truth", str(truth_f)]) == 0
     assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
-                 "--taper", "0.0", "--spectrum", str(spec_f)]) == 0
+                 "--spectrum", str(spec_f)]) == 0
     assert main(["focus", "--in", str(raw_f), "--est", str(est_f),
                  "--out", str(blind_f)]) == 0
     assert main(["focus", "--in", str(raw_f), "--oracle", str(truth_f),
-                 "--taper", "0.0", "--out", str(oracle_f)]) == 0
+                 "--out", str(oracle_f)]) == 0
 
     _, truth = default_sim
     row0, col0 = truth.positions[0]
@@ -341,6 +341,32 @@ def test_cli_end_to_end(tmp_path, default_sim):
     lines = spec_f.read_text().strip().splitlines()
     assert lines[0] == "index,singular_value"
     assert float(lines[-1].split(",")[1]) >= 3.0
+
+
+@pytest.mark.parametrize("scene, pslr_azimuth", [("default", -23.5), ("squint", -27.0)],
+                         ids=["desk_default", "desk_squint"])
+def test_cli_default_blind_image_matches_the_oracle(tmp_path, request, scene, pslr_azimuth):
+    # estimate and focus with the CLI's defaults: the blind references are
+    # untapered, one design with the oracle's
+    raw, truth = request.getfixturevalue(f"{scene}_sim")
+    raw_f, truth_f, est_f = tmp_path / "raw.bsar", tmp_path / "truth.json", tmp_path / "est.json"
+    blind_f, oracle_f = tmp_path / "blind.bsar", tmp_path / "oracle.bsar"
+    fileio.write_matrix(raw, raw_f)
+    fileio.write_json(truth, truth_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
+    assert main(["focus", "--in", str(raw_f), "--est", str(est_f), "--out", str(blind_f)]) == 0
+    assert main(["focus", "--in", str(raw_f), "--oracle", str(truth_f),
+                 "--out", str(oracle_f)]) == 0
+
+    row0, col0 = truth.positions[0]
+    r, c = int(round(row0)), int(round(col0))
+    cmp_f, report_j = tmp_path / "cmp.json", tmp_path / "report.json"
+    assert main(["compare", "--a", str(blind_f), "--b", str(oracle_f), "--out", str(cmp_f),
+                 "--window", f"{r - 32}:{r + 32},{c - 32}:{c + 32}"]) == 0
+    assert main(["analyze", "--in", str(blind_f), "--row", str(row0), "--col", str(col0),
+                 "--out", str(tmp_path / "report.csv"), "--json", str(report_j)]) == 0
+    assert json.loads(cmp_f.read_text())["correlation"] >= 0.993
+    assert json.loads(report_j.read_text())["pslr_azimuth"] <= pslr_azimuth
 
 
 def test_cli_noise_only_exits_4(tmp_path):
@@ -427,17 +453,35 @@ def test_cli_focus_takes_the_pulse_grid_from_the_raw_file(tmp_path, default_scen
     assert long.pslr_azimuth == pytest.approx(short.pslr_azimuth, abs=0.1)
 
 
-def test_cli_estimate_with_a_beam_envelope_focuses_the_same(tmp_path, default_sim):
-    # older estimates carry the smoothed |u1|; focusing ignores the key
-    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+def focuses_the_same(tmp_path, raw_f, est_f, old_doc):
+    """The estimate document `old_doc` focuses to est_f's bytes."""
     old_f = tmp_path / "old.json"
-    doc = json.loads(est_f.read_text())
-    doc["beam_envelope"] = [1.0] * default_sim[0].shape[0]
-    old_f.write_text(json.dumps(doc))
+    old_f.write_text(json.dumps(old_doc))
     for name, est in (("new", est_f), ("old", old_f)):
         assert main(["focus", "--in", str(raw_f), "--est", str(est),
                      "--out", str(tmp_path / f"{name}.bsar")]) == 0
     assert (tmp_path / "new.bsar").read_bytes() == (tmp_path / "old.bsar").read_bytes()
+
+
+def test_cli_estimate_with_a_beam_envelope_focuses_the_same(tmp_path, default_sim):
+    # older estimates carry the smoothed |u1|; focusing ignores the key
+    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+    doc = json.loads(est_f.read_text())
+    doc["beam_envelope"] = [1.0] * default_sim[0].shape[0]
+    focuses_the_same(tmp_path, raw_f, est_f, doc)
+
+
+def test_cli_estimate_with_a_taper_and_fit_residuals_focuses_the_same(tmp_path, default_sim):
+    # older estimates carry a taper_fraction per chirp and a fit_residuals
+    # copy of the fit RMS values; focusing ignores both keys, untapered
+    raw_f, est_f = estimate_default_scene(tmp_path, default_sim)
+    doc = json.loads(est_f.read_text())
+    chirps = doc["range_chirp"], doc["azimuth_chirp"]
+    assert "fit_residuals" not in doc and not any("taper_fraction" in c for c in chirps)
+    for chirp in chirps:
+        chirp["taper_fraction"] = 0.1
+    doc["fit_residuals"] = {"range": chirps[0]["fit_rms"], "azimuth": chirps[1]["fit_rms"]}
+    focuses_the_same(tmp_path, raw_f, est_f, doc)
 
 
 @pytest.mark.parametrize("case", ["beam-centre", "support"])
@@ -477,8 +521,17 @@ def test_cli_format_error_exits_3(tmp_path, capsys):
 
 
 def test_cli_bad_usage_exits_2(capsys):
-    assert main(["focus"]) == 2          # missing required arguments
-    assert main(["no-such-command"]) == 2
+    # a usage error is one parameter line, not argparse's usage block
+    estimate = ["estimate", "--in", "raw.bsar", "--out", "est.json"]
+    for argv in (["focus"],                            # missing required arguments
+                 ["no-such-command"],
+                 estimate + ["--bogus", "1"],          # unknown option
+                 estimate + ["--taper", "0.1"],        # an option since removed
+                 estimate + ["--gate", "abc"]):        # not a number
+        assert main(argv) == 2
+        single_error_line(capsys, "parameter")
+    for argv in (["--help"], ["--version"], ["focus", "--help"]):
+        assert main(argv) == 0
     capsys.readouterr()
 
 
@@ -546,7 +599,7 @@ def test_cli_dump_stages(tmp_path):
     est = fileio.read_estimate(est_f)
     models = {}
     focus_pipeline(raw, est, on_stage=models.__setitem__)
-    range_ref, _ = build_references(est, raw.shape[0], est.range_chirp.taper_fraction)
+    range_ref, _ = build_references(est, raw.shape[0])
     rd = rcmc(raw, range_ref, models["track_rcm"], est.azimuth_chirp.rate,
               est.doppler_centroid)
     dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")

@@ -61,8 +61,7 @@ def chirp_models(draw):
     return ChirpModel(
         rate=draw(FINITE), center=draw(FINITE),
         support=(start, start + draw(st.integers(1, 2**20))),
-        taper_fraction=draw(st.floats(0.0, 0.5)), constant=draw(FINITE),
-        fit_rms=draw(ANY_FLOAT),
+        constant=draw(FINITE), fit_rms=draw(ANY_FLOAT),
     )
 
 
@@ -72,7 +71,6 @@ def estimates(draw):
         range_chirp=draw(chirp_models()), azimuth_chirp=draw(chirp_models()),
         doppler_centroid=draw(st.floats(-0.5, 0.5, exclude_min=True)),
         beam_center_row=draw(ANY_FLOAT), dominance_ratio=draw(ANY_FLOAT),
-        fit_residuals={"range": draw(FINITE), "azimuth": draw(FINITE)},
     )
 
 

@@ -81,20 +81,6 @@ def test_metrics_invariant_to_complex_scaling():
     assert b.peak_magnitude == pytest.approx(5.0 * a.peak_magnitude, rel=1e-9)
 
 
-def test_irw_non_decreasing_with_taper(default_sim, default_oracle):
-    raw, truth = default_sim
-    estimate, rcm = default_oracle
-    row0, col0 = truth.positions[0]
-    widths = []
-    for taper in (0.0, 0.1, 0.25):
-        img = focus_pipeline(raw, estimate, taper_fraction=taper,
-                             rcm_override=rcm, provenance="oracle")
-        report = analyze_point_target(img, (row0, col0))
-        widths.append(report.irw_range)
-    assert widths[0] <= widths[1] + 1e-6
-    assert widths[1] <= widths[2] + 1e-6
-
-
 def test_interpolation_operator_interpolates():
     # the oversampled grid must pass through the original samples
     rng = np.random.default_rng(0)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ChirpModel, next_fast_len, run_blocks, shift_ramp, synth_chirp, wrap_half_open
+from .core import (ChirpModel, mapped_zeros, next_fast_len, run_blocks, shift_ramp, synth_chirp,
+                   wrap_half_open)
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
 from .focus import RcmModel, _fit_quadratic
@@ -145,15 +146,18 @@ def _validate_scatterer(config, scatterer, index, lead, boresight):
 def simulate_raw(config, scene):
     """Synthesize the raw echo matrix and its ground truth.
 
-    Returns (raw, truth) where raw is an M x N complex128 matrix.  Echoes are
-    exact fractional-delay replicas of the transmitted pulse, weighted by the
-    two-way beam pattern and the two-way propagation phase, plus seeded
-    circular complex Gaussian noise (std = noise_sigma per I/Q component,
-    independent per-row substreams).  Row block by row block, every echo's
-    amplitude times its delay ramp (``core.shift_ramp``) is summed, times the
-    pulse spectrum once, inverse-transformed in place and given its rows'
-    noise: one M x nfft buffer plus RCMC_BLOCK_ROWS rows of ramp tables,
-    shared among the worker threads of ``core.run_blocks``.
+    Returns (raw, truth) where raw is a C-contiguous M x N complex128 matrix.
+    Echoes are exact fractional-delay replicas of the transmitted pulse,
+    weighted by the two-way beam pattern and the two-way propagation phase,
+    plus seeded circular complex Gaussian noise (std = noise_sigma per I/Q
+    component, independent per-row substreams).  Row block by row block,
+    every echo's amplitude times its delay ramp (``core.shift_ramp``) is
+    summed into the block's nfft-wide spectrum, times the pulse spectrum
+    once, inverse-transformed in place, and its first N columns are copied
+    to raw and given their rows' noise.  raw is the one full-size buffer, in
+    a map of its own (``core.mapped_zeros``); the RCMC_BLOCK_ROWS rows in
+    flight among the worker threads of ``core.run_blocks`` each hold a
+    spectrum row and a ramp-table row.
     """
     M, N = config.num_pulses, config.samples_per_pulse
     pulse = config.transmitted_pulse()
@@ -176,11 +180,10 @@ def simulate_raw(config, scene):
         if first is None:
             first = (sc, r, lead)
 
-    spectrum = np.zeros((M, nfft), dtype=np.complex128)
-    raw = spectrum[:, :N]
+    raw = mapped_zeros((M, N), np.complex128)
 
     def synthesize(rows):
-        block = spectrum[rows]
+        block = np.zeros((raw[rows].shape[0], nfft), dtype=np.complex128)
         for amp, lead in echoes:
             ramp = shift_ramp(-lead[rows], nfft)
             ramp *= amp[rows, None]
@@ -188,6 +191,7 @@ def simulate_raw(config, scene):
             del ramp  # before the next table: one per worker at a time
         block *= pulse_spectrum
         np.fft.ifft(block, axis=1, out=block)
+        raw[rows] = block[:, :N]
         if config.noise_sigma > 0:
             for m in range(*rows.indices(M)):
                 rng = np.random.default_rng([config.rng_seed, m])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bsar.core import (
     ChirpModel,
+    mapped_zeros,
     median,
     next_fast_len,
     sample_chirp,
@@ -193,3 +196,20 @@ def test_median_propagates_nan():
         x = np.arange(float(size))
         x[1] = np.nan
         assert np.isnan(median(x)) and np.isnan(np.median(x))
+
+
+# --- mapped_zeros -------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(0, 3), (5, 7), (512, 1024)])
+def test_mapped_zeros_is_a_writable_zero_array_outside_the_heap(shape):
+    tracemalloc.start()
+    try:
+        x = mapped_zeros(shape, np.complex128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == shape and x.dtype == np.complex128 and x.flags.c_contiguous
+    assert not np.any(x)
+    x[...] = 1.0 + 2.0j
+    assert np.all(x == 1.0 + 2.0j)
+    assert peak < 4096  # only the array objects are traced, not the map

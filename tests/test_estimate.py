@@ -246,14 +246,21 @@ def test_scale_invariance(default_sim, default_estimate):
     assert scaled.azimuth_chirp.support == base.azimuth_chirp.support
 
 
+def strided(raw):
+    """raw as the [:, :N] view of a wider buffer: rows apart, not C-ordered."""
+    padded = np.zeros((raw.shape[0], raw.shape[1] + 128), dtype=raw.dtype)
+    padded[:, :raw.shape[1]] = raw
+    return padded[:, :raw.shape[1]]
+
+
 def test_layout_leaves_the_decomposition_and_estimate_bit_identical(default_sim):
-    # simulate_raw returns a [:, :N] view of its padded buffer; a transposed
-    # copy's .T is Fortran-ordered, and a copy is C-ordered
+    # simulate_raw returns a C-ordered matrix; a [:, :N] view of a wider
+    # buffer is strided, and a transposed copy's .T is Fortran-ordered
     raw, _ = default_sim
-    assert not raw.flags.c_contiguous
+    assert raw.flags.c_contiguous
     svd = leading_triplets(raw, k=2, gate=DEFAULT_DOMINANCE_GATE)
     est = blind_estimate(raw)
-    for X in (raw.T.copy().T, raw.copy()):
+    for X in (strided(raw), raw.T.copy().T):
         other = leading_triplets(X, k=2, gate=DEFAULT_DOMINANCE_GATE)
         for name in ("singular_values", "left_vectors", "right_vectors"):
             assert np.array_equal(getattr(other, name), getattr(svd, name)), name
@@ -265,7 +272,7 @@ def test_layout_leaves_the_decomposition_and_estimate_bit_identical(default_sim)
                          ids=["leading_triplets", "blind_estimate"])
 def test_strided_raw_is_copied_once(default_sim, step):
     # one C-ordered copy of X, where np.vdot's strided path copied both operands
-    raw, _ = default_sim
+    raw = strided(default_sim[0])
     step(raw)  # warm-up: lazy imports inside numpy are not the method's
     tracemalloc.start()
     try:

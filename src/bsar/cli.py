@@ -103,6 +103,8 @@ def _cmd_estimate(args):
     check_gate(args.gate)  # before the decomposition and the spectrum file
     if args.k < 1:
         raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
+    if args.seed < 0:
+        raise ParameterError(f"--seed {args.seed}: the start seed must be >= 0")
     raw = _read(args.input).astype(np.complex128)
     # the estimate consumes the leading pair whatever length --k asks for
     k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
@@ -125,8 +127,8 @@ def _cmd_focus(args):
         os.makedirs(args.dump_stages, exist_ok=True)
 
         def on_stage(name, result):
-            data = result.image if isinstance(result, FocusedImage) else result
-            if isinstance(data, np.ndarray) and data.ndim == 2:
+            if name in ("rcmc", "azimuth_compress"):  # not pass 1's spectrum nor the model
+                data = result.image if isinstance(result, FocusedImage) else result
                 fileio.write_matrix(data, os.path.join(args.dump_stages, f"{name}.bsar"))
 
     if args.est:

@@ -72,9 +72,9 @@ def read_matrix(path):
 
 def render_magnitude(matrix, db_floor, path):
     """8-bit grayscale PGM of the magnitude in dB relative to the peak."""
-    if not db_floor < 0:
-        raise ParameterError("db_floor must be negative")
-    mag = np.abs(matrix.image if hasattr(matrix, "image") else matrix, dtype=np.float64)
+    if not -np.inf < db_floor < 0:  # NaN fails both comparisons
+        raise ParameterError(f"db_floor must be finite and negative, not {db_floor}")
+    mag = np.abs(matrix, dtype=np.float64)
     peak = float(np.max(mag))
     if peak == 0.0:
         warnings.warn("all-zero input: rendering a uniform black image")

@@ -1,7 +1,7 @@
 """Frequency-domain range-Doppler focusing with blind or oracle references.
 
-The image is formed in four full-matrix FFT passes (``rcmc`` then
-``azimuth_compress``):
+The image is formed in four full-matrix FFT passes (``range_compress``,
+``rcmc``, ``azimuth_compress``):
 
 1. range FFT of every row, zero-padded to nfft, times conj(R) -- range
    compression stays in the range-frequency domain;
@@ -11,15 +11,13 @@ The image is formed in four full-matrix FFT passes (``rcmc`` then
    range FFT, trimmed to N columns;
 4. azimuth matched filter and inverse azimuth FFT.
 
-In blind mode the migration is tracked first (``track_rcm``) on rows
-range-compressed in the time domain (``range_compress``), but only the rows
-inside the azimuth support, fit against their pulse offsets from the
-estimate's beam center, the row ``rcmc`` counts pulses from.  The chain owns
-one full-size matrix: rcmc's range-Doppler buffer, whose padded row stride
-(``_padded_width``) keeps the two azimuth passes from thrashing the cache.
-``azimuth_compress`` filters that buffer in place and returns it as the
-image, so it consumes a complex128 input; ``range_compress`` and ``rcmc``
-leave their inputs alone.
+In blind mode ``track_rcm`` runs between passes 1 and 2: it finds the
+migration peaks on inverse FFTs of pass 1's rows inside the azimuth support,
+a block of rows at a time, and fits them against their pulse offsets from
+the estimate's beam center, the row ``rcmc`` counts pulses from.  The chain
+owns one full-size matrix, pass 1's buffer, whose padded row stride
+(``_padded_width``) keeps the two azimuth passes from thrashing the cache;
+the later passes transform it in place, and the image is a view of it.
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -81,27 +79,32 @@ class FocusedImage:
 
 
 def range_compress(raw, range_ref):
-    """Correlate every row with the conjugate reference (zero-padded FFTs).
+    """Pass 1: every row's range spectrum, zero-padded to nfft, times conj(R).
 
-    The output is trimmed to the input width with the reference group delay
-    (center index) removed, so a point echo peaks at its phase-vertex column;
-    a row equal to the reference itself peaks at the reference center with
-    magnitude sum(|ref|^2).
+    Returns the M x nfft matrix, a view of the padded buffer that ``rcmc``
+    and ``azimuth_compress`` transform in place.  `raw` may be complex64:
+    each block of rows is upcast as it is copied into the buffer.  A row's
+    inverse FFT, trimmed to N columns with the group delay (the reference's
+    center index) removed, peaks at a point echo's phase-vertex column.
     """
-    x = as_complex_matrix(raw)
+    x = as_complex_matrix(raw, single=True)
     ref = as_complex_vector(range_ref)
-    n = x.shape[1]
+    m, n = x.shape
     if ref.size > n:
         raise ParameterError("reference longer than a data row")
     nfft = next_fast_len(n + ref.size - 1)
-    corr = np.fft.fft(x, nfft, axis=1)
-    corr *= np.conj(np.fft.fft(ref, nfft))
-    np.fft.ifft(corr, axis=1, out=corr)
-    g = (ref.size - 1) // 2  # group delay, rolled back as two slice copies
-    out = np.empty((x.shape[0], n), dtype=np.complex128)
-    out[:, :g] = corr[:, nfft - g:]
-    out[:, g:] = corr[:, :n - g]
-    return out
+    spectrum = np.empty((m, _padded_width(nfft)), dtype=np.complex128)[:, :nfft]
+    ref_spectrum = np.conj(np.fft.fft(ref, nfft))
+
+    def compress(rows):
+        block = spectrum[rows]
+        block[:, :n] = x[rows]
+        block[:, n:] = 0.0
+        np.fft.fft(block, axis=1, out=block)
+        block *= ref_spectrum
+
+    run_blocks(compress, m)
+    return spectrum
 
 
 def _fit_quadratic(offsets, values):
@@ -111,23 +114,35 @@ def _fit_quadratic(offsets, values):
     return coeffs, values - design @ coeffs
 
 
-def track_rcm(rc, offsets):
-    """Fit the dominant scatterer's migration trajectory from compressed rows.
+def track_rcm(spectrum, width, delay, offsets):
+    """Fit the dominant scatterer's migration trajectory from pass-1 rows.
 
-    `offsets` gives each row's pulse offset from the beam center.  The
-    per-pulse range peak is located with sub-sample parabolic interpolation
-    and fit with a quadratic in that offset; outliers beyond 3x the residual
-    MAD are rejected once and the curve refit.
+    Each row of `spectrum`, rows of ``range_compress``'s output, goes back
+    to time by an inverse FFT, trimmed to `width` columns with the group
+    `delay` removed, one block of rows at a time; its peak, interpolated by
+    a parabola, is fit by ``fit_rcm`` against the row's pulse offset from
+    the beam center in `offsets`.
     """
-    x = as_complex_matrix(rc)
     offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.shape != (x.shape[0],):
+    if offsets.shape != (spectrum.shape[0],):
         raise ParameterError("one pulse offset per compressed row is required")
     if offsets.size < MIN_TRACK_POINTS:
         raise TrackingError(f"only {offsets.size} pulses inside the azimuth support")
-    mags = np.abs(x)
-    cols = np.argmax(mags, axis=1)
-    peaks = np.array([_parabolic_peak(mags[i], cols[i]) for i in range(offsets.size)])
+    peaks = np.empty(offsets.size)
+
+    def find_peaks(rows):
+        mags = np.abs(np.fft.ifft(spectrum[rows], axis=1))
+        mags = np.concatenate((mags[:, mags.shape[1] - delay:], mags[:, :width - delay]), axis=1)
+        cols = np.argmax(mags, axis=1)
+        peaks[rows] = [_parabolic_peak(row, col) for row, col in zip(mags, cols)]
+
+    run_blocks(find_peaks, offsets.size)
+    return fit_rcm(offsets, peaks)
+
+
+def fit_rcm(offsets, peaks):
+    """Quadratic fit of the peak columns against the pulse offsets; outliers
+    beyond 3x the residual MAD are rejected once and the curve refit."""
     coeffs, resid = _fit_quadratic(offsets, peaks)
     spread = np.abs(resid - median(resid))
     mad = median(spread)
@@ -136,35 +151,24 @@ def track_rcm(rc, offsets):
         if np.sum(keep) < MIN_TRACK_POINTS:
             raise TrackingError("too few inlier peaks after outlier rejection")
         coeffs, resid = _fit_quadratic(offsets[keep], peaks[keep])
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return RcmModel(
-        reference_range_bin=float(coeffs[0]),
-        linear=float(coeffs[1]),
-        quadratic=float(coeffs[2]),
-        fit_rms=rms,
-    )
+    return RcmModel(*(float(c) for c in coeffs), fit_rms=float(np.sqrt(np.mean(resid**2))))
 
 
-def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
-    """Range compression and range cell migration correction in three FFT passes.
+def rcmc(spectrum, width, delay, rcm, azimuth_rate, doppler_centroid):
+    """Passes 2 and 3: range cell migration correction of pass 1's output.
 
-    The rows are range-compressed in the frequency domain (zero-padded to
-    nfft, times conj(R)) and azimuth-DFTed; every azimuth-frequency bin f
-    (unwrapped around the Doppler centroid) maps to the pulse offset at which
-    a target crosses that frequency, d_eta = (f - dc) / (2 * azimuth_rate).
-    One sub-sample phase ramp then shifts the bin by
+    The range-compressed spectrum is azimuth-DFTed; every azimuth-frequency
+    bin f (unwrapped around the Doppler centroid) maps to the pulse offset at
+    which a target crosses that frequency, d_eta = (f - dc) / (2 *
+    azimuth_rate).  One sub-sample phase ramp then shifts the bin by
     -(delta(d_eta) - delta(eta0)) range samples, with eta0 = -dc /
-    (2 * azimuth_rate) the zero-Doppler offset, and removes the reference
-    group delay before the inverse range DFT.  Targets thus land at their
-    closest-approach range.  Returns the M x N range-Doppler matrix, a view
-    of a padded buffer.  `raw` may be complex64: each block of rows is
-    upcast to complex128 as it is copied into the buffer.
+    (2 * azimuth_rate) the zero-Doppler offset, and removes the group
+    `delay` before the inverse range DFT.  Targets thus land at their
+    closest-approach range.  A complex128 `spectrum` is transformed in
+    place; the M x `width` range-Doppler matrix returned is a view of it.
     """
-    x = as_complex_matrix(raw, single=True)
-    ref = as_complex_vector(range_ref)
-    m, n = x.shape
-    if ref.size > n:
-        raise ParameterError("reference longer than a data row")
+    x = as_complex_matrix(spectrum)
+    m, nfft = x.shape
     if azimuth_rate == 0.0:
         raise ParameterError("azimuth rate must be nonzero")
     freqs = np.fft.fftfreq(m)
@@ -172,35 +176,22 @@ def rcmc(raw, range_ref, rcm, azimuth_rate, doppler_centroid):
     offsets = (unwrapped - doppler_centroid) / (2.0 * azimuth_rate)
     zero_doppler = -doppler_centroid / (2.0 * azimuth_rate)
     delta = rcm.delta(offsets) - rcm.delta(zero_doppler)
-    if np.max(np.abs(delta)) > n / 4:
-        raise ParameterError(
-            f"implausible migration: max shift {np.max(np.abs(delta)):.1f} > N/4"
-        )
-    nfft = next_fast_len(n + ref.size - 1)
-    rd = np.empty((m, _padded_width(nfft)), dtype=np.complex128)[:, :nfft]
-    ref_spectrum = np.conj(np.fft.fft(ref, nfft))
-    shift = delta - (ref.size - 1) // 2  # the group delay is a constant shift
-
-    def compress(rows):
-        block = rd[rows]
-        block[:, :n] = x[rows]
-        block[:, n:] = 0.0
-        np.fft.fft(block, axis=1, out=block)
-        block *= ref_spectrum
+    if np.max(np.abs(delta)) > width / 4:
+        raise ParameterError(f"implausible migration: max shift {np.max(np.abs(delta)):.1f} > N/4")
+    shift = delta - delay  # the group delay is a constant shift
 
     def azimuth_fft(cols):
-        block = rd[:, cols]
+        block = x[:, cols]
         np.fft.fft(block, axis=0, out=block)
 
     def shift_range(rows):
-        block = rd[rows]
+        block = x[rows]
         block *= shift_ramp(shift[rows], nfft)
         np.fft.ifft(block, axis=1, out=block)
 
-    run_blocks(compress, m)
     run_blocks(azimuth_fft, nfft)
     run_blocks(shift_range, m)
-    return rd[:, :n]
+    return x[:, :width]
 
 
 def _padded_width(n):
@@ -244,8 +235,7 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
     references on its rows.  An analytic RcmModel may be supplied to bypass
     peak tracking (oracle mode).  on_stage, when given, is called with
     (stage_name, result) after every stage, before the next stage
-    overwrites rcmc's buffer with the image.
-    `raw` may be complex64; only the rows it tracks and rcmc upcast it.
+    transforms pass 1's buffer further.  `raw` may be complex64.
     """
     x = as_complex_matrix(raw, single=True)
 
@@ -259,17 +249,15 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
             on_stage(name, result)
         return result
 
-    def track():
-        # peaks are tracked only inside the azimuth support, so only those
-        # rows are range-compressed in the time domain
-        start, stop = estimate.azimuth_chirp.support
-        return track_rcm(range_compress(x[start:stop], range_ref),
-                         np.arange(start, stop) - estimate.beam_center_row)
-
     range_ref, azimuth_ref = build_references(estimate, x.shape[0])
+    width, delay = x.shape[1], (range_ref.size - 1) // 2
+    spectrum = stage("range_compress", range_compress, x, range_ref)
     rcm = rcm_override
     if rcm is None:
-        rcm = stage("track_rcm", track)
-    rd = stage("rcmc", rcmc, x, range_ref, rcm, estimate.azimuth_chirp.rate,
+        # peaks are tracked only on the rows inside the azimuth support
+        start, stop = estimate.azimuth_chirp.support
+        rcm = stage("track_rcm", track_rcm, spectrum[start:stop], width, delay,
+                    np.arange(start, stop) - estimate.beam_center_row)
+    rd = stage("rcmc", rcmc, spectrum, width, delay, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
     return stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)

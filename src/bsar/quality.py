@@ -105,6 +105,9 @@ def analyze_point_target(img, approx_position, window=64):
         raise ParameterError("expected a 2-D image")
     if window < 32:
         raise ParameterError("analysis window must be at least 32 samples")
+    if not np.all(np.isfinite(approx_position)):
+        raise ParameterError(f"analysis position ({approx_position[0]}, {approx_position[1]})"
+                             " is not finite")
     r = int(round(approx_position[0]))
     c = int(round(approx_position[1]))
     half = window // 2

@@ -55,8 +55,14 @@ class AcquisitionConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be > 0")
+        for name in ("num_pulses", "samples_per_pulse", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, not {value!r}")
         if self.num_pulses < 1 or self.samples_per_pulse < 1:
             raise ParameterError("matrix dimensions must be >= 1")
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, not {self.rng_seed}")
         if self.noise_sigma < 0:
             raise ParameterError("noise_sigma must be >= 0")
         if self.chirp_rate * self.chirp_duration > self.range_sampling:

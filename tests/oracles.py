@@ -143,13 +143,16 @@ def direct_shift_ramp(delta, n):
     return np.exp(2j * np.pi * np.fft.fftfreq(n)[None, :] * delta[:, None])
 
 
+def range_spectrum(raw, ref, nfft):
+    """Every row's length-nfft spectrum times the conjugate reference spectrum."""
+    return np.fft.fft(raw, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft))
+
+
 def rolled_range_compress(raw, ref, nfft):
     """Range compression as one length-nfft circular correlation, rolled by
     the reference group delay and trimmed to the row length."""
-    n = raw.shape[1]
-    corr = np.fft.ifft(np.fft.fft(raw, nfft, axis=1) * np.conj(np.fft.fft(ref, nfft)),
-                       axis=1)
-    return np.roll(corr, (ref.size - 1) // 2, axis=1)[:, :n]
+    corr = np.fft.ifft(range_spectrum(raw, ref, nfft), axis=1)
+    return np.roll(corr, (ref.size - 1) // 2, axis=1)[:, :raw.shape[1]]
 
 
 def six_pass_focus(raw, range_ref, azimuth_ref, rcm, azimuth_rate, doppler_centroid, nfft):

@@ -73,12 +73,15 @@ def test_a4_rcmc_effectiveness(capsys, default_sim, default_estimate):
     raw, truth = default_sim
     est = default_estimate
     range_ref, _ = build_references(est, raw.shape[0])
-    rc = range_compress(raw, range_ref)
+    width, delay = raw.shape[1], (range_ref.size - 1) // 2
+    spectrum = range_compress(raw, range_ref)
+    # the rows compressed in time, before rcmc transforms pass 1's buffer
+    rc = np.roll(np.fft.ifft(spectrum, axis=1), delay, axis=1)[:, :width]
     # tracked as focus_pipeline tracks: the support rows, against their
     # offsets from the beam centre
     lo, hi = est.azimuth_chirp.support
-    rcm = track_rcm(rc[lo:hi], np.arange(lo, hi) - est.beam_center_row)
-    rd = rcmc(raw, range_ref, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
+    rcm = track_rcm(spectrum[lo:hi], width, delay, np.arange(lo, hi) - est.beam_center_row)
+    rd = rcmc(spectrum, width, delay, rcm, est.azimuth_chirp.rate, est.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
     # measure over the tracked support; the outer main-lobe tails are

@@ -6,11 +6,12 @@ import pytest
 
 from bsar.core import ChirpModel, next_fast_len, sample_chirp, shift_ramp
 from bsar.errors import ParameterError, TrackingError
-from bsar.estimate import build_references
+from bsar.estimate import _parabolic_peak, build_references
 from bsar.focus import (
     RcmModel,
     _padded_width,
     azimuth_compress,
+    fit_rcm,
     focus_pipeline,
     range_compress,
     rcmc,
@@ -22,6 +23,7 @@ from oracles import (
     direct_shift_ramp,
     out_of_place_azimuth_compress,
     oversampled_autocorrelation,
+    range_spectrum,
     rolled_range_compress,
     six_pass_focus,
 )
@@ -34,6 +36,18 @@ def make_reference(rate=1e-3, half=40):
     return model, sample_chirp(model, positions)
 
 
+def delay_of(ref):
+    """The reference's group delay, its center index."""
+    return (ref.size - 1) // 2
+
+
+def compressed(raw, ref):
+    """Pass 1's rows inverse-FFTed, rolled by the group delay and trimmed to
+    the row length: the time-domain rows that track_rcm reads."""
+    rows = np.fft.ifft(range_compress(raw, ref), axis=1)
+    return np.roll(rows, delay_of(ref), axis=1)[:, :raw.shape[1]]
+
+
 # --- range_compress -------------------------------------------------------------
 
 def test_self_correlation_peak_and_sidelobes():
@@ -41,7 +55,7 @@ def test_self_correlation_peak_and_sidelobes():
     row = np.zeros(512, dtype=np.complex128)
     start = 200
     row[start:start + ref.size] = ref
-    rc = range_compress(row[None, :], ref)[0]
+    rc = compressed(row[None, :], ref)[0]
     peak_col = int(np.argmax(np.abs(rc)))
     assert peak_col == start + 64  # the echo's phase-vertex column
     assert abs(rc[peak_col]) == pytest.approx(np.sum(np.abs(ref) ** 2), rel=1e-9)
@@ -73,8 +87,9 @@ def test_self_correlation_peak_and_sidelobes():
 
 def test_zero_row_stays_zero():
     _, ref = make_reference()
-    rc = range_compress(np.zeros((3, 256), dtype=np.complex128), ref)
-    assert np.all(rc == 0)
+    spectrum = range_compress(np.zeros((3, 256), dtype=np.complex128), ref)
+    assert spectrum.shape == (3, next_fast_len(256 + ref.size - 1))
+    assert np.all(spectrum == 0)
 
 
 def test_shift_invariance_two_echoes():
@@ -82,7 +97,7 @@ def test_shift_invariance_two_echoes():
     row = np.zeros(400, dtype=np.complex128)
     row[50:50 + ref.size] = ref
     row[150:150 + ref.size] += ref
-    rc = np.abs(range_compress(row[None, :], ref)[0])
+    rc = np.abs(compressed(row[None, :], ref)[0])
     p1 = int(np.argmax(rc[:130]))
     p2 = 130 + int(np.argmax(rc[130:]))
     assert p2 - p1 == 100
@@ -94,8 +109,6 @@ def test_reference_longer_than_row_rejected():
     x = np.zeros((2, 64), dtype=np.complex128)
     with pytest.raises(ParameterError, match="longer"):
         range_compress(x, ref)
-    with pytest.raises(ParameterError, match="longer"):
-        rcmc(x, ref, MIGRATION, -1e-3, 0.0)
 
 
 @pytest.mark.parametrize("ref_len", [1, 2, 3, 128, 200])
@@ -105,8 +118,9 @@ def test_range_compress_matches_rolled_correlation(ref_len):
     n = 200
     raw = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
     ref = rng.standard_normal(ref_len) + 1j * rng.standard_normal(ref_len)
-    expected = rolled_range_compress(raw, ref, next_fast_len(n + ref_len - 1))
-    np.testing.assert_array_equal(range_compress(raw, ref), expected)
+    nfft = next_fast_len(n + ref_len - 1)
+    np.testing.assert_array_equal(range_compress(raw, ref), range_spectrum(raw, ref, nfft))
+    np.testing.assert_array_equal(compressed(raw, ref), rolled_range_compress(raw, ref, nfft))
 
 
 # --- track_rcm ------------------------------------------------------------------
@@ -119,22 +133,36 @@ def noiseless_oracle(config, scene):
     return raw, range_ref, truth, estimate
 
 
-def oracle_range_compressed(config, scene):
-    raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
-    return range_compress(raw, range_ref), truth, estimate
+def track(raw, ref, offsets):
+    """track_rcm on pass 1 of `raw`'s rows."""
+    return track_rcm(range_compress(raw, ref), raw.shape[1], delay_of(ref), offsets)
 
 
-def tracked(rc, estimate):
+def tracked(raw, range_ref, estimate):
     """track_rcm as focus_pipeline calls it: the rows of the azimuth support,
     against their pulse offsets from the estimate's beam centre."""
     lo, hi = estimate.azimuth_chirp.support
-    return track_rcm(rc[lo:hi], np.arange(lo, hi) - estimate.beam_center_row)
+    return track(raw[lo:hi], range_ref, np.arange(lo, hi) - estimate.beam_center_row)
+
+
+def rolled_peaks(raw, ref):
+    """Parabolic peaks of the rows compressed by the whole-buffer oracle."""
+    nfft = next_fast_len(raw.shape[1] + ref.size - 1)
+    mags = np.abs(rolled_range_compress(raw, ref, nfft))
+    return np.array([_parabolic_peak(row, int(np.argmax(row))) for row in mags])
+
+
+def rolled_tracked(raw, range_ref, estimate):
+    """The migration fit to the oracle's peaks on the azimuth support."""
+    lo, hi = estimate.azimuth_chirp.support
+    offsets = np.arange(lo, hi) - estimate.beam_center_row
+    return fit_rcm(offsets, rolled_peaks(raw[lo:hi], range_ref))
 
 
 def test_tracked_curve_matches_truth(default_scene):
     config, scene = default_scene
-    rc, truth, estimate = oracle_range_compressed(config, scene)
-    rcm = tracked(rc, estimate)
+    raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
+    rcm = tracked(raw, range_ref, estimate)
     lo, hi = truth.azimuth_support
     rows = np.arange(lo + 1, hi - 1)
     predicted = rcm.reference_range_bin + rcm.delta(rows - truth.beam_center_row)
@@ -149,8 +177,7 @@ def test_zero_migration_input():
     m = 128
     rows = np.zeros((m, 300), dtype=np.complex128)
     rows[:, 100:100 + ref.size] = ref[None, :]
-    rc = range_compress(rows, ref)
-    rcm = track_rcm(rc, np.arange(m) - 64.0)
+    rcm = track(rows, ref, np.arange(m) - 64.0)
     assert abs(rcm.quadratic) < 1e-3
     assert abs(rcm.linear) < 1e-3
 
@@ -158,12 +185,12 @@ def test_zero_migration_input():
 def test_migration_scales_with_inverse_range(default_scene):
     # halving the closest approach distance doubles the migration curvature
     config, scene = default_scene
-    rc1, truth1, est1 = oracle_range_compressed(config, scene)
+    raw1, ref1, _, est1 = noiseless_oracle(config, scene)
     near = replace(config, closest_range=config.closest_range / 2.0)
     near_scene = [replace(scene[0], range_offset=scene[0].range_offset / 2.0)]
-    rc2, truth2, est2 = oracle_range_compressed(near, near_scene)
-    q1 = tracked(rc1, est1).quadratic
-    q2 = tracked(rc2, est2).quadratic
+    raw2, ref2, _, est2 = noiseless_oracle(near, near_scene)
+    q1 = tracked(raw1, ref1, est1).quadratic
+    q2 = tracked(raw2, ref2, est2).quadratic
     assert q2 / q1 == pytest.approx(2.0, rel=0.05)
 
 
@@ -171,11 +198,11 @@ def test_tracking_needs_enough_pulses():
     _, ref = make_reference(half=20)
     rows = np.zeros((40, 200), dtype=np.complex128)
     rows[:, 80:80 + ref.size] = ref[None, :]
-    rc = range_compress(rows, ref)
+    spectrum = range_compress(rows, ref)
     with pytest.raises(TrackingError):
-        track_rcm(rc[18:26], np.arange(18, 26) - 22.0)  # only 8 pulses
+        track_rcm(spectrum[18:26], 200, 20, np.arange(18, 26) - 22.0)  # only 8 pulses
     with pytest.raises(ParameterError, match="offset"):
-        track_rcm(rc, np.arange(39) - 22.0)
+        track_rcm(spectrum, 200, 20, np.arange(39) - 22.0)
 
 
 def test_track_rcm_origin_invariance(default_sim, default_estimate):
@@ -184,10 +211,10 @@ def test_track_rcm_origin_invariance(default_sim, default_estimate):
     est = default_estimate
     range_ref, _ = build_references(est, raw.shape[0])
     lo, hi = est.azimuth_chirp.support
-    rc = range_compress(raw[lo:hi], range_ref)
+    spectrum = range_compress(raw[lo:hi], range_ref)
     offsets = np.arange(lo, hi) - est.beam_center_row
-    a = track_rcm(rc, offsets)
-    b = track_rcm(rc, offsets - 3.5)
+    a = track_rcm(spectrum, raw.shape[1], delay_of(range_ref), offsets)
+    b = track_rcm(spectrum, raw.shape[1], delay_of(range_ref), offsets - 3.5)
     np.testing.assert_allclose(b.reference_range_bin + b.delta(offsets - 3.5),
                                a.reference_range_bin + a.delta(offsets),
                                rtol=0.0, atol=1e-9)
@@ -195,16 +222,45 @@ def test_track_rcm_origin_invariance(default_sim, default_estimate):
     assert b.fit_rms == pytest.approx(a.fit_rms, rel=1e-9)
 
 
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_pipeline_tracks_the_peaks_of_rolled_rows(request, scene):
+    # the blind model is exactly the fit to the peaks of the support rows
+    # compressed in the time domain; a group delay or a trim off by one
+    # sample moves every peak
+    raw, _ = request.getfixturevalue(f"{scene}_sim")
+    estimate = request.getfixturevalue(f"{scene}_estimate")
+    models = {}
+    focus_pipeline(raw, estimate, on_stage=models.__setitem__)
+    range_ref, _ = build_references(estimate, raw.shape[0])
+    assert models["track_rcm"] == rolled_tracked(raw, range_ref, estimate)
+
+
+@pytest.mark.parametrize("ref_len", [1, 2, 9])
+def test_track_rcm_reads_the_rolled_trimmed_rows(ref_len):
+    # on noise any column can hold a row's peak, the first and the last
+    # included, so a roll or a trim off by one sample changes the fit; noise
+    # that grows towards the row's end puts many peaks at its edge
+    raw = random_matrix(ref_len, (64, 24)) * np.geomspace(0.1, 10.0, 24)
+    ref = random_matrix(ref_len + 1, (1, ref_len))[0]
+    offsets = np.arange(64) - 32.0
+    assert track(raw, ref, offsets) == fit_rcm(offsets, rolled_peaks(raw, ref))
+
+
 # --- rcmc -----------------------------------------------------------------------
 
 IMPULSE = np.ones(1, dtype=np.complex128)  # a range reference that compresses nothing
+
+
+def range_doppler(raw, ref, *args, **kwargs):
+    """Passes 1 to 3: rcmc of range_compress's output."""
+    return rcmc(range_compress(raw, ref), raw.shape[1], delay_of(ref), *args, **kwargs)
 
 
 def test_rcmc_zero_model_is_pure_dft():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 48)) + 1j * rng.standard_normal((32, 48))
     rcm = RcmModel(reference_range_bin=0.0, linear=0.0, quadratic=0.0, fit_rms=0.0)
-    out = rcmc(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.0)
+    out = range_doppler(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.0)
     np.testing.assert_allclose(out, np.fft.fft(x, axis=0), atol=1e-10)
 
 
@@ -220,7 +276,7 @@ def test_rcmc_single_frequency_shift():
     offset = f0 / (2.0 * rate)
     rcm = RcmModel(reference_range_bin=0.0, linear=3.0 / offset, quadratic=0.0,
                    fit_rms=0.0)
-    out = rcmc(x, IMPULSE, rcm, azimuth_rate=rate, doppler_centroid=0.0)
+    out = range_doppler(x, IMPULSE, rcm, azimuth_rate=rate, doppler_centroid=0.0)
     line = out[5]  # bin of f0 after the azimuth DFT
     np.testing.assert_allclose(line / m, np.roll(profile, -3), atol=1e-9)
     # other bins carry no energy
@@ -235,7 +291,7 @@ def test_rcmc_leaves_zero_doppler_in_place():
     profile = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x = np.repeat(profile[None, :], m, axis=0)  # all energy at zero Doppler
     rcm = RcmModel(reference_range_bin=0.0, linear=0.02, quadratic=1e-4, fit_rms=0.0)
-    out = rcmc(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.1)
+    out = range_doppler(x, IMPULSE, rcm, azimuth_rate=-1e-3, doppler_centroid=0.1)
     np.testing.assert_allclose(out[0] / m, profile, atol=1e-9)
 
 
@@ -262,14 +318,18 @@ MIGRATION = RcmModel(reference_range_bin=0.0, linear=0.02, quadratic=1e-4, fit_r
 
 
 def test_stages_leave_inputs_unchanged():
-    # azimuth_compress is the exception: it consumes rcmc's buffer
+    # range_compress leaves the raw rows alone, and track_rcm pass 1's
+    # buffer, which rcmc then transforms in place
     x = random_matrix(3, (48, 96))
     _, ref = make_reference(half=10)
-    for stage, args in ((range_compress, (ref,)),
-                        (rcmc, (ref, MIGRATION, -1e-3, 0.05))):
-        before = x.copy()
-        stage(x, *args)
-        np.testing.assert_array_equal(x, before, err_msg=stage.__name__)
+    for raw in (x, x.astype(np.complex64)):
+        before = raw.copy()
+        spectrum = range_compress(raw, ref)
+        np.testing.assert_array_equal(raw, before)
+    before = spectrum.copy()
+    track_rcm(spectrum, 96, 10, np.arange(48) - 24.0)
+    np.testing.assert_array_equal(spectrum, before)
+    assert np.shares_memory(rcmc(spectrum, 96, 10, MIGRATION, -1e-3, 0.05), spectrum)
 
 
 @pytest.mark.parametrize("layout", ["column-slice", "fortran"])
@@ -277,35 +337,33 @@ def test_rcmc_accepts_non_contiguous_input(layout):
     wide = random_matrix(4, (48, 130))
     x = wide[:, :96] if layout == "column-slice" else np.asfortranarray(wide[:, :96])
     _, ref = make_reference(half=10)
-    expected = rcmc(np.ascontiguousarray(x), ref, MIGRATION, -1e-3, 0.05)
-    np.testing.assert_array_equal(rcmc(x, ref, MIGRATION, -1e-3, 0.05), expected)
+    expected = range_doppler(np.ascontiguousarray(x), ref, MIGRATION, -1e-3, 0.05)
+    np.testing.assert_array_equal(range_doppler(x, ref, MIGRATION, -1e-3, 0.05), expected)
 
 
 def test_rcmc_rejects_zero_rate_and_huge_shift():
     x = np.ones((16, 32), dtype=np.complex128)
     rcm = RcmModel(reference_range_bin=0.0, linear=0.0, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError):
-        rcmc(x, IMPULSE, rcm, azimuth_rate=0.0, doppler_centroid=0.0)
+        range_doppler(x, IMPULSE, rcm, azimuth_rate=0.0, doppler_centroid=0.0)
     big = RcmModel(reference_range_bin=0.0, linear=1.0, quadratic=0.0, fit_rms=0.0)
     with pytest.raises(ParameterError, match="implausible"):
-        rcmc(x, IMPULSE, big, azimuth_rate=1e-6, doppler_centroid=0.0)
+        range_doppler(x, IMPULSE, big, azimuth_rate=1e-6, doppler_centroid=0.0)
 
 
 def test_rcmc_effectiveness(default_scene):
     # peak spread across pulses: > 2 samples before, < 1 sample after
     config, scene = default_scene
     raw, range_ref, truth, estimate = noiseless_oracle(config, scene)
-    rc = range_compress(raw, range_ref)
-    rcm = tracked(rc, estimate)
-    rd = rcmc(raw, range_ref, rcm, truth.azimuth_chirp_rate, truth.doppler_centroid)
+    rc = compressed(raw, range_ref)
+    rcm = tracked(raw, range_ref, estimate)
+    rd = range_doppler(raw, range_ref, rcm, truth.azimuth_chirp_rate, truth.doppler_centroid)
     corrected = np.fft.ifft(rd, axis=0)
 
     lo, hi = truth.azimuth_support
     rows = np.arange(lo + 2, hi - 2)
 
     def spread(matrix):
-        from bsar.estimate import _parabolic_peak
-
         mags = np.abs(matrix[rows])
         cols = np.argmax(mags, axis=1)
         peaks = [_parabolic_peak(mags[i], cols[i]) for i in range(rows.size)]
@@ -332,7 +390,7 @@ def test_azimuth_compress_filters_rd_in_place():
     # the image is rcmc's buffer, filtered exactly as a new product matrix
     # and a new inverse FFT would be
     _, ref = make_reference(half=10)
-    rd = rcmc(random_matrix(5, (48, 96)), ref, MIGRATION, -1e-3, 0.05)
+    rd = range_doppler(random_matrix(5, (48, 96)), ref, MIGRATION, -1e-3, 0.05)
     expected = out_of_place_azimuth_compress(rd, ref)
     image = azimuth_compress(rd, ref).image
     assert np.shares_memory(image, rd)
@@ -408,7 +466,7 @@ def test_pipeline_matches_six_pass_reference(request, scene, mode):
     range_ref, azimuth_ref = build_references(estimate, raw.shape[0])
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
     if rcm is None:
-        rcm = tracked(rolled_range_compress(raw, range_ref, nfft), estimate)
+        rcm = rolled_tracked(raw, range_ref, estimate)
     expected = six_pass_focus(raw, range_ref, azimuth_ref, rcm, estimate.azimuth_chirp.rate,
                               estimate.doppler_centroid, nfft)
     r, c = (int(round(v)) for v in truth.positions[0])
@@ -498,4 +556,4 @@ def test_stage_dumps(default_sim, default_estimate):
     seen = []
     focus_pipeline(raw, default_estimate,
                    on_stage=lambda name, _: seen.append(name))
-    assert seen == ["track_rcm", "rcmc", "azimuth_compress"]
+    assert seen == ["range_compress", "track_rcm", "rcmc", "azimuth_compress"]

@@ -15,7 +15,7 @@ from bsar.cli import main
 from bsar.core import ChirpModel, synth_chirp
 from bsar.errors import FormatError
 from bsar.estimate import build_references
-from bsar.focus import focus_pipeline, rcmc
+from bsar.focus import focus_pipeline, range_compress, rcmc
 from bsar.quality import analyze_point_target
 from bsar.simulate import simulate_raw
 from conftest import DEFAULT_CONFIG
@@ -216,10 +216,13 @@ def test_render_peak_memory():
 
 
 def test_render_rejects_nonnegative_floor(tmp_path):
+    # an infinite floor maps every level to 0 or NaN: an all-black image
     from bsar.errors import ParameterError
 
-    with pytest.raises(ParameterError):
-        fileio.render_magnitude(np.ones((2, 2)), 0.0, tmp_path / "x.pgm")
+    for db_floor in (0.0, 3.0, -np.inf, np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite and negative"):
+            fileio.render_magnitude(np.ones((2, 2)), db_floor, tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 # --- JSON sidecars -----------------------------------------------------------------
@@ -600,8 +603,8 @@ def test_cli_dump_stages(tmp_path):
     models = {}
     focus_pipeline(raw, est, on_stage=models.__setitem__)
     range_ref, _ = build_references(est, raw.shape[0])
-    rd = rcmc(raw, range_ref, models["track_rcm"], est.azimuth_chirp.rate,
-              est.doppler_centroid)
+    rd = rcmc(range_compress(raw, range_ref), raw.shape[1], (range_ref.size - 1) // 2,
+              models["track_rcm"], est.azimuth_chirp.rate, est.doppler_centroid)
     dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")
     np.testing.assert_array_equal(dumped, rd.astype(np.complex64))
     image, _ = fileio.read_matrix(stages / "azimuth_compress.bsar")
@@ -697,6 +700,47 @@ def test_cli_non_finite_sample_exits_2(tmp_path, capsys, default_sim, default_es
         f"bsar: parameter: {bad_f}: non-finite sample at row 300, column 17"]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bad.bsar", "est.json", "good.bsar", "truth.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--row=nan", "--col=480"],
+    ["analyze", "--row=inf", "--col=480"],
+    ["analyze", "--row=256", "--col=nan"],
+    ["analyze", "--row=256", "--col=-inf"],
+    ["render", "--db=-inf"],
+    ["render", "--db=nan"],
+], ids=["row-nan", "row-inf", "col-nan", "col-minus-inf", "db-minus-inf", "db-nan"])
+def test_cli_non_finite_position_or_floor_exits_2(tmp_path, capsys, blind_image, argv):
+    slc_f, out_f = tmp_path / "slc.bsar", tmp_path / "out"
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    assert main([*argv, "--in", str(slc_f), "--out", str(out_f)]) == 2
+    single_error_line(capsys, "parameter")
+    assert not out_f.exists()
+
+
+@pytest.mark.parametrize("case", ["estimate-seed-negative", "rng_seed-negative",
+                                  "rng_seed-fraction", "num_pulses-fraction",
+                                  "samples_per_pulse-bool"])
+def test_cli_seed_or_grid_size_not_a_count_exits_2(tmp_path, capsys, case):
+    # refused before any input is read or any sample drawn: here the raw
+    # file the estimate names does not exist
+    field, problem = case.rsplit("-", 1)
+    out_f = tmp_path / "out"
+    if field == "estimate-seed":
+        argv = ["estimate", "--in", str(tmp_path / "absent.bsar"), "--seed", "-1"]
+        message = "bsar: parameter: --seed -1: "
+    else:
+        message = f"bsar: parameter: {field} must be "
+        doc = json.loads(DEFAULT_CONFIG.read_text())
+        value = {"negative": -1, "fraction": doc["config"][field] + 0.5, "bool": True}[problem]
+        doc["config"][field] = value
+        config_f = tmp_path / "config.json"
+        config_f.write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(config_f)]
+    assert main([*argv, "--out", str(out_f)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert not out_f.exists()
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (64, 1)], ids=["one-row", "one-column"])

@@ -14,7 +14,7 @@ import bsar.core
 import bsar.focus
 from bsar.core import RCMC_BLOCK_ROWS, next_fast_len, run_blocks
 from bsar.errors import ParameterError
-from bsar.focus import RcmModel, azimuth_compress, focus_pipeline, rcmc
+from bsar.focus import RcmModel, azimuth_compress, focus_pipeline, range_compress, rcmc
 from bsar.simulate import simulate_raw
 
 WORKER_COUNTS = [2, 3, 5]  # 32-, 21- and 12-index blocks
@@ -28,6 +28,11 @@ def with_workers(monkeypatch, workers, fn, *args, **kwargs):
 def random_complex(shape, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def range_doppler(raw, ref, *args):
+    """Passes 1 to 3: rcmc of range_compress's output."""
+    return rcmc(range_compress(raw, ref), raw.shape[1], (ref.size - 1) // 2, *args)
 
 
 # --- run_blocks -------------------------------------------------------------------
@@ -92,7 +97,7 @@ def test_block_error_reaches_the_caller_after_every_join(monkeypatch, workers):
     rcm = RcmModel(reference_range_bin=30.0, linear=0.01, quadratic=1e-4, fit_rms=0.0)
     before = threading.active_count()
     with pytest.raises(ParameterError, match="block failed"):
-        with_workers(monkeypatch, workers, rcmc, random_complex((300, 120), 1),
+        with_workers(monkeypatch, workers, range_doppler, random_complex((300, 120), 1),
                      np.ones(9), rcm, 1e-3, 0.05)
     assert threading.active_count() == before
 
@@ -136,8 +141,8 @@ def test_rcmc_is_worker_independent_on_ragged_shapes(monkeypatch, workers, singl
     assert next_fast_len(60 + 16 - 1) == 75
     rcm = RcmModel(reference_range_bin=30.0, linear=0.02, quadratic=2e-4, fit_rms=0.0)
     args = (raw, ref, rcm, -2e-3, 0.1)
-    np.testing.assert_array_equal(with_workers(monkeypatch, workers, rcmc, *args),
-                                  with_workers(monkeypatch, 1, rcmc, *args))
+    np.testing.assert_array_equal(with_workers(monkeypatch, workers, range_doppler, *args),
+                                  with_workers(monkeypatch, 1, range_doppler, *args))
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

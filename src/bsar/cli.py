@@ -16,7 +16,7 @@ from .core import RCMC_BLOCK_ROWS
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate, check_gate
-from .focus import FocusedImage, focus_pipeline
+from .focus import focus_pipeline
 from .quality import analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
 
@@ -127,9 +127,11 @@ def _cmd_focus(args):
         os.makedirs(args.dump_stages, exist_ok=True)
 
         def on_stage(name, result):
-            if name in ("rcmc", "azimuth_compress"):  # not pass 1's spectrum nor the model
-                data = result.image if isinstance(result, FocusedImage) else result
-                fileio.write_matrix(data, os.path.join(args.dump_stages, f"{name}.bsar"))
+            path = os.path.join(args.dump_stages, f"{name}.bsar")
+            if name == "rcmc":  # not pass 1's spectrum nor the model
+                fileio.write_matrix(result, path)
+            elif name == "azimuth_compress":  # the --out file's bytes
+                fileio.write_matrix(result.image, path, flags=fileio.FLAG_FOCUSED)
 
     if args.est:
         est, rcm = fileio.read_estimate(args.est), None

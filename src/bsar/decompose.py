@@ -1,11 +1,10 @@
 """Leading singular triplets of the complex raw-data matrix.
 
 Only the few dominant triplets are ever consumed downstream, so only they
-are computed, by block power iteration with Rayleigh-Ritz extraction on
-whichever Gram operator has the smaller dimension, from seeded start vectors.
-Each sweep takes its Ritz values from its first product over X, so the sweep
-that converges, or proves the gate's refusal, skips its second.  The result
-holds the triplets, the sweep count and the gate's sigma1/sigma2 bound.
+are computed, by seeded block power iteration in which every product over X,
+alternately X and X^H, gets its own Rayleigh-Ritz extraction (Halko,
+Martinsson & Tropp, SIAM Review, 2011, Alg. 4.4).  The result holds the
+triplets, the product count and the gate's sigma1/sigma2 bound.
 """
 
 from dataclasses import dataclass
@@ -27,16 +26,15 @@ class TruncatedSVD:
 
     singular_values (k of them) are non-negative and non-increasing; the
     columns of left_vectors (M x k) and right_vectors (N x k) satisfy
-    X @ v_i = sigma_i * u_i, and those of non-zero singular values are
-    orthonormal.  The vectors of a zero singular value are zero.  ratio_bound
-    is the least proven upper bound on sigma1/sigma2 over the `sweeps` sweeps
-    (inf when no gate was given).
+    X @ v_i = sigma_i * u_i, orthonormal for non-zero singular values and zero
+    for a zero one.  ratio_bound is the least proven upper bound on
+    sigma1/sigma2 over `products` products over X (inf when no gate was given).
     """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    sweeps: int
+    products: int
     ratio_bound: float
 
     @property
@@ -55,7 +53,9 @@ def _ratio_bound(evals, total, residual=np.inf):
     Q_perp has trace tau = trace A - trace H and beta bounds Q_perp^H A Q by
     the residual ||A Q - Q H||_F, when A Q is at hand, and by sqrt(theta1 *
     tau), as A is PSD; that term alone gives sigma1^2 <= theta1 + tau.  Each
-    term moves by ROUNDING * trace A to its loose side."""
+    term moves by ROUNDING * trace A to its loose side.  A may be X^H X or
+    X X^H: both have trace ||X||_F^2 and eigenvalues sigma_i^2, the larger
+    one padded with zeros, so both bounds hold on either side."""
     slack = ROUNDING * total
     theta1, theta2 = evals[-1] + slack, evals[-2] - slack
     tau = total - float(np.sum(evals)) + slack
@@ -67,18 +67,19 @@ def _ratio_bound(evals, total, residual=np.inf):
 def leading_triplets(X, k, seed=0, gate=None):
     """Compute the k dominant singular triplets of X.
 
-    Block power iteration (with guard vectors) on the smaller Gram operator A.
-    Each sweep orthonormalizes the block Q, forms W = X Q (or X^H Q) and takes
-    its Ritz values from H = W^H W = Q^H A Q; only a sweep that goes on forms
-    the next block A Q from W.  Convergence is declared when all k leading
-    singular-value estimates change by less than TOL relatively between
-    sweeps, and that sweep's Ritz pairs are the result.  With a `gate`, every
-    sweep bounds sigma1/sigma2 from above (`_ratio_bound`) from H alone, and
-    again once A Q gives its residual.  At the first bound below the gate,
-    the iteration stops and returns that sweep's Ritz pairs unconverged, for
-    the caller to refuse the scene.  Raises ConvergenceError carrying the last
-    sweep's triplets when MAX_SWEEPS sweeps pass without either.  X is made
-    C-contiguous once, so that no product takes numpy's strided path.
+    Block power iteration (with guard vectors), one product over X at a time,
+    alternately X and X^H, from the side of the smaller Gram operator.  Each
+    product orthonormalizes the last one's output, Q R = W, forms W = X Q (or
+    X^H Q) and takes Ritz values from H = W^H W = Q^H A Q, A being X^H X or
+    X X^H.  Every second product, back on the starting side, ends a sweep;
+    once all k leading singular values move by less than TOL relatively
+    between sweeps, its Ritz pairs are the result.  With a `gate`, each
+    product bounds sigma1/sigma2 (`_ratio_bound`) from H alone, then the
+    previous block's from its residual, as W R = A Q_prev; the first bound
+    below the gate returns the Ritz pairs of the block that proved it,
+    unconverged, for the caller to refuse the scene.  ConvergenceError carries
+    the last sweep's triplets after MAX_SWEEPS sweeps.  X is made C-contiguous
+    once, so that no product takes numpy's strided path.
     """
     X = np.ascontiguousarray(as_complex_matrix(X))
     M, N = X.shape
@@ -89,48 +90,47 @@ def leading_triplets(X, k, seed=0, gate=None):
     if not np.isfinite(total):
         raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
 
-    def forward(B):
-        return X @ B
-
-    def adjoint(B):
-        return (B.conj().T @ X).conj().T  # X^H @ B without a conjugate copy of X
-
-    # iterate on the side with the smaller Gram operator: V when N <= M, else U
+    # ops[product parity]: X^H B (no conjugate copy of X), X B; swapped if U starts (N > M)
     right_side = N <= M
-    to_other, to_basis = (forward, adjoint) if right_side else (adjoint, forward)
+    ops = (lambda B: (B.conj().T @ X).conj().T, lambda B: X @ B)[::1 if right_side else -1]
     dim = N if right_side else M
     block = min(k + OVERSAMPLE, dim)
     gated = gate is not None and block >= 2
 
     rng = np.random.default_rng(seed)
-    Y = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
+    W = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
-    stalled, bound = False, np.inf  # bound: on sigma1/sigma2, sought only with a gate
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        Q, _ = np.linalg.qr(Y)
-        W = to_other(Q)
+    stalled, bound, last = False, np.inf, None  # bound: on sigma1/sigma2, only with a gate
+    for products in range(1, 2 * MAX_SWEEPS):
+        Q, R = np.linalg.qr(W)
+        W = ops[products % 2](Q)
         H = W.conj().T @ W  # Q^H A Q, of which eigh reads one triangle
         evals, evecs = np.linalg.eigh(H)
-        order = np.argsort(evals)[::-1][:k]
-        sigma = np.sqrt(np.clip(evals[order], 0.0, None))
+        current = (products % 2 == 1, Q, W, H, evals, evecs)  # first: on the starting side?
         if gated:
             bound = min(bound, _ratio_bound(evals, total))
+            if bound >= gate and last is not None:
+                _, Q_prev, _, H_prev, evals_prev, _ = last
+                residual = float(np.linalg.norm(W @ R - Q_prev @ H_prev))
+                bound = min(bound, _ratio_bound(evals_prev, total, residual))
+                current = last if bound < gate else current
             if bound < gate:
-                break  # refusal proven: this sweep's Ritz pairs are returned unconverged
-        scale = max(float(sigma[0]), np.finfo(float).tiny)
-        step = float(np.max(np.abs(sigma - prev))) if prev is not None else step
-        if step <= TOL * scale:
-            break
-        prev = sigma
-        Y = to_basis(W)
-        if gated:
-            bound = min(bound, _ratio_bound(evals, total, float(np.linalg.norm(Y - Q @ H))))
-            if bound < gate:
+                break  # refusal proven: the Ritz pairs that prove it are returned unconverged
+        if products % 2:  # back on the starting side: a sweep ends
+            sigma = np.sqrt(np.clip(np.sort(evals)[::-1][:k], 0.0, None))
+            scale = max(float(sigma[0]), np.finfo(float).tiny)
+            step = float(np.max(np.abs(sigma - prev))) if prev is not None else step
+            if step <= TOL * scale:
                 break
+            prev = sigma
+        last = current
     else:
         stalled = True
 
-    # Ritz vectors on the iterated side, and their images X v or X^H u
+    # Ritz vectors on the block's side, and their images X v or X^H u
+    starting, Q, W, _, evals, evecs = current
+    order = np.argsort(evals)[::-1][:k]
+    sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     basis = Q @ evecs[:, order]
     image = W @ evecs[:, order]
     nonzero = sigma > 1e-12 * (sigma[0] if sigma[0] > 0 else 1.0)
@@ -138,9 +138,9 @@ def leading_triplets(X, k, seed=0, gate=None):
     basis[:, ~nonzero] = 0.0
     other = np.zeros_like(image)
     other[:, nonzero] = image[:, nonzero] / sigma[nonzero]
-    U, V = (other, basis) if right_side else (basis, other)
+    U, V = (other, basis) if starting == right_side else (basis, other)
     result = TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
-                          sweeps=sweeps, ratio_bound=bound)
+                          products=products, ratio_bound=bound)
     if stalled:
         raise ConvergenceError(
             f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps: "

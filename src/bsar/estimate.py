@@ -194,7 +194,7 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     and the centroid.  `gate` is checked by `check_gate`.  A Ritz ratio
     sigma1/sigma2 below max(gate, DEGENERACY_RATIO) refuses the scene: so does
     a bound proven below the gate, as it is never below the Ritz ratio of the
-    sweep that proves it.
+    block that proves it.
     """
     check_gate(gate)
     X = np.ascontiguousarray(as_complex_matrix(raw))
@@ -208,7 +208,7 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     ratio = svd.dominance_ratio
     if ratio < max(gate, DEGENERACY_RATIO):
         raise UnsuitableSceneError(
-            f"Ritz ratio {ratio:.3f} after {svd.sweeps} sweeps below gate "
+            f"Ritz ratio {ratio:.3f} after {svd.products} products over X below gate "
             f"{max(gate, DEGENERACY_RATIO):.3f} (sigma1/sigma2 proven at most "
             f"{svd.ratio_bound:.3f}): scene lacks a strong point scatterer")
     u1 = svd.left_vectors[:, 0]

@@ -215,32 +215,39 @@ def test_gate_certificate_is_sound(shape, seed):
                     if svd.ratio_bound < GATE:
                         certified += 1
                         assert side < 0, (tail, level, decay)
-    assert certified >= 10  # the bound is tight enough to decide most planted cases
+    assert certified >= 16  # the bound is tight enough to decide most planted cases
 
 
 @pytest.mark.parametrize("tilted", ["first", "all"])
 def test_ratio_bound_holds_for_any_orthonormal_block(tilted):
-    # the bound must hold for whatever block a sweep has reached: here the
-    # dominant eigenvectors of A = X^H X, tilted by eps toward the rest of
-    # the spectrum, either the first one alone or all of them
+    # the bound must hold for whatever block a product has reached, on either
+    # Gram operator of a wide X: here the dominant eigenvectors of A = X X^H
+    # and of A = X^H X, which has 18 zero eigenvalues, tilted by eps toward
+    # the rest of the spectrum, either the first one alone or all of them
     for seed in range(4):
         rng = np.random.default_rng(seed)
         s = np.concatenate([[GATE * (1 + 1e-3), 1.0], 0.3 * 0.9 ** np.arange(20)])
+        U, _ = np.linalg.qr(random_complex(rng, (24, 24)))
         V, _ = np.linalg.qr(random_complex(rng, (40, 40)))
-        A = (V[:, :s.size] * s**2) @ V[:, :s.size].conj().T
-        for eps in (1e-3, 1e-2, 0.1, 0.5):
-            tilt = eps * random_complex(rng, (40, 7))
-            if tilted == "first":
-                tilt[:, 1:] = 0.0
-            Q, _ = np.linalg.qr(V[:, :7] + tilt)
-            Y = A @ Q
-            H = Q.conj().T @ Y
-            evals, total = np.linalg.eigvalsh(H), float(np.sum(s**2))
-            # from H alone, as after a sweep's first product, and with the
-            # residual of A Q, as after its second
-            alone = decompose._ratio_bound(evals, total)
-            with_residual = decompose._ratio_bound(evals, total, np.linalg.norm(Y - Q @ H))
-            assert alone >= with_residual >= s[0] / s[1], (seed, eps)
+        X = (U[:, :s.size] * s) @ V[:, :s.size].conj().T
+        for B, A, op in ((U, X @ X.conj().T, X.conj().T), (V, X.conj().T @ X, X)):
+            for eps in (1e-3, 1e-2, 0.1, 0.5):
+                tilt = eps * random_complex(rng, (B.shape[0], 7))
+                if tilted == "first":
+                    tilt[:, 1:] = 0.0
+                Q, _ = np.linalg.qr(B[:, :7] + tilt)
+                W = op @ Q
+                H = W.conj().T @ W
+                evals, total = np.linalg.eigvalsh(H), float(np.sum(s**2))
+                # from H alone, as after any product, and with the residual
+                # of A Q, formed directly and as the next product forms it:
+                # Q' R = W, and A Q = (op^H Q') R
+                alone = decompose._ratio_bound(evals, total)
+                Q_next, R = np.linalg.qr(W)
+                for Y in (A @ Q, (op.conj().T @ Q_next) @ R):
+                    with_residual = decompose._ratio_bound(evals, total,
+                                                           np.linalg.norm(Y - Q @ H))
+                    assert alone >= with_residual >= s[0] / s[1], (seed, eps, B.shape)
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -254,17 +261,17 @@ def test_gate_certificate_never_fires_on_the_gate(n):
 
 def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
     svd = leading_triplets(clutter_sim, k=2, gate=GATE)
-    assert svd.sweeps <= 3 and svd.ratio_bound < GATE
+    assert svd.products <= 5 and svd.ratio_bound < GATE  # sweep 3 starts at product 5
     s = np.linalg.svd(clutter_sim, compute_uv=False)
     assert s[0] / s[1] <= svd.ratio_bound
     # without a gate the same scene only stops once both values converge
-    assert leading_triplets(clutter_sim, k=2).sweeps > svd.sweeps
+    assert leading_triplets(clutter_sim, k=2).products > svd.products
 
 
-def test_clutter_scene_is_certified_before_a_fourth_product(clutter_sim, monkeypatch):
-    # the gate's bounds in the order computed: sweep 1 from H = W^H W alone,
-    # sweep 1 with the residual of Y = A Q, then sweep 2 from its W alone,
-    # which refuses: three products over X, and no second one in sweep 2
+def test_clutter_scene_is_certified_at_its_second_product(clutter_sim, monkeypatch):
+    # the gate's bounds in the order computed: product 1's H = W^H W alone,
+    # then product 2's, on the other Gram operator, which refuses before the
+    # residual of product 1's block is needed: two products over X
     calls, ratio_bound = [], decompose._ratio_bound
 
     def recorded(evals, total, residual=np.inf):
@@ -273,15 +280,15 @@ def test_clutter_scene_is_certified_before_a_fourth_product(clutter_sim, monkeyp
 
     monkeypatch.setattr(decompose, "_ratio_bound", recorded)
     svd = leading_triplets(clutter_sim, k=2, gate=GATE)
-    assert svd.sweeps == 2 and [np.isfinite(r) for r, _ in calls] == [False, True, False]
-    assert calls[2][1] == svd.ratio_bound < GATE <= min(calls[0][1], calls[1][1])
+    assert svd.products == 2 and [np.isfinite(r) for r, _ in calls] == [False, False]
+    assert calls[1][1] == svd.ratio_bound < GATE <= calls[0][1]
 
 
 def test_gate_leaves_an_accepted_decomposition_unchanged(default_sim):
     raw, _ = default_sim
     plain = leading_triplets(raw, k=2)
     gated = leading_triplets(raw, k=2, gate=GATE)
-    assert plain.ratio_bound == np.inf and gated.sweeps == plain.sweeps
+    assert plain.ratio_bound == np.inf and gated.products == plain.products
     assert plain.dominance_ratio <= gated.ratio_bound
     for name in ("singular_values", "left_vectors", "right_vectors"):
         assert np.array_equal(getattr(plain, name), getattr(gated, name))

@@ -264,7 +264,7 @@ def test_layout_leaves_the_decomposition_and_estimate_bit_identical(default_sim)
         other = leading_triplets(X, k=2, gate=DEFAULT_DOMINANCE_GATE)
         for name in ("singular_values", "left_vectors", "right_vectors"):
             assert np.array_equal(getattr(other, name), getattr(svd, name)), name
-        assert (other.sweeps, other.ratio_bound) == (svd.sweeps, svd.ratio_bound)
+        assert (other.products, other.ratio_bound) == (svd.products, svd.ratio_bound)
         assert blind_estimate(X) == est
 
 
@@ -290,12 +290,12 @@ def test_gate_refuses_noise_only():
         blind_estimate(noise)
 
 
-REFUSAL = re.compile(r"Ritz ratio (\S+) after (\d+) sweeps below gate 3\.000 "
+REFUSAL = re.compile(r"Ritz ratio (\S+) after (\d+) products over X below gate 3\.000 "
                      r"\(sigma1/sigma2 proven at most (\S+)\): ")
 
 
 def refusal(raw):
-    """(Ritz ratio, sweeps, proven bound) named by blind_estimate's refusal."""
+    """(Ritz ratio, products over X, proven bound) named by blind_estimate's refusal."""
     with pytest.raises(UnsuitableSceneError) as info:
         blind_estimate(raw)
     match = REFUSAL.search(str(info.value))
@@ -304,10 +304,10 @@ def refusal(raw):
 
 
 def test_gate_refuses_clutter_on_a_proven_bound(clutter_sim):
-    # the message names the Ritz ratio, the sweep count and the bound
-    _, sweeps, bound = refusal(clutter_sim)
+    # the message names the Ritz ratio, the product count and the bound
+    _, products, bound = refusal(clutter_sim)
     s = np.linalg.svd(clutter_sim, compute_uv=False)
-    assert sweeps <= 3 and s[0] / s[1] <= bound < 3.0
+    assert products <= 5 and s[0] / s[1] <= bound < 3.0
 
 
 def test_refusal_ritz_ratio_within_its_bound(clutter_sim):

@@ -385,7 +385,7 @@ def test_cli_noise_only_exits_4(tmp_path):
 
 
 def test_cli_clutter_refusal_writes_no_file(tmp_path, capsys, clutter_sim):
-    # refused on a proven bound after a few sweeps; those Ritz values are no
+    # refused on a proven bound after a few products; those Ritz values are no
     # spectrum, so neither the estimate nor the spectrum CSV is written
     raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
     fileio.write_matrix(clutter_sim, raw_f)
@@ -607,9 +607,8 @@ def test_cli_dump_stages(tmp_path):
               models["track_rcm"], est.azimuth_chirp.rate, est.doppler_centroid)
     dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")
     np.testing.assert_array_equal(dumped, rd.astype(np.complex64))
-    image, _ = fileio.read_matrix(stages / "azimuth_compress.bsar")
-    focused, _ = fileio.read_matrix(tmp_path / "slc.bsar")
-    np.testing.assert_array_equal(image, focused)
+    # the image dump is the --out file, focused flag included
+    assert (stages / "azimuth_compress.bsar").read_bytes() == (tmp_path / "slc.bsar").read_bytes()
 
 
 def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):

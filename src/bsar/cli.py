@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .core import RCMC_BLOCK_ROWS
+from .core import mapped_zeros, run_blocks
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate, check_gate
@@ -78,15 +78,23 @@ def build_parser():
     return parser
 
 
-def _read(path):
-    """The BSAR file's matrix; a NaN or infinite sample, sought RCMC_BLOCK_ROWS
-    rows at a time, is a parameter error naming the first one."""
-    matrix, _ = fileio.read_matrix(path)
-    for lo in range(0, matrix.shape[0], RCMC_BLOCK_ROWS):
-        block = matrix[lo:lo + RCMC_BLOCK_ROWS]
-        if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
-            row, col = np.argwhere(~np.isfinite(block))[0]
-            raise ParameterError(f"{path}: non-finite sample at row {lo + row}, column {col}")
+def _read(path, dtype=np.complex64, keep=None):
+    """The BSAR file's matrix as `dtype`, read and scanned a row block at a
+    time: a NaN or infinite sample is a parameter error naming the first
+    one.  With `keep`, a (start, stop) row range, every row is still
+    scanned but only those rows are kept, in a map whose other rows stay
+    zero and take no memory."""
+    with fileio.MatrixReader(path) as reader:
+        lo, hi = (0, reader.shape[0]) if keep is None else keep
+        matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, dtype)
+
+        def fill(rows):
+            block = reader.read(rows)
+            start, stop = max(rows.start, lo), min(rows.stop, hi)
+            if start < stop:
+                matrix[start:stop] = block[start - rows.start:stop - rows.start]
+
+        run_blocks(fill, reader.shape[0])
     return matrix
 
 
@@ -105,7 +113,7 @@ def _cmd_estimate(args):
         raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
     if args.seed < 0:
         raise ParameterError(f"--seed {args.seed}: the start seed must be >= 0")
-    raw = _read(args.input).astype(np.complex128)
+    raw = _read(args.input, np.complex128)  # never resident beside its complex64 payload
     # the estimate consumes the leading pair whatever length --k asks for
     k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
     svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
@@ -120,34 +128,39 @@ def _cmd_estimate(args):
 def _cmd_focus(args):
     if bool(args.est) == bool(args.oracle):
         raise ParameterError("exactly one of --est or --oracle is required")
-    raw = _read(args.input)
 
     on_stage = None
     if args.dump_stages:
-        os.makedirs(args.dump_stages, exist_ok=True)
 
-        def on_stage(name, result):
+        def on_stage(name, result):  # after pass 1: a refused input leaves no directory
+            os.makedirs(args.dump_stages, exist_ok=True)
             path = os.path.join(args.dump_stages, f"{name}.bsar")
             if name == "rcmc":  # not pass 1's spectrum nor the model
                 fileio.write_matrix(result, path)
             elif name == "azimuth_compress":  # the --out file's bytes
                 fileio.write_matrix(result.image, path, flags=fileio.FLAG_FOCUSED)
 
-    if args.est:
-        est, rcm = fileio.read_estimate(args.est), None
-    else:
-        truth = fileio.read_truth(args.oracle)
-        if truth.config is None:
-            raise ParameterError("--oracle truth file lacks the config block")
-        est, rcm = oracle_estimate(truth)
-    img = focus_pipeline(raw, est, rcm_override=rcm, provenance="blind" if args.est else "oracle",
-                         on_stage=on_stage)
+    # a malformed file is refused on opening, before any pass; pass 1 then
+    # reads the payload a row block at a time, so it is never resident whole
+    with fileio.MatrixReader(args.input) as reader:
+        if args.est:
+            est, rcm = fileio.read_estimate(args.est), None
+        else:
+            truth = fileio.read_truth(args.oracle)
+            if truth.config is None:
+                raise ParameterError("--oracle truth file lacks the config block")
+            est, rcm = oracle_estimate(truth)
+        img = focus_pipeline(reader, est, rcm_override=rcm,
+                             provenance="blind" if args.est else "oracle", on_stage=on_stage)
     fileio.write_matrix(img.image, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 
 
 def _cmd_analyze(args):
-    img = _read(args.input)
+    row, half = args.row, args.window // 2
+    # the window's rows, if the position is finite; any other case is refused below
+    keep = (0, 0) if not np.isfinite(row) else (round(row) - half, round(row) + half)
+    img = _read(args.input, keep=keep)
     report = analyze_point_target(img, (args.row, args.col), window=args.window)
     fileio.write_report_csv(report, args.out)
     if args.json:

@@ -56,6 +56,18 @@ def mapped_zeros(shape, dtype):
     return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
+def release_mapped(array, start):
+    """Give the pages of the map under `array` (from ``mapped_zeros``, or a
+    view of it) from byte `start`, rounded up to a page, to the map's end
+    back to the system; they read as zeros if touched again."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    buffer = array.obj  # the memoryview np.frombuffer holds of the map
+    start = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    if hasattr(mmap, "MADV_DONTNEED") and start < len(buffer):
+        buffer.madvise(mmap.MADV_DONTNEED, start, len(buffer) - start)
+
+
 def as_complex_vector(data):
     x = np.asarray(data, dtype=np.complex128)
     if x.ndim != 1 or x.size < 1:
@@ -189,8 +201,11 @@ def run_blocks(fn, stop):
     that tile range(stop), shared among `block_workers()` threads.
 
     The blocks must be independent.  The calling thread is one of the
-    workers, so with one worker this is a plain loop.  Every thread is joined
-    before the first exception a block raised is re-raised here.  numpy's
+    workers, so with one worker this is a plain loop.  Blocks are handed out
+    in increasing order and none after a block has raised, so every block
+    below a failed one has run: once every thread is joined, the exception
+    of the lowest failed block is re-raised here, the same one at any
+    worker count.  numpy's
     FFTs and array loops release the GIL, so the threads run in parallel;
     each index is computed by the same operations whichever thread takes it.
     """
@@ -209,7 +224,7 @@ def run_blocks(fn, stop):
             try:
                 fn(slice(lo, lo + step))
             except BaseException as exc:
-                errors.append(exc)
+                errors.append((lo, exc))
 
     threads = []
     try:
@@ -222,7 +237,7 @@ def run_blocks(fn, stop):
         for thread in threads:
             thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
 
 
 def wrap_half_open(f):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_complex_matrix, as_complex_vector
+from .core import as_complex_matrix
 from .errors import ConvergenceError, ParameterError
 
 OVERSAMPLE = 5
@@ -148,43 +148,3 @@ def leading_triplets(X, k, seed=0, gate=None):
             last_iterate=result,
         )
     return result
-
-
-@dataclass(frozen=True)
-class GibbsRotation:
-    """2-column SVD rotation entries and diagnostics (|c|^2 + |s|^2 = 1)."""
-
-    c: complex
-    s: complex
-    orthogonality_residual: float
-    column_norms: tuple
-
-
-def gibbs_rotation_check(x1, x2):
-    """Rotation that orthogonalizes a 2-column matrix, with residual checks.
-
-    Returns the rotation entries (c, s), the magnitude of the inner product of
-    the two rotated columns, and the rotated column norms (the two singular
-    values of [x1, x2]).
-    """
-    a = as_complex_vector(x1)
-    b = as_complex_vector(x2)
-    if a.size != b.size:
-        raise ParameterError("columns must have equal length")
-    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
-        raise ParameterError("degenerate input: zero-norm column")
-    A = np.column_stack([a, b])
-    H = A.conj().T @ A
-    H = 0.5 * (H + H.conj().T)
-    evals, evecs = np.linalg.eigh(H)
-    order = np.argsort(evals)[::-1]
-    rot = evecs[:, order]
-    E = A @ rot
-    residual = float(abs(np.vdot(E[:, 0], E[:, 1])))
-    norms = (float(np.linalg.norm(E[:, 0])), float(np.linalg.norm(E[:, 1])))
-    return GibbsRotation(
-        c=complex(rot[0, 0]),
-        s=complex(np.conj(rot[1, 0])),
-        orthogonality_residual=residual,
-        column_norms=norms,
-    )

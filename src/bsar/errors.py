@@ -19,6 +19,11 @@ class ParameterError(BsarError):
     kind = "parameter"
 
 
+class SampleError(ParameterError):
+    """A NaN or infinite sample in a BSAR input: a fault of the file, not of
+    the stage that read it."""
+
+
 class ConfigurationError(ParameterError):
     """A simulation configuration that cannot produce a valid scene."""
 

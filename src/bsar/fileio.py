@@ -3,8 +3,11 @@
 BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
 (bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved zero
 bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
-A payload read back stays complex64 until the range FFT upcasts it; all
-arithmetic is float64.
+``MatrixReader`` checks a file's header and size once and reads it in row
+blocks, each scanned for NaN and infinite samples; ``read_matrix`` is the
+whole payload through it.  A payload read back stays complex64 until the
+range FFT upcasts it; all arithmetic is float64, and a focused image comes
+back to complex64, the file's precision, before it is written.
 
 JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
 non-finite floats are the strings "nan", "inf" and "-inf".
@@ -21,8 +24,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import RCMC_BLOCK_ROWS
-from .errors import FormatError, ParameterError
+from .core import RCMC_BLOCK_ROWS, run_blocks
+from .errors import FormatError, ParameterError, SampleError
 from .estimate import BlindEstimate
 from .simulate import AcquisitionConfig, GroundTruth, Scatterer
 
@@ -34,7 +37,8 @@ FLAG_FOCUSED = 0x1
 
 def write_matrix(matrix, path, flags=0):
     """Write a complex matrix as a BSAR file (float32 payload), casting
-    RCMC_BLOCK_ROWS rows at a time rather than copying the whole matrix."""
+    RCMC_BLOCK_ROWS rows at a time rather than copying the whole matrix;
+    C-contiguous complex64 rows are written as they are."""
     x = np.asarray(matrix)
     if x.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
@@ -42,32 +46,79 @@ def write_matrix(matrix, path, flags=0):
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
         for lo in range(0, m, RCMC_BLOCK_ROWS):  # interleaved float32 (I, Q), row-major
-            x[lo:lo + RCMC_BLOCK_ROWS].astype("<c8", order="C").tofile(fh)
+            np.ascontiguousarray(x[lo:lo + RCMC_BLOCK_ROWS], dtype="<c8").tofile(fh)
+
+
+class MatrixReader:
+    """A BSAR file open for reading in row blocks.
+
+    The header and the file size are checked once, on opening, so a
+    malformed file is refused before any row is read.  ``read`` is safe to
+    call from several threads at once: each call fills its own block with
+    one ``os.preadv`` at the rows' offset.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            header = os.pread(self._fd, HEADER.size, 0)
+            if len(header) < HEADER.size:
+                raise FormatError(f"truncated header ({len(header)} bytes)",
+                                  offset=len(header))
+            magic, version, self.flags, m, n, _ = HEADER.unpack(header)
+            if magic != MAGIC:
+                raise FormatError(f"bad magic {magic!r}", offset=0)
+            if version != VERSION:
+                raise FormatError(f"unsupported version {version}", offset=4)
+            if m < 1 or n < 1:
+                raise FormatError(f"invalid dimensions {m}x{n}", offset=8)
+            size, end = os.fstat(self._fd).st_size, HEADER.size + m * n * 8
+            if size != end:
+                problem = "truncated payload" if size < end else "trailing bytes"
+                raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
+                                  offset=min(size, end))
+        except BaseException:
+            os.close(self._fd)
+            raise
+        self.shape = (m, n)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self._fd)
+
+    def fill(self, rows, out):
+        """Read the payload rows of slice `rows` into `out`, a C-contiguous
+        complex64 block of their shape."""
+        lo = rows.indices(self.shape[0])[0]
+        offset = HEADER.size + lo * self.shape[1] * 8
+        got = os.preadv(self._fd, [out], offset)
+        if got != out.nbytes:  # the file shrank after it was opened
+            raise FormatError(f"{self.path}: truncated payload at row {lo}", offset=offset + got)
+
+    def read(self, rows):
+        """The payload rows of slice `rows` as a new complex64 block,
+        scanned: a NaN or infinite sample raises SampleError naming the
+        first one, by row and column."""
+        lo, hi, _ = rows.indices(self.shape[0])
+        block = np.empty((hi - lo, self.shape[1]), "<c8")
+        self.fill(rows, block)
+        if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
+            row, col = np.argwhere(~np.isfinite(block))[0]
+            raise SampleError(f"{self.path}: non-finite sample at row {lo + row}, column {col}")
+        return block
 
 
 def read_matrix(path):
     """Read a BSAR file; returns (matrix, flags) with the payload as a writable
-    complex64 matrix, which stays complex64 until the range FFT upcasts it."""
-    with open(path, "rb") as fh:
-        header = fh.read(HEADER.size)
-        if len(header) < HEADER.size:
-            raise FormatError(f"truncated header ({len(header)} bytes)", offset=len(header))
-        magic, version, flags, m, n, _ = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}", offset=0)
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}", offset=4)
-        if m < 1 or n < 1:
-            raise FormatError(f"invalid dimensions {m}x{n}", offset=8)
-        size, end = os.fstat(fh.fileno()).st_size, HEADER.size + m * n * 8
-        if size != end:
-            problem = "truncated payload" if size < end else "trailing bytes"
-            raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
-                              offset=min(size, end))
-        matrix = np.empty((m, n), dtype="<c8")
-        if fh.readinto(matrix) != matrix.nbytes:
-            raise FormatError(f"truncated payload: {m}x{n} needs {end} bytes", offset=HEADER.size)
-    return matrix, flags
+    complex64 matrix, which stays complex64 until the range FFT upcasts it.
+    Samples are not scanned: see ``MatrixReader.read``."""
+    with MatrixReader(path) as reader:
+        matrix = np.empty(reader.shape, "<c8")
+        run_blocks(lambda rows: reader.fill(rows, matrix[rows]), reader.shape[0])
+    return matrix, reader.flags
 
 
 def render_magnitude(matrix, db_floor, path):

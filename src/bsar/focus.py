@@ -15,9 +15,13 @@ In blind mode ``track_rcm`` runs between passes 1 and 2: it finds the
 migration peaks on inverse FFTs of pass 1's rows inside the azimuth support,
 a block of rows at a time, and fits them against their pulse offsets from
 the estimate's beam center, the row ``rcmc`` counts pulses from.  The chain
-owns one full-size matrix, pass 1's buffer, whose padded row stride
-(``_padded_width``) keeps the two azimuth passes from thrashing the cache;
-the later passes transform it in place, and the image is a view of it.
+owns one full-size matrix, pass 1's buffer, a memory map of its own whose
+padded row stride (``_padded_width``) keeps the two azimuth passes from
+thrashing the cache.  Pass 1 fills it from a matrix or, a row block at a
+time, straight from a BSAR file (``fileio.MatrixReader``), so the payload is
+never resident whole; the later passes transform it in place, and the
+complex128 image is then cast to complex64, the file's precision, over the
+front of the same map, whose rest is given back (``_compact``).
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -40,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (as_complex_matrix, as_complex_vector, median, next_fast_len, run_blocks,
-                   shift_ramp, wrap_half_open)
-from .errors import BsarError, ParameterError, TrackingError
+from .core import (RCMC_BLOCK_ROWS, as_complex_matrix, as_complex_vector, mapped_zeros, median,
+                   next_fast_len, release_mapped, run_blocks, shift_ramp, wrap_half_open)
+from .errors import BsarError, ParameterError, SampleError, TrackingError
 from .estimate import _parabolic_peak, build_references
 
 MIN_TRACK_POINTS = 16
@@ -78,28 +82,40 @@ class FocusedImage:
     provenance: str            # "blind" or "oracle"
 
 
+def _row_source(raw):
+    """(source, rows): `raw` as a matrix (complex64 kept as it is) or as the
+    row-block reader it is, anything with `shape` and a ``read(rows)`` such
+    as ``fileio.MatrixReader``; rows(slice) returns those rows of it."""
+    if hasattr(raw, "read"):
+        return raw, raw.read
+    x = as_complex_matrix(raw, single=True)
+    return x, x.__getitem__
+
+
 def range_compress(raw, range_ref):
     """Pass 1: every row's range spectrum, zero-padded to nfft, times conj(R).
 
-    Returns the M x nfft matrix, a view of the padded buffer that ``rcmc``
-    and ``azimuth_compress`` transform in place.  `raw` may be complex64:
-    each block of rows is upcast as it is copied into the buffer.  A row's
-    inverse FFT, trimmed to N columns with the group delay (the reference's
-    center index) removed, peaks at a point echo's phase-vertex column.
+    Returns the M x nfft matrix, a view of the padded buffer, a map of its
+    own (``core.mapped_zeros``), that ``rcmc`` and ``azimuth_compress``
+    transform in place.  `raw` is a matrix or a row-block reader
+    (``_row_source``); complex64 rows are upcast as each block is copied
+    into the buffer, so a reader's payload is never resident whole.  A
+    row's inverse FFT, trimmed to N columns with the group delay (the
+    reference's center index) removed, peaks at a point echo's phase-vertex
+    column.
     """
-    x = as_complex_matrix(raw, single=True)
+    source, rows_of = _row_source(raw)
+    m, n = source.shape
     ref = as_complex_vector(range_ref)
-    m, n = x.shape
     if ref.size > n:
         raise ParameterError("reference longer than a data row")
     nfft = next_fast_len(n + ref.size - 1)
-    spectrum = np.empty((m, _padded_width(nfft)), dtype=np.complex128)[:, :nfft]
+    spectrum = mapped_zeros((m, _padded_width(nfft)), np.complex128)[:, :nfft]
     ref_spectrum = np.conj(np.fft.fft(ref, nfft))
 
     def compress(rows):
         block = spectrum[rows]
-        block[:, :n] = x[rows]
-        block[:, n:] = 0.0
+        block[:, :n] = rows_of(rows)  # the map's zeros pad the rest
         np.fft.fft(block, axis=1, out=block)
         block *= ref_spectrum
 
@@ -228,20 +244,55 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
     return FocusedImage(image=x, provenance=provenance)
 
 
+def _compact(image):
+    """The complex128 image, a row-strided view of pass 1's map, cast to
+    complex64 and written C-contiguous over the front of that same map; the
+    rest of the map is given back (``core.release_mapped``).
+
+    Row r lands at bytes [8rN, 8(r+1)N) and is read from byte 16rP on, with
+    P >= N the map's row stride, so the rows of [R, 2R) overwrite only
+    rows below R: they are cast in parallel once rows [0, R) are done.  The
+    first block overlaps its own rows and goes through a temporary.
+    """
+    m, n = image.shape
+    out = image.base.view(np.complex64)[:m * n].reshape(m, n)
+    done = min(RCMC_BLOCK_ROWS, m)
+    out[:done] = image[:done].astype(np.complex64)
+    while done < m:
+        stop = min(2 * done, m)
+
+        def cast(rows, lo=done, hi=stop):
+            rows = slice(lo + rows.start, min(lo + rows.stop, hi))
+            out[rows] = image[rows]
+
+        run_blocks(cast, stop - done)
+        done = stop
+    release_mapped(image, out.nbytes)
+    return out
+
+
 def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stage=None):
     """Compose the full focusing chain from a parameter estimate.
 
-    The pulse grid is the raw matrix's: `build_references` builds the
-    references on its rows.  An analytic RcmModel may be supplied to bypass
-    peak tracking (oracle mode).  on_stage, when given, is called with
-    (stage_name, result) after every stage, before the next stage
-    transforms pass 1's buffer further.  `raw` may be complex64.
+    `raw` is a matrix, complex64 or complex128, or a row-block reader
+    (``range_compress``).  The pulse grid is the raw matrix's:
+    `build_references` builds the references on its rows.  An analytic
+    RcmModel may be supplied to bypass peak tracking (oracle mode).
+    on_stage, when given, is called with (stage_name, result) after every
+    stage, before the next stage transforms pass 1's buffer further; the
+    complex128 image it gets from "azimuth_compress" is then compacted in
+    place (``_compact``), so a caller that keeps it keeps a copy.  The
+    returned image is complex64 and C-contiguous, the precision of the
+    BSAR file, and the one scene-sized matrix left.
     """
-    x = as_complex_matrix(raw, single=True)
+    source, _ = _row_source(raw)
+    m, width = source.shape
 
     def stage(name, fn, *args):
         try:
             result = fn(*args)
+        except SampleError:
+            raise  # names the file, row and column; no stage is at fault
         except BsarError as exc:
             exc.args = (f"stage {name!r}: {exc}",) + exc.args[1:]
             raise
@@ -249,9 +300,9 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
             on_stage(name, result)
         return result
 
-    range_ref, azimuth_ref = build_references(estimate, x.shape[0])
-    width, delay = x.shape[1], (range_ref.size - 1) // 2
-    spectrum = stage("range_compress", range_compress, x, range_ref)
+    range_ref, azimuth_ref = build_references(estimate, m)
+    delay = (range_ref.size - 1) // 2
+    spectrum = stage("range_compress", range_compress, source, range_ref)
     rcm = rcm_override
     if rcm is None:
         # peaks are tracked only on the rows inside the azimuth support
@@ -260,4 +311,5 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
                     np.arange(start, stop) - estimate.beam_center_row)
     rd = stage("rcmc", rcmc, spectrum, width, delay, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
-    return stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)
+    image = stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)
+    return FocusedImage(image=_compact(image.image), provenance=provenance)

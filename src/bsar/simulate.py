@@ -21,7 +21,6 @@ from .estimate import BlindEstimate
 from .focus import RcmModel, _fit_quadratic
 
 SPEED_OF_LIGHT = 299792458.0
-HISTOGRAM_BINS = 64  # raw_statistics histogram bins per part
 
 
 @dataclass(frozen=True)
@@ -247,35 +246,6 @@ def _ground_truth(config, scene, positions, first):
         azimuth_support=(az_lo, az_hi),
         **common,
     )
-
-
-def raw_statistics(raw):
-    """Moment summary and fixed-bin histogram of the real and imaginary parts."""
-    x = np.asarray(raw)
-    if x.size == 0:
-        raise ParameterError("empty matrix")
-    out = {}
-    for name, part in (("real", x.real.ravel()), ("imag", x.imag.ravel())):
-        if np.all(part == 0.0):
-            moments = {"mean": 0.0, "variance": 0.0, "skewness": 0.0, "excess_kurtosis": 0.0}
-        else:
-            # biased central moments; a constant part has m2 == 0 and gives NaN
-            mean = np.mean(part)
-            m2, m3, m4 = (np.mean((part - mean) ** p) for p in (2, 3, 4))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                moments = {
-                    "mean": float(mean),
-                    "variance": float(m2),
-                    "skewness": float(m3 / m2**1.5),
-                    "excess_kurtosis": float(m4 / m2**2 - 3.0),
-                }
-        span = float(np.max(np.abs(part)))
-        half = span if span > 0 else 1.0
-        edges = np.linspace(-half, half, HISTOGRAM_BINS + 1)
-        counts, edges = np.histogram(part, bins=edges)
-        moments["histogram"] = {"counts": counts.tolist(), "edges": edges.tolist()}
-        out[name] = moments
-    return out
 
 
 def oracle_estimate(truth):

@@ -9,12 +9,19 @@ roll-the-whole-buffer range compression, out-of-place azimuth compression
 and six-pass focusing chain that the focusing stages replace, the
 whole-window 2-D oversampling that the point-target analysis replaces with
 two cuts, and the upcast-then-scale render levels that the PGM writer
-computes in place.
+computes in place.  Checks of outputs that no CLI path runs live here too:
+the 2-column rotation of A5 and the raw-data statistics of A6.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from bsar.core import as_complex_vector
+from bsar.errors import ParameterError
 from bsar.quality import PointTargetReport, cut_metrics
+
+HISTOGRAM_BINS = 64  # raw_statistics histogram bins per part
 
 
 def smooth_numbers(limit, primes):
@@ -218,3 +225,72 @@ def whole_window_point_target(image, approx_position, window=64, factor=16):
         peak_magnitude=float(fmag[pr, pc]), irw_range=irw_rg, irw_azimuth=irw_az,
         pslr_range=pslr_rg, pslr_azimuth=pslr_az, islr_range=islr_rg,
         islr_azimuth=islr_az, oversample_factor=factor)
+
+
+@dataclass(frozen=True)
+class GibbsRotation:
+    """2-column SVD rotation entries and diagnostics (|c|^2 + |s|^2 = 1)."""
+
+    c: complex
+    s: complex
+    orthogonality_residual: float
+    column_norms: tuple
+
+
+def gibbs_rotation_check(x1, x2):
+    """Rotation that orthogonalizes a 2-column matrix, with residual checks.
+
+    Returns the rotation entries (c, s), the magnitude of the inner product of
+    the two rotated columns, and the rotated column norms (the two singular
+    values of [x1, x2]).
+    """
+    a = as_complex_vector(x1)
+    b = as_complex_vector(x2)
+    if a.size != b.size:
+        raise ParameterError("columns must have equal length")
+    if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
+        raise ParameterError("degenerate input: zero-norm column")
+    A = np.column_stack([a, b])
+    H = A.conj().T @ A
+    H = 0.5 * (H + H.conj().T)
+    evals, evecs = np.linalg.eigh(H)
+    order = np.argsort(evals)[::-1]
+    rot = evecs[:, order]
+    E = A @ rot
+    residual = float(abs(np.vdot(E[:, 0], E[:, 1])))
+    norms = (float(np.linalg.norm(E[:, 0])), float(np.linalg.norm(E[:, 1])))
+    return GibbsRotation(
+        c=complex(rot[0, 0]),
+        s=complex(np.conj(rot[1, 0])),
+        orthogonality_residual=residual,
+        column_norms=norms,
+    )
+
+
+def raw_statistics(raw):
+    """Moment summary and fixed-bin histogram of the real and imaginary parts."""
+    x = np.asarray(raw)
+    if x.size == 0:
+        raise ParameterError("empty matrix")
+    out = {}
+    for name, part in (("real", x.real.ravel()), ("imag", x.imag.ravel())):
+        if np.all(part == 0.0):
+            moments = {"mean": 0.0, "variance": 0.0, "skewness": 0.0, "excess_kurtosis": 0.0}
+        else:
+            # biased central moments; a constant part has m2 == 0 and gives NaN
+            mean = np.mean(part)
+            m2, m3, m4 = (np.mean((part - mean) ** p) for p in (2, 3, 4))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                moments = {
+                    "mean": float(mean),
+                    "variance": float(m2),
+                    "skewness": float(m3 / m2**1.5),
+                    "excess_kurtosis": float(m4 / m2**2 - 3.0),
+                }
+        span = float(np.max(np.abs(part)))
+        half = span if span > 0 else 1.0
+        edges = np.linspace(-half, half, HISTOGRAM_BINS + 1)
+        counts, edges = np.histogram(part, bins=edges)
+        moments["histogram"] = {"counts": counts.tolist(), "edges": edges.tolist()}
+        out[name] = moments
+    return out

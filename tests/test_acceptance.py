@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from bsar.decompose import gibbs_rotation_check, leading_triplets
+from bsar.decompose import leading_triplets
 from bsar.estimate import blind_estimate, build_references
 from bsar.focus import range_compress, rcmc, track_rcm
 from bsar.quality import analyze_point_target, compare_images
-from bsar.simulate import Scatterer, raw_statistics, simulate_raw
+from bsar.simulate import Scatterer, simulate_raw
 from bsar import fileio
 from bsar.focus import focus_pipeline
 
-from oracles import singular_values_by_jacobi
+from oracles import gibbs_rotation_check, raw_statistics, singular_values_by_jacobi
 
 
 def report(capsys, name, ok, detail):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from bsar import decompose
-from bsar.decompose import gibbs_rotation_check, leading_triplets
+from bsar.decompose import leading_triplets
 from bsar.errors import ConvergenceError, ParameterError
 from bsar.simulate import simulate_raw
-from oracles import jacobi_eigh, singular_values_by_jacobi
+from oracles import gibbs_rotation_check, jacobi_eigh, singular_values_by_jacobi
 
 
 def random_complex(rng, shape):

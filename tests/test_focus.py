@@ -1,14 +1,18 @@
+import mmap
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bsar.core import ChirpModel, next_fast_len, sample_chirp, shift_ramp
+import bsar.core
+import bsar.focus
+from bsar.core import ChirpModel, mapped_zeros, next_fast_len, sample_chirp, shift_ramp
 from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import _parabolic_peak, build_references
 from bsar.focus import (
     RcmModel,
+    _compact,
     _padded_width,
     azimuth_compress,
     fit_rcm,
@@ -406,6 +410,19 @@ def test_blind_peak_hits_ground_truth(blind_image, default_sim):
     assert abs(peak[1] - col0) <= 1.0
 
 
+def stage_image(raw, estimate, rcm):
+    """The complex128 image of the "azimuth_compress" stage, copied before
+    focus_pipeline compacts it to complex64 in place."""
+    seen = {}
+
+    def keep(name, result):
+        if name == "azimuth_compress":
+            seen["image"] = result.image.copy()
+
+    focus_pipeline(raw, estimate, rcm_override=rcm, on_stage=keep)
+    return seen["image"]
+
+
 def test_pipeline_linearity(default_scene):
     config, scene = default_scene
     cfg = replace(config, noise_sigma=0.0)
@@ -415,11 +432,50 @@ def test_pipeline_linearity(default_scene):
     raw1, truth = simulate_raw(cfg, [sc1])
     raw2, _ = simulate_raw(cfg, [sc2])
     estimate, rcm = oracle_estimate(truth)
-    img1 = focus_pipeline(raw1, estimate, rcm_override=rcm).image
-    img2 = focus_pipeline(raw2, estimate, rcm_override=rcm).image
-    both = focus_pipeline(raw1 + raw2, estimate, rcm_override=rcm).image
+    img1 = stage_image(raw1, estimate, rcm)
+    img2 = stage_image(raw2, estimate, rcm)
+    both = stage_image(raw1 + raw2, estimate, rcm)
+    assert both.dtype == np.complex128
     scale = np.max(np.abs(both))
     np.testing.assert_allclose(both, img1 + img2, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_image_is_the_stage_image_cast_in_place(monkeypatch, request, mode, workers):
+    # the returned image is the complex64 cast of the azimuth_compress stage,
+    # C-contiguous at the front of pass 1's map, at any worker count
+    raw, _, estimate, rcm = focus_inputs(request, "default", mode)
+    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
+    seen = {}
+
+    def keep(name, result):
+        seen[name] = result.image.astype(np.complex64) if name == "azimuth_compress" else result
+
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode, on_stage=keep).image
+    assert image.dtype == np.complex64 and image.flags.c_contiguous
+    np.testing.assert_array_equal(image, seen["azimuth_compress"])
+    spectrum = seen["range_compress"]
+    assert image.ctypes.data == spectrum.ctypes.data
+    assert np.shares_memory(image, spectrum)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("shape", [(1, 7), (45, 60), (130, 33), (300, 1031)])
+def test_compact_casts_the_rows_in_place_and_releases_the_rest(monkeypatch, workers, shape):
+    # ragged row counts for the doubling blocks; (45, 60) has a row stride
+    # of exactly N, so row r's cast ends where row r's samples start
+    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
+    m, n = shape
+    spectrum = range_compress(random_matrix(7, shape), IMPULSE)
+    assert spectrum.shape == (m, next_fast_len(n))
+    expected = spectrum[:, :n].astype(np.complex64)
+    image = _compact(spectrum[:, :n])
+    np.testing.assert_array_equal(image, expected)
+    assert image.flags.c_contiguous and image.ctypes.data == spectrum.ctypes.data
+    if hasattr(mmap, "MADV_DONTNEED"):  # the pages past the image read as zeros again
+        tail = -(-image.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
+        assert not spectrum.base.view(np.uint8)[tail:].any()
 
 
 def test_range_shift_covariance(default_scene):
@@ -502,23 +558,45 @@ def test_zero_azimuth_rate_is_a_parameter_error(request, mode):
         focus_pipeline(raw, flat, rcm_override=rcm)
 
 
-@pytest.mark.parametrize("mode", ["blind", "oracle"])
-def test_focus_pipeline_peak_memory(mode, default_sim, default_estimate, default_oracle):
-    # rcmc's padded buffer is the one full-size matrix; azimuth_compress
-    # filters it in place
-    raw, _ = default_sim
-    assert raw.dtype == np.complex128
-    if mode == "blind":
-        estimate, rcm = default_estimate, None
-    else:
-        estimate, rcm = default_oracle
+def focus_memory(monkeypatch, raw, estimate, rcm):
+    """(maps, heap peak) of one focus_pipeline call: the (shape, dtype) of
+    every map it asks core.mapped_zeros for, which tracemalloc does not see,
+    and the peak of what tracemalloc does see, in units of M*N*16 bytes."""
+    maps = []
+
+    def recorded(shape, dtype):
+        maps.append((shape, np.dtype(dtype)))
+        return mapped_zeros(shape, dtype)
+
+    monkeypatch.setattr(bsar.focus, "mapped_zeros", recorded)
     tracemalloc.start()
     try:
-        focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
+        focus_pipeline(raw, estimate, rcm_override=rcm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * raw.nbytes, peak / raw.nbytes
+    return maps, peak / (raw.size * 16)
+
+
+def pass_one_map(raw, estimate):
+    """The (shape, dtype) of pass 1's map: M rows of the padded nfft."""
+    range_ref, _ = build_references(estimate, raw.shape[0])
+    nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
+    return (raw.shape[0], _padded_width(nfft)), np.dtype(np.complex128)
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_focus_pipeline_peak_memory(monkeypatch, mode, default_sim, default_estimate,
+                                    default_oracle):
+    # pass 1's map is the one full-size matrix, and the image is compacted
+    # into it; any other scene-sized matrix on the heap, even a complex64
+    # one (0.5 units), breaks the heap bound
+    raw, _ = default_sim
+    assert raw.dtype == np.complex128
+    estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
+    maps, peak = focus_memory(monkeypatch, raw, estimate, rcm)
+    assert maps == [pass_one_map(raw, estimate)]
+    assert peak <= 0.4, peak
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
@@ -534,21 +612,14 @@ def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
-def test_focus_pipeline_peak_memory_complex64(mode, default_sim, default_estimate,
+def test_focus_pipeline_peak_memory_complex64(monkeypatch, mode, default_sim, default_estimate,
                                               default_oracle):
-    # complex64 raw is not copied whole: the same bound as for complex128 raw
+    # complex64 raw is not copied whole: the same bounds as for complex128 raw
     raw = default_sim[0].astype(np.complex64)
-    if mode == "blind":
-        estimate, rcm = default_estimate, None
-    else:
-        estimate, rcm = default_oracle
-    tracemalloc.start()
-    try:
-        focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * raw.astype(np.complex128).nbytes, peak / raw.nbytes
+    estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
+    maps, peak = focus_memory(monkeypatch, raw, estimate, rcm)
+    assert maps == [pass_one_map(raw, estimate)]
+    assert peak <= 0.4, peak
 
 
 def test_stage_dumps(default_sim, default_estimate):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bsar.cli
+import bsar.core
+import bsar.focus
 from bsar import fileio
-from bsar.cli import main
-from bsar.core import ChirpModel, synth_chirp
-from bsar.errors import FormatError
+from bsar.cli import _read, main
+from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, synth_chirp
+from bsar.errors import FormatError, SampleError
 from bsar.estimate import build_references
 from bsar.focus import focus_pipeline, range_compress, rcmc
 from bsar.quality import analyze_point_target
@@ -99,6 +103,18 @@ def test_write_matrix_peak_memory():
     assert peak <= x.nbytes / 8, peak / x.nbytes
 
 
+def test_complex64_rows_are_written_without_a_cast_copy():
+    # the focused image is C-contiguous complex64: its rows go to the file as they are
+    x = np.ones((1024, 1024), dtype=np.complex64)
+    tracemalloc.start()
+    try:
+        fileio.write_matrix(x, os.devnull)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < RCMC_BLOCK_ROWS * x.shape[1] * x.itemsize / 8, peak
+
+
 @pytest.mark.parametrize("layout", ["transposed", "column-strided"])
 def test_matrix_written_row_major_whatever_the_layout(tmp_path, layout):
     rng = np.random.default_rng(5)
@@ -154,6 +170,99 @@ def test_trailing_bytes_rejected(tmp_path, capsys):
     assert info.value.offset == 32 + 4 * 4 * 8
     assert main(["render", "--in", str(path), "--out", str(tmp_path / "r.pgm")]) == 3
     single_error_line(capsys, "format")
+
+
+# --- the row-block reader -------------------------------------------------------
+
+def damaged_file(path, shape, bad_samples):
+    """A BSAR file of random samples with NaN at each (row, column) given."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for row, col in bad_samples:
+        x[row, col] = np.nan
+    fileio.write_matrix(x, path)
+    return x.astype(np.complex64)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_reader_names_the_first_of_two_non_finite_samples(monkeypatch, tmp_path, workers):
+    # the second NaN's block is scanned at once, the first's only after a
+    # delay, so with several workers the second is found first in time
+    path = tmp_path / "two.bsar"
+    damaged_file(path, (130, 16), [(100, 3), (40, 9)])
+    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
+    with fileio.MatrixReader(path) as reader:
+
+        def slow_read(rows):
+            if rows.start <= 40 < rows.stop:
+                threading.Event().wait(0.05)
+            return reader.read(rows)
+
+        with pytest.raises(SampleError, match=r"non-finite sample at row 40, column 9$"):
+            bsar.core.run_blocks(slow_read, 130)
+    with pytest.raises(SampleError, match=r"at row 40, column 9$"):
+        _read(path)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("command", ["estimate", "focus", "analyze"])
+def test_cli_names_the_first_of_two_non_finite_samples(monkeypatch, tmp_path, capsys,
+                                                       default_sim, default_estimate,
+                                                       command, workers):
+    raw, _ = default_sim
+    damaged = raw.copy()
+    damaged[[450, 300], [5, 17]] = np.nan
+    bad_f, est_f = tmp_path / "bad.bsar", tmp_path / "est.json"
+    fileio.write_matrix(damaged, bad_f)
+    fileio.write_estimate(default_estimate, est_f)
+    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
+    argv = {"estimate": ["estimate"], "focus": ["focus", "--est", str(est_f)],
+            "analyze": ["analyze", "--row", "256", "--col", "480"]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--in", str(bad_f), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: {bad_f}: non-finite sample at row 300, column 17"]
+    assert not (tmp_path / "out").exists()
+
+
+def truncate_or_extend(path, fault):
+    data = path.read_bytes()
+    path.write_bytes(data[:-8] if fault == "truncated" else data + bytes(8))
+
+
+@pytest.mark.parametrize("fault", ["truncated", "trailing"])
+def test_malformed_file_is_refused_before_any_pass(monkeypatch, tmp_path, capsys, default_sim,
+                                                   default_estimate, fault):
+    raw, _ = default_sim
+    raw_f, est_f, out_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "out"
+    fileio.write_matrix(raw, raw_f)
+    fileio.write_estimate(default_estimate, est_f)
+    truncate_or_extend(raw_f, fault)
+    with pytest.raises(FormatError, match=fault):
+        fileio.MatrixReader(raw_f)
+    passes = []
+    monkeypatch.setattr(bsar.focus, "range_compress", lambda *args: passes.append(args))
+    monkeypatch.setattr(bsar.cli, "leading_triplets", lambda *args, **kw: passes.append(args))
+    for argv in (["focus", "--est", str(est_f), "--dump-stages", str(tmp_path / "st")],
+                 ["estimate"], ["analyze", "--row", "256", "--col", "480"]):
+        capsys.readouterr()
+        assert main([*argv, "--in", str(raw_f), "--out", str(out_f)]) == 3
+        single_error_line(capsys, "format")
+    assert passes == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["est.json", "raw.bsar"]
+
+
+def test_read_fills_the_requested_precision_and_rows(tmp_path):
+    path = tmp_path / "m.bsar"
+    x = damaged_file(path, (130, 16), [])
+    np.testing.assert_array_equal(_read(path), x)
+    wide = _read(path, np.complex128)
+    assert wide.dtype == np.complex128
+    np.testing.assert_array_equal(wide, x.astype(np.complex128))
+    # analyze keeps its window's rows only; the others stay zero
+    kept = _read(path, keep=(-10, 40))
+    np.testing.assert_array_equal(kept[:40], x[:40])
+    assert not kept[40:].any()
 
 
 # --- PGM rendering ----------------------------------------------------------------

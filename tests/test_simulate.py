@@ -6,13 +6,8 @@ from dataclasses import replace
 
 from bsar.core import RCMC_BLOCK_ROWS, next_fast_len, unwrap_phase
 from bsar.errors import ConfigurationError, ParameterError
-from bsar.simulate import (
-    SPEED_OF_LIGHT,
-    Scatterer,
-    raw_statistics,
-    simulate_raw,
-)
-from oracles import direct_echoes
+from bsar.simulate import SPEED_OF_LIGHT, Scatterer, simulate_raw
+from oracles import direct_echoes, raw_statistics
 
 
 def quiet(config, **changes):

@@ -102,6 +102,22 @@ def test_block_error_reaches_the_caller_after_every_join(monkeypatch, workers):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("workers", [1, *WORKER_COUNTS])
+def test_the_lowest_failed_block_is_raised(monkeypatch, workers):
+    # the lower block fails last in time; its error is still the one raised,
+    # so a scan names the first bad row at any worker count
+    step = RCMC_BLOCK_ROWS // workers
+
+    def fail(block):
+        if block.start in (step, 3 * step):
+            if block.start == step:
+                threading.Event().wait(0.05)
+            raise ParameterError(f"block {block.start}")
+
+    with pytest.raises(ParameterError, match=f"^block {step}$"):
+        with_workers(monkeypatch, workers, run_blocks, fail, 4 * step)
+
+
 # --- byte identity with the one-worker path ---------------------------------------
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)

@@ -78,21 +78,25 @@ def build_parser():
     return parser
 
 
-def _read(path, dtype=np.complex64, keep=None):
-    """The BSAR file's matrix as `dtype`, read and scanned a row block at a
-    time: a NaN or infinite sample is a parameter error naming the first
-    one.  With `keep`, a (start, stop) row range, every row is still
-    scanned but only those rows are kept, in a map whose other rows stay
-    zero and take no memory."""
+def _read(path, keep=None):
+    """The BSAR file's matrix in its own precision, complex64, read and
+    scanned a row block at a time: a NaN or infinite sample is a parameter
+    error naming the first one.  With `keep`, a (start, stop) row range,
+    every row is still scanned but only those rows are kept, in a map whose
+    other rows stay zero and take no memory."""
     with fileio.MatrixReader(path) as reader:
         lo, hi = (0, reader.shape[0]) if keep is None else keep
-        matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, dtype)
+        matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, np.complex64)
 
         def fill(rows):
-            block = reader.read(rows)
-            start, stop = max(rows.start, lo), min(rows.stop, hi)
-            if start < stop:
-                matrix[start:stop] = block[start - rows.start:stop - rows.start]
+            first, last, _ = rows.indices(reader.shape[0])
+            start, stop = max(first, lo), min(last, hi)
+            if (start, stop) == (first, last):  # every row kept: read in place
+                reader.read(rows, out=matrix[rows])
+            else:
+                block = reader.read(rows)
+                if start < stop:
+                    matrix[start:stop] = block[start - first:stop - first]
 
         run_blocks(fill, reader.shape[0])
     return matrix
@@ -113,7 +117,7 @@ def _cmd_estimate(args):
         raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
     if args.seed < 0:
         raise ParameterError(f"--seed {args.seed}: the start seed must be >= 0")
-    raw = _read(args.input, np.complex128)  # never resident beside its complex64 payload
+    raw = _read(args.input)  # decomposed in the file's precision
     # the estimate consumes the leading pair whatever length --k asks for
     k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
     svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
@@ -121,7 +125,10 @@ def _cmd_estimate(args):
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values[:args.k], svd.dominance_ratio,
                                   args.spectrum)
-    fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input))
+    decomposition = {"k": k, "seed": args.seed, "gate": args.gate, "products": svd.products,
+                     "precision": raw.dtype.name}
+    fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input),
+                          decomposition=decomposition)
     return 0
 
 

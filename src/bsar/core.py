@@ -7,8 +7,9 @@ Conventions used throughout the package:
   fits are numerically cleaner that way); signal-level functions work in
   radians,
 * frequencies are in cycles/sample (range) or cycles/pulse (azimuth),
-* all arithmetic is float64; a float32 (complex64) payload read from disk
-  stays complex64 until the range FFT upcasts it.
+* the raw matrix is complex64 (float32 I/Q), from the simulator and the
+  file alike; the decomposition's products over it run in float32, and the
+  range FFT upcasts it.  All other arithmetic is float64.
 """
 
 from dataclasses import dataclass

@@ -5,6 +5,12 @@ are computed, by seeded block power iteration in which every product over X,
 alternately X and X^H, gets its own Rayleigh-Ritz extraction (Halko,
 Martinsson & Tropp, SIAM Review, 2011, Alg. 4.4).  The result holds the
 triplets, the product count and the gate's sigma1/sigma2 bound.
+
+Each product over X runs in X's own precision: a complex64 payload is
+multiplied as it is, in float32, and each product is taken back to
+complex128 for everything else (QR, Ritz values and vectors, the gate).
+The two constants that depend on precision, the gate's rounding allowance
+and the sweep tolerance, follow from X's dtype (``_float32_allowance``).
 """
 
 from dataclasses import dataclass
@@ -16,8 +22,9 @@ from .errors import ConvergenceError, ParameterError
 
 OVERSAMPLE = 5
 MAX_SWEEPS = 5000
-TOL = 1e-9  # relative sweep-to-sweep change that declares convergence
-ROUNDING = 1e-12  # allowance, relative to ||X||_F^2, on each bound of the gate certificate
+TOL = 1e-9  # relative sweep-to-sweep change that declares convergence, at least X's unit roundoff
+ROUNDING = 1e-12  # float64 allowance, relative to ||X||_F^2, on each bound of the gate certificate
+RESIDUAL_ROWS = 256  # rows of the gate's residual formed at a time
 
 
 @dataclass
@@ -45,7 +52,7 @@ class TruncatedSVD:
         return float(s1 / s2) if s2 > 0 else float("inf")
 
 
-def _ratio_bound(evals, total, residual=np.inf):
+def _ratio_bound(evals, total, residual=np.inf, rounding=ROUNDING):
     """Proven upper bound on sigma1/sigma2 from the ascending eigenvalues of
     H = Q^H A Q, A the Gram operator and Q an orthonormal block (Parlett,
     1998): sigma2^2 >= theta2 by Cauchy interlacing, and sigma1^2 <=
@@ -53,15 +60,69 @@ def _ratio_bound(evals, total, residual=np.inf):
     Q_perp has trace tau = trace A - trace H and beta bounds Q_perp^H A Q by
     the residual ||A Q - Q H||_F, when A Q is at hand, and by sqrt(theta1 *
     tau), as A is PSD; that term alone gives sigma1^2 <= theta1 + tau.  Each
-    term moves by ROUNDING * trace A to its loose side.  A may be X^H X or
-    X X^H: both have trace ||X||_F^2 and eigenvalues sigma_i^2, the larger
-    one padded with zeros, so both bounds hold on either side."""
-    slack = ROUNDING * total
+    term moves by `rounding` * trace A to its loose side: ROUNDING for
+    float64 products, more for float32 ones (``_float32_allowance``).  A
+    may be X^H X or X X^H: both have trace ||X||_F^2 and eigenvalues
+    sigma_i^2, the larger one padded with zeros, so both bounds hold on
+    either side."""
+    slack = rounding * total
     theta1, theta2 = evals[-1] + slack, evals[-2] - slack
     tau = total - float(np.sum(evals)) + slack
     beta = min(residual + slack, np.sqrt(theta1 * tau))
     top = 0.5 * (theta1 + tau) + np.hypot(0.5 * (theta1 - tau), beta)
     return float(np.sqrt(top / theta2)) if theta2 > 0 else np.inf
+
+
+def _residual(W, R, Q, H):
+    """||W R - Q H||_F, RESIDUAL_ROWS rows at a time, so that no temporary
+    the size of the block is made."""
+    rows = range(0, W.shape[0], RESIDUAL_ROWS)
+    return float(np.sqrt(sum(np.linalg.norm(W[i:i + RESIDUAL_ROWS] @ R
+                                            - Q[i:i + RESIDUAL_ROWS] @ H) ** 2 for i in rows)))
+
+
+def _float32_allowance(X, block):
+    """(total, rounding, zero) for complex64 X, M x N: a proven upper bound
+    on ||X||_F^2, the gate's allowance relative to it, and the singular
+    value at or below which a computed one cannot be told from zero.
+
+    With u = 2^-24 and eta = 2^-149 (float32's unit roundoff and least
+    subnormal), gamma_k = k u / (1 - k u) and n = max(M, N), the inner length
+    of a product (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, ch. 3, in any summation order):
+
+    * total.  Each row's float32 sum of 2N squares is at least (1 - 2N u)
+      times its exact value, less 2N eta / 2 for underflow; the float64 sum
+      of the M rows loses at most (M - 1) 2^-53 <= u more, for M <= 2^29.
+      So ||X||_F^2 <= (sum + M N eta) / (1 - (2N + 1) u) = total.
+    * the product.  Q is cast, |Q~ - Q| <= u |Q|, and W^ = fl(op(Q~)) has
+      real and imaginary parts that are sums of 2n products, so W^ = op(Q)
+      + E with |E| <= c |X| |Q| + sqrt(2) n eta elementwise, where c = u +
+      sqrt(2) gamma_2n (1 + u).  Column by column ||X| |q_j|| <= ||X||_F,
+      so ||E||_F <= e = c sqrt(block total) + sqrt(2) n eta sqrt(min(M, N)
+      block), and e / sqrt(total) = eps.
+    * the Ritz values.  H^ = W^^H W^ = H + (X Q)^H E + E^H X Q + E^H E, so
+      ||H^ - H||_2 and |trace(H^ - H)| are both <= (2 eps + eps^2) total,
+      as ||X Q|| <= ||X||_F: that bounds the move of theta1, theta2
+      (Weyl) and tau.
+    * the residual.  W^ R - Q_prev H^_prev differs from A Q_prev - Q_prev
+      H_prev by op(E_prev) + E R - Q_prev (H^_prev - H_prev), with ||R|| =
+      ||W^_prev|| <= ||X||_F + e: at most (4 eps + 2 eps^2) total.
+
+    rounding = ROUNDING + 4 eps + 2 eps^2 covers each of them (ROUNDING for
+    the float64 algebra), and a computed singular value moves by at most
+    ||E||_2 <= e from that of X Q, so zero = e.
+    """
+    M, N = X.shape
+    u, eta = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float32).smallest_subnormal)
+    parts = X.view(np.float32)
+    rows = np.einsum("ij,ij->i", parts, parts)  # float32, each a sum of 2N products
+    total = (float(np.sum(rows, dtype=np.float64)) + X.size * eta) / (1 - (2 * N + 1) * u)
+    n = max(M, N)
+    c = u + np.sqrt(2) * (2 * n * u / (1 - 2 * n * u)) * (1 + u)
+    e = c * np.sqrt(block * total) + np.sqrt(2) * n * eta * np.sqrt(min(M, N) * block)
+    eps = e / np.sqrt(total) if total > 0 else 0.0
+    return total, ROUNDING + 4 * eps + 2 * eps * eps, e
 
 
 def leading_triplets(X, k, seed=0, gate=None):
@@ -73,77 +134,103 @@ def leading_triplets(X, k, seed=0, gate=None):
     X^H Q) and takes Ritz values from H = W^H W = Q^H A Q, A being X^H X or
     X X^H.  Every second product, back on the starting side, ends a sweep;
     once all k leading singular values move by less than TOL relatively
-    between sweeps, its Ritz pairs are the result.  With a `gate`, each
+    between sweeps, its Ritz pairs are the result.  The stop bounds the
+    Ritz values, not the vectors: those are only as converged as the values'
+    move allows, and the side not iterated on satisfies X v = sigma u (or
+    X^H u = sigma v) only to about the square root of it.  With a `gate`, each
     product bounds sigma1/sigma2 (`_ratio_bound`) from H alone, then the
     previous block's from its residual, as W R = A Q_prev; the first bound
     below the gate returns the Ritz pairs of the block that proved it,
     unconverged, for the caller to refuse the scene.  ConvergenceError carries
     the last sweep's triplets after MAX_SWEEPS sweeps.  X is made C-contiguous
     once, so that no product takes numpy's strided path.
+
+    complex64 X stays complex64: each product casts Q to it and takes its
+    output back to complex128.  The tolerance is then float32's unit
+    roundoff, u = 6e-8, as products in float32 resolve no finer change
+    (at that floor the change hovered between 3e-10 and 2e-8 on 512 x 1024
+    and 2048 x 4096 scenes), and the gate's allowance and the zero
+    threshold come from ``_float32_allowance``.  Any other X is made
+    complex128, where the casts do nothing and ROUNDING is the allowance.
     """
-    X = np.ascontiguousarray(as_complex_matrix(X))
+    X = np.ascontiguousarray(as_complex_matrix(X, single=True))
     M, N = X.shape
     k = int(k)
     if not (1 <= k <= min(M, N)):
         raise ParameterError(f"k={k} outside [1, min(M, N)={min(M, N)}]")
-    total = float(np.vdot(X, X).real)
+    right_side = N <= M
+    dim = N if right_side else M
+    block = min(k + OVERSAMPLE, dim)
+    if X.dtype == np.complex64:
+        total, rounding, zero = _float32_allowance(X, block)
+    else:
+        total, rounding, zero = float(np.vdot(X, X).real), ROUNDING, 0.0
+    tol = max(TOL, float(np.finfo(X.dtype).eps) / 2)
     if not np.isfinite(total):
         raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
 
-    # ops[product parity]: X^H B (no conjugate copy of X), X B; swapped if U starts (N > M)
-    right_side = N <= M
-    ops = (lambda B: (B.conj().T @ X).conj().T, lambda B: X @ B)[::1 if right_side else -1]
-    dim = N if right_side else M
-    block = min(k + OVERSAMPLE, dim)
+    # ops[product parity]: X^H B (no conjugate copy of X), X B; swapped if U starts (N > M);
+    # each in X's precision, its product back in complex128
+    def adjoint(B):
+        W = (B.astype(X.dtype, copy=False).conj().T @ X).T.astype(np.complex128, copy=False)
+        return np.conj(W, out=W)
+
+    def forward(B):
+        return (X @ B.astype(X.dtype, copy=False)).astype(np.complex128, copy=False)
+
+    ops = (adjoint, forward)[::1 if right_side else -1]
     gated = gate is not None and block >= 2
 
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
     stalled, bound, last = False, np.inf, None  # bound: on sigma1/sigma2, only with a gate
+    Q = None
     for products in range(1, 2 * MAX_SWEEPS):
+        del Q  # the last block's, before the QR: `last` keeps what the residual needs
         Q, R = np.linalg.qr(W)
+        del W  # the last product is Q R from here on
         W = ops[products % 2](Q)
         H = W.conj().T @ W  # Q^H A Q, of which eigh reads one triangle
         evals, evecs = np.linalg.eigh(H)
-        current = (products % 2 == 1, Q, W, H, evals, evecs)  # first: on the starting side?
+        starting = products % 2 == 1  # is the block on the starting side?
         if gated:
-            bound = min(bound, _ratio_bound(evals, total))
+            bound = min(bound, _ratio_bound(evals, total, rounding=rounding))
             if bound >= gate and last is not None:
-                _, Q_prev, _, H_prev, evals_prev, _ = last
-                residual = float(np.linalg.norm(W @ R - Q_prev @ H_prev))
-                bound = min(bound, _ratio_bound(evals_prev, total, residual))
-                current = last if bound < gate else current
+                residual = _residual(W, R, *last[:2])
+                bound = min(bound, _ratio_bound(last[2], total, residual, rounding))
+                if bound < gate:  # proven on the previous block, whose product is Q R
+                    starting, W, (Q, _, evals, evecs) = not starting, Q @ R, last
             if bound < gate:
                 break  # refusal proven: the Ritz pairs that prove it are returned unconverged
         if products % 2:  # back on the starting side: a sweep ends
             sigma = np.sqrt(np.clip(np.sort(evals)[::-1][:k], 0.0, None))
             scale = max(float(sigma[0]), np.finfo(float).tiny)
             step = float(np.max(np.abs(sigma - prev))) if prev is not None else step
-            if step <= TOL * scale:
+            if step <= tol * scale:
                 break
             prev = sigma
-        last = current
+        if gated:
+            last = (Q.astype(X.dtype, copy=False), H, evals, evecs)
     else:
         stalled = True
 
     # Ritz vectors on the block's side, and their images X v or X^H u
-    starting, Q, W, _, evals, evecs = current
     order = np.argsort(evals)[::-1][:k]
     sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     basis = Q @ evecs[:, order]
-    image = W @ evecs[:, order]
-    nonzero = sigma > 1e-12 * (sigma[0] if sigma[0] > 0 else 1.0)
+    other = W @ evecs[:, order]  # divided by sigma in place
+    nonzero = sigma > max(1e-12 * sigma[0], zero)
+    other /= np.where(nonzero, sigma, 1.0)
     sigma = np.where(nonzero, sigma, 0.0)
     basis[:, ~nonzero] = 0.0
-    other = np.zeros_like(image)
-    other[:, nonzero] = image[:, nonzero] / sigma[nonzero]
+    other[:, ~nonzero] = 0.0
     U, V = (other, basis) if starting == right_side else (basis, other)
     result = TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
                           products=products, ratio_bound=bound)
     if stalled:
         raise ConvergenceError(
-            f"singular values did not stabilize to {TOL} within {MAX_SWEEPS} sweeps: "
+            f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps: "
             f"last relative Ritz change max|dsigma|/sigma1 = {step / scale:.6g}",
             last_iterate=result,
         )

@@ -31,6 +31,7 @@ DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
 DEGENERACY_RATIO = 1.0 + 1e-6  # sigma1/sigma2 refused whatever the gate: an unresolved pair
 CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
 MIN_PHASE_EXCURSION = 0.125  # cycles, |rate|*L^2/4: a time-bandwidth product of 1
+CENTROID_BLOCK_ROWS = 16      # rows upcast at a time by the centroid's float64 sum
 
 
 @dataclass
@@ -162,10 +163,17 @@ def estimate_doppler_centroid(raw):
     f_dc = arg(sum_mn conj(x[m, n]) * x[m + 1, n]) / 2 pi, in cycles/pulse
     wrapped into (-0.5, 0.5] (S. N. Madsen, IEEE TAES 25(2), 1989).  The sum
     runs over the whole matrix, so noise averages out and no beam weighting
-    biases it.
+    biases it.  It is accumulated in float64 over blocks of
+    CENTROID_BLOCK_ROWS + 1 rows, consecutive blocks sharing a row, each
+    upcast once from complex64 raw, so no scene-sized copy is made.
     """
-    x = as_complex_matrix(raw)
-    return float(wrap_half_open(np.angle(np.vdot(x[:-1], x[1:])) / (2.0 * np.pi)))
+    x = as_complex_matrix(raw, single=True)
+    total = 0j
+    for lo in range(0, x.shape[0] - 1, CENTROID_BLOCK_ROWS):
+        rows = x[lo:lo + CENTROID_BLOCK_ROWS + 1].astype(np.complex128, copy=False)
+        total += np.vdot(rows[:-1], rows[1:])
+        del rows  # before the next block is upcast
+    return float(wrap_half_open(np.angle(total) / (2.0 * np.pi)))
 
 
 def estimate_range(v1):
@@ -190,14 +198,15 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
     computed with the same gate; without one, the leading pair is decomposed
-    here.  A strided `raw` is copied to C order once, for the decomposition
-    and the centroid.  `gate` is checked by `check_gate`.  A Ritz ratio
+    here.  complex64 raw is used as it is, in the decomposition's products
+    and the centroid's blocks; a strided `raw` is copied to C order once, in
+    its own precision.  `gate` is checked by `check_gate`.  A Ritz ratio
     sigma1/sigma2 below max(gate, DEGENERACY_RATIO) refuses the scene: so does
     a bound proven below the gate, as it is never below the Ritz ratio of the
     block that proves it.
     """
     check_gate(gate)
-    X = np.ascontiguousarray(as_complex_matrix(raw))
+    X = np.ascontiguousarray(as_complex_matrix(raw, single=True))
     if min(X.shape) < 2:
         raise ParameterError(f"raw matrix is {X.shape[0]}x{X.shape[1]}: "
                              "the estimate needs at least 2 rows and 2 columns")

@@ -5,9 +5,10 @@ BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
 bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
 ``MatrixReader`` checks a file's header and size once and reads it in row
 blocks, each scanned for NaN and infinite samples; ``read_matrix`` is the
-whole payload through it.  A payload read back stays complex64 until the
-range FFT upcasts it; all arithmetic is float64, and a focused image comes
-back to complex64, the file's precision, before it is written.
+whole payload through it.  A raw payload read back stays complex64, the
+precision ``simulate_raw`` makes it in: the decomposition multiplies it as
+it is, and the range FFT upcasts it block by block.  Everything else is
+float64, and a focused image comes back to complex64 before it is written.
 
 JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
 non-finite floats are the strings "nan", "inf" and "-inf".
@@ -98,12 +99,12 @@ class MatrixReader:
         if got != out.nbytes:  # the file shrank after it was opened
             raise FormatError(f"{self.path}: truncated payload at row {lo}", offset=offset + got)
 
-    def read(self, rows):
-        """The payload rows of slice `rows` as a new complex64 block,
-        scanned: a NaN or infinite sample raises SampleError naming the
-        first one, by row and column."""
+    def read(self, rows, out=None):
+        """The payload rows of slice `rows` as a complex64 block, new or
+        `out` (as for ``fill``), scanned: a NaN or infinite sample raises
+        SampleError naming the first one, by row and column."""
         lo, hi, _ = rows.indices(self.shape[0])
-        block = np.empty((hi - lo, self.shape[1]), "<c8")
+        block = np.empty((hi - lo, self.shape[1]), "<c8") if out is None else out
         self.fill(rows, block)
         if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
             row, col = np.argwhere(~np.isfinite(block))[0]
@@ -206,9 +207,12 @@ def read_truth(path):
     return _load_json(path, lambda doc: _typed(GroundTruth, doc))
 
 
-def write_estimate(estimate, path, input_hash=""):
-    """Serialize a BlindEstimate so focusing can be reproduced bit-exactly."""
-    write_json({"tool": f"bsar {__version__}", "input_sha256": input_hash,
+def write_estimate(estimate, path, input_hash="", decomposition=None):
+    """Serialize a BlindEstimate so focusing can be reproduced bit-exactly,
+    after what made it: the tool, the input's hash and, from ``bsar
+    estimate``, the decomposition's settings and product count."""
+    made_by = {"decomposition": decomposition} if decomposition else {}
+    write_json({"tool": f"bsar {__version__}", "input_sha256": input_hash, **made_by,
                 **_plain(estimate)}, path)
 
 

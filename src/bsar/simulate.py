@@ -148,21 +148,19 @@ def _validate_scatterer(config, scatterer, index, lead, boresight):
         )
 
 
-def simulate_raw(config, scene):
-    """Synthesize the raw echo matrix and its ground truth.
+def raw_rows(config, scene):
+    """Validate the scene and return (rows, truth): rows(slice) is the raw
+    matrix's rows of that slice in complex128, echoes plus noise, and truth
+    the scene's GroundTruth.
 
-    Returns (raw, truth) where raw is a C-contiguous M x N complex128 matrix.
     Echoes are exact fractional-delay replicas of the transmitted pulse,
     weighted by the two-way beam pattern and the two-way propagation phase,
     plus seeded circular complex Gaussian noise (std = noise_sigma per I/Q
-    component, independent per-row substreams).  Row block by row block,
-    every echo's amplitude times its delay ramp (``core.shift_ramp``) is
-    summed into the block's nfft-wide spectrum, times the pulse spectrum
-    once, inverse-transformed in place, and its first N columns are copied
-    to raw and given their rows' noise.  raw is the one full-size buffer, in
-    a map of its own (``core.mapped_zeros``); the RCMC_BLOCK_ROWS rows in
-    flight among the worker threads of ``core.run_blocks`` each hold a
-    spectrum row and a ramp-table row.
+    component, independent per-row substreams).  Every echo's amplitude
+    times its delay ramp (``core.shift_ramp``) is summed into the rows'
+    nfft-wide spectrum, times the pulse spectrum once, inverse-transformed
+    in place; the first N columns, given their rows' noise, are returned as
+    a view of that spectrum.
     """
     M, N = config.num_pulses, config.samples_per_pulse
     pulse = config.transmitted_pulse()
@@ -185,28 +183,45 @@ def simulate_raw(config, scene):
         if first is None:
             first = (sc, r, lead)
 
-    raw = mapped_zeros((M, N), np.complex128)
-
-    def synthesize(rows):
-        block = np.zeros((raw[rows].shape[0], nfft), dtype=np.complex128)
+    def rows(span):
+        lo, hi, _ = span.indices(M)
+        block = np.zeros((hi - lo, nfft), dtype=np.complex128)
         for amp, lead in echoes:
-            ramp = shift_ramp(-lead[rows], nfft)
-            ramp *= amp[rows, None]
+            ramp = shift_ramp(-lead[lo:hi], nfft)
+            ramp *= amp[lo:hi, None]
             block += ramp
             del ramp  # before the next table: one per worker at a time
         block *= pulse_spectrum
         np.fft.ifft(block, axis=1, out=block)
-        raw[rows] = block[:, :N]
+        raw = block[:, :N]
         if config.noise_sigma > 0:
-            for m in range(*rows.indices(M)):
+            for m in range(lo, hi):
                 rng = np.random.default_rng([config.rng_seed, m])
-                raw[m] += config.noise_sigma * (
+                raw[m - lo] += config.noise_sigma * (
                     rng.standard_normal(N) + 1j * rng.standard_normal(N)
                 )
+        return raw
 
-    run_blocks(synthesize, M)
+    return rows, _ground_truth(config, scene, positions, first)
 
-    truth = _ground_truth(config, scene, positions, first)
+
+def simulate_raw(config, scene):
+    """Synthesize the raw echo matrix and its ground truth.
+
+    Returns (raw, truth) where raw is a C-contiguous M x N complex64 matrix,
+    the precision of the file it is written to: each row block comes from
+    ``raw_rows`` in complex128, noise included, and is cast once.  raw is
+    the one full-size buffer, in a map of its own (``core.mapped_zeros``);
+    the RCMC_BLOCK_ROWS rows in flight among the worker threads of
+    ``core.run_blocks`` each hold a spectrum row and a ramp-table row.
+    """
+    rows, truth = raw_rows(config, scene)
+    raw = mapped_zeros((config.num_pulses, config.samples_per_pulse), np.complex64)
+
+    def fill(span):
+        raw[span] = rows(span)
+
+    run_blocks(fill, config.num_pulses)
     return raw, truth
 
 

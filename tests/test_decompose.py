@@ -259,6 +259,47 @@ def test_gate_certificate_never_fires_on_the_gate(n):
     assert svd.ratio_bound >= GATE
 
 
+@pytest.mark.parametrize("shape", [(70, 120), (120, 70)], ids=["wide", "tall"])
+def test_gate_certificate_holds_on_complex64(monkeypatch, shape):
+    # sigma1/sigma2 from 2.7 to 3.3 over short and long tails, planted in
+    # float64 and stored as complex64: every bound any product computes, on
+    # its own block or the previous one, must sit at or above the float64
+    # ratio of the stored values, so no matrix at or above the gate is refused
+    bounds, ratio_bound = [], decompose._ratio_bound
+
+    def recorded(*args, **kwargs):
+        bounds.append(ratio_bound(*args, **kwargs))
+        return bounds[-1]
+
+    monkeypatch.setattr(decompose, "_ratio_bound", recorded)
+    refused = 0
+    for i, ratio in enumerate(np.linspace(2.7, 3.3, 13)):
+        for tail, level in ((3, 0.05), (20, 0.3), (60, 0.9)):
+            rng = np.random.default_rng([i, tail])
+            X = planted(rng, shape, ratio, tail, level, 0.9).astype(np.complex64)
+            s = np.linalg.svd(X.astype(np.complex128), compute_uv=False)
+            bounds.clear()
+            svd = leading_triplets(X, k=2, gate=GATE)
+            assert min(bounds) == svd.ratio_bound >= s[0] / s[1], (ratio, tail)
+            if s[0] / s[1] < GATE:
+                refused += svd.ratio_bound < GATE
+    assert refused >= 15  # most below the gate are refused: 18 of 19 (wide) and of 21 (tall)
+
+
+@ORIENTATIONS
+def test_rank_one_complex64_has_an_infinite_ratio(transpose):
+    # the stored outer product is rank one only to float32's rounding, which
+    # products in float32 cannot tell from zero
+    rng = np.random.default_rng(19)
+    u, v = random_complex(rng, 40), random_complex(rng, 64)
+    X = (np.outer(v, u) if transpose else np.outer(u, v)).astype(np.complex64)
+    svd = leading_triplets(X, k=2, gate=GATE)
+    assert svd.singular_values[1] == 0.0 and svd.dominance_ratio == np.inf
+    assert svd.singular_values[0] == pytest.approx(np.linalg.norm(X.astype(np.complex128)),
+                                                   rel=1e-6)
+    assert not np.any(svd.left_vectors[:, 1]) and not np.any(svd.right_vectors[:, 1])
+
+
 def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
     svd = leading_triplets(clutter_sim, k=2, gate=GATE)
     assert svd.products <= 5 and svd.ratio_bound < GATE  # sweep 3 starts at product 5
@@ -274,12 +315,12 @@ def test_clutter_scene_is_certified_at_its_second_product(clutter_sim, monkeypat
     # residual of product 1's block is needed: two products over X
     calls, ratio_bound = [], decompose._ratio_bound
 
-    def recorded(evals, total, residual=np.inf):
-        calls.append((residual, ratio_bound(evals, total, residual)))
+    def recorded(evals, total, residual=np.inf, rounding=decompose.ROUNDING):
+        calls.append((residual, ratio_bound(evals, total, residual, rounding)))
         return calls[-1][1]
 
     monkeypatch.setattr(decompose, "_ratio_bound", recorded)
-    svd = leading_triplets(clutter_sim, k=2, gate=GATE)
+    svd = leading_triplets(clutter_sim.astype(np.complex128), k=2, gate=GATE)
     assert svd.products == 2 and [np.isfinite(r) for r, _ in calls] == [False, False]
     assert calls[1][1] == svd.ratio_bound < GATE <= calls[0][1]
 

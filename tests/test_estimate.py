@@ -234,10 +234,11 @@ def test_reflectivity_phase_is_a_gauge(default_scene):
     assert est_b.range_chirp.support == est_a.range_chirp.support
 
 
-def test_scale_invariance(default_sim, default_estimate):
-    raw, _ = default_sim
+def test_scale_invariance(default_sim):
+    # in complex128, where scaling by 37.5 rounds no sample
+    raw = default_sim[0].astype(np.complex128)
     scaled = blind_estimate(37.5 * raw)
-    base = default_estimate
+    base = blind_estimate(raw)
     assert scaled.range_chirp.rate == pytest.approx(base.range_chirp.rate, abs=1e-15)
     assert scaled.azimuth_chirp.rate == pytest.approx(base.azimuth_chirp.rate, abs=1e-15)
     assert scaled.doppler_centroid == pytest.approx(base.doppler_centroid, abs=1e-12)

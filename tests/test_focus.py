@@ -231,7 +231,7 @@ def test_pipeline_tracks_the_peaks_of_rolled_rows(request, scene):
     # the blind model is exactly the fit to the peaks of the support rows
     # compressed in the time domain; a group delay or a trim off by one
     # sample moves every peak
-    raw, _ = request.getfixturevalue(f"{scene}_sim")
+    raw = request.getfixturevalue(f"{scene}_sim")[0].astype(np.complex128)
     estimate = request.getfixturevalue(f"{scene}_estimate")
     models = {}
     focus_pipeline(raw, estimate, on_stage=models.__setitem__)
@@ -591,8 +591,7 @@ def test_focus_pipeline_peak_memory(monkeypatch, mode, default_sim, default_esti
     # pass 1's map is the one full-size matrix, and the image is compacted
     # into it; any other scene-sized matrix on the heap, even a complex64
     # one (0.5 units), breaks the heap bound
-    raw, _ = default_sim
-    assert raw.dtype == np.complex128
+    raw = default_sim[0].astype(np.complex128)
     estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
     maps, peak = focus_memory(monkeypatch, raw, estimate, rcm)
     assert maps == [pass_one_map(raw, estimate)]

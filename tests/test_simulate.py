@@ -6,12 +6,19 @@ from dataclasses import replace
 
 from bsar.core import RCMC_BLOCK_ROWS, next_fast_len, unwrap_phase
 from bsar.errors import ConfigurationError, ParameterError
-from bsar.simulate import SPEED_OF_LIGHT, Scatterer, simulate_raw
+from bsar.simulate import SPEED_OF_LIGHT, Scatterer, raw_rows, simulate_raw
 from oracles import direct_echoes, raw_statistics
 
 
 def quiet(config, **changes):
     return replace(config, noise_sigma=0.0, **changes)
+
+
+def raw128(config, scene):
+    """The whole raw matrix in complex128, as raw_rows gives simulate_raw
+    each row block before the cast."""
+    rows, _ = raw_rows(config, scene)
+    return rows(slice(None))
 
 
 def test_empty_scene_no_noise_is_zero(default_scene):
@@ -62,12 +69,21 @@ def test_determinism(default_scene):
     assert np.array_equal(a, b)
 
 
+def test_raw_is_the_one_cast_of_the_complex128_rows(default_scene):
+    # each row block's noise is added in complex128 and the block cast once,
+    # so the complex64 raw holds the file's values and nothing else rounds
+    config, scene = default_scene
+    raw, _ = simulate_raw(config, scene)
+    assert raw.dtype == np.complex64 and raw.flags.c_contiguous
+    np.testing.assert_array_equal(raw, raw128(config, scene).astype(np.complex64))
+
+
 def test_seed_changes_noise_only(default_scene):
     config, scene = default_scene
-    a, _ = simulate_raw(config, scene)
-    b, _ = simulate_raw(replace(config, rng_seed=config.rng_seed + 1), scene)
+    a = raw128(config, scene)
+    b = raw128(replace(config, rng_seed=config.rng_seed + 1), scene)
     assert not np.array_equal(a, b)
-    clean, _ = simulate_raw(quiet(config), scene)
+    clean = raw128(quiet(config), scene)
     # noise realizations differ but the deterministic echo part is shared
     np.testing.assert_allclose(np.mean(a - clean), np.mean(a) - np.mean(clean),
                                atol=1e-12)
@@ -80,9 +96,9 @@ def test_superposition_is_exact(default_scene):
     sc2 = Scatterer(azimuth_time=sc1.azimuth_time + 0.2,
                     range_offset=sc1.range_offset - 300.0,
                     reflectivity=0.5 - 0.25j)
-    both, _ = simulate_raw(cfg, [sc1, sc2])
-    only1, _ = simulate_raw(cfg, [sc1])
-    only2, _ = simulate_raw(cfg, [sc2])
+    both = raw128(cfg, [sc1, sc2])
+    only1 = raw128(cfg, [sc1])
+    only2 = raw128(cfg, [sc2])
     # superposition is exact up to float rounding in the shared inverse FFT
     scale = np.max(np.abs(both))
     np.testing.assert_allclose(both, only1 + only2, atol=1e-13 * scale)
@@ -98,7 +114,7 @@ def test_echoes_match_the_closed_form(default_scene, squint):
     assert next_fast_len(cfg.samples_per_pulse + cfg.chirp_samples) == 1155
     scene = [Scatterer(0.55, 1250.0), Scatterer(0.7, 1600.0, 0.5 - 0.25j),
              Scatterer(0.8, 900.0, -0.3 + 0.8j)]
-    raw, _ = simulate_raw(cfg, scene)
+    raw = raw128(cfg, scene)
     expected = direct_echoes(cfg, scene)
     scale = np.max(np.abs(expected))
     np.testing.assert_allclose(raw, expected, rtol=0.0, atol=1e-11 * scale)

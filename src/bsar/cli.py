@@ -145,7 +145,7 @@ def _cmd_focus(args):
             if name == "rcmc":  # not pass 1's spectrum nor the model
                 fileio.write_matrix(result, path)
             elif name == "azimuth_compress":  # the --out file's bytes
-                fileio.write_matrix(result.image, path, flags=fileio.FLAG_FOCUSED)
+                fileio.write_matrix(result, path, flags=fileio.FLAG_FOCUSED)
 
     # a malformed file is refused on opening, before any pass; pass 1 then
     # reads the payload a row block at a time, so it is never resident whole
@@ -157,9 +157,8 @@ def _cmd_focus(args):
             if truth.config is None:
                 raise ParameterError("--oracle truth file lacks the config block")
             est, rcm = oracle_estimate(truth)
-        img = focus_pipeline(reader, est, rcm_override=rcm,
-                             provenance="blind" if args.est else "oracle", on_stage=on_stage)
-    fileio.write_matrix(img.image, args.out, flags=fileio.FLAG_FOCUSED)
+        img = focus_pipeline(reader, est, rcm_override=rcm, on_stage=on_stage).image
+    fileio.write_matrix(img, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 
 

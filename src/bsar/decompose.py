@@ -121,7 +121,8 @@ def _float32_allowance(X, block):
     n = max(M, N)
     c = u + np.sqrt(2) * (2 * n * u / (1 - 2 * n * u)) * (1 + u)
     e = c * np.sqrt(block * total) + np.sqrt(2) * n * eta * np.sqrt(min(M, N) * block)
-    eps = e / np.sqrt(total) if total > 0 else 0.0
+    # an infinite total, float32 squares that overflow, is refused by the caller
+    eps = e / np.sqrt(total) if 0 < total < np.inf else 0.0
     return total, ROUNDING + 4 * eps + 2 * eps * eps, e
 
 

@@ -39,15 +39,21 @@ FLAG_FOCUSED = 0x1
 def write_matrix(matrix, path, flags=0):
     """Write a complex matrix as a BSAR file (float32 payload), casting
     RCMC_BLOCK_ROWS rows at a time rather than copying the whole matrix;
-    C-contiguous complex64 rows are written as they are."""
+    C-contiguous complex64 rows are written as they are.  A sample that
+    overflows float32 is a parameter error, and the partial file is removed."""
     x = np.asarray(matrix)
     if x.ndim != 2:
         raise ParameterError("expected a 2-D matrix")
     m, n = x.shape
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
-        for lo in range(0, m, RCMC_BLOCK_ROWS):  # interleaved float32 (I, Q), row-major
-            np.ascontiguousarray(x[lo:lo + RCMC_BLOCK_ROWS], dtype="<c8").tofile(fh)
+    try:
+        with open(path, "wb") as fh, np.errstate(over="raise"):
+            fh.write(HEADER.pack(MAGIC, VERSION, flags, m, n, bytes(16)))
+            for lo in range(0, m, RCMC_BLOCK_ROWS):  # interleaved float32 (I, Q), row-major
+                np.ascontiguousarray(x[lo:lo + RCMC_BLOCK_ROWS], dtype="<c8").tofile(fh)
+    except FloatingPointError:
+        if os.path.isfile(path):  # not a device such as os.devnull
+            os.remove(path)
+        raise ParameterError(f"{path}: the matrix overflows float32: scale it down")
 
 
 class MatrixReader:

@@ -21,7 +21,9 @@ thrashing the cache.  Pass 1 fills it from a matrix or, a row block at a
 time, straight from a BSAR file (``fileio.MatrixReader``), so the payload is
 never resident whole; the later passes transform it in place, and the
 complex128 image is then cast to complex64, the file's precision, over the
-front of the same map, whose rest is given back (``_compact``).
+front of the same map, whose rest is given back (``_compact``).  The cast
+is a plain loop over row blocks in the calling thread, as threads cast no
+faster; an image that overflows complex64 is a parameter error.
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -222,7 +224,7 @@ def _padded_width(n):
     return n + (4 - n) % 8
 
 
-def azimuth_compress(rd, azimuth_ref, provenance="blind"):
+def azimuth_compress(rd, azimuth_ref):
     """Azimuth matched filter in the frequency domain, then inverse DFT.
 
     `rd` must be in the range-Doppler domain; the reference is zero-padded to
@@ -241,7 +243,7 @@ def azimuth_compress(rd, azimuth_ref, provenance="blind"):
         np.fft.ifft(block, axis=0, out=block)
 
     run_blocks(filter_columns, x.shape[1])
-    return FocusedImage(image=x, provenance=provenance)
+    return x
 
 
 def _compact(image):
@@ -250,23 +252,20 @@ def _compact(image):
     rest of the map is given back (``core.release_mapped``).
 
     Row r lands at bytes [8rN, 8(r+1)N) and is read from byte 16rP on, with
-    P >= N the map's row stride, so the rows of [R, 2R) overwrite only
-    rows below R: they are cast in parallel once rows [0, R) are done.  The
-    first block overlaps its own rows and goes through a temporary.
+    P >= N the map's row stride, so casting RCMC_BLOCK_ROWS rows at a time,
+    in order, overwrites only rows that are already cast; numpy buffers the
+    first block, which overlaps its own rows.  The loop runs in the calling
+    thread, where ``np.errstate`` sees an image that overflows complex64: a
+    parameter error, not an image of infinities.
     """
     m, n = image.shape
     out = image.base.view(np.complex64)[:m * n].reshape(m, n)
-    done = min(RCMC_BLOCK_ROWS, m)
-    out[:done] = image[:done].astype(np.complex64)
-    while done < m:
-        stop = min(2 * done, m)
-
-        def cast(rows, lo=done, hi=stop):
-            rows = slice(lo + rows.start, min(lo + rows.stop, hi))
-            out[rows] = image[rows]
-
-        run_blocks(cast, stop - done)
-        done = stop
+    try:
+        with np.errstate(over="raise"):
+            for lo in range(0, m, RCMC_BLOCK_ROWS):
+                out[lo:lo + RCMC_BLOCK_ROWS] = image[lo:lo + RCMC_BLOCK_ROWS]
+    except FloatingPointError:
+        raise ParameterError("the focused image overflows complex64: scale the raw data down")
     release_mapped(image, out.nbytes)
     return out
 
@@ -311,5 +310,5 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
                     np.arange(start, stop) - estimate.beam_center_row)
     rd = stage("rcmc", rcmc, spectrum, width, delay, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
-    image = stage("azimuth_compress", azimuth_compress, rd, azimuth_ref, provenance)
-    return FocusedImage(image=_compact(image.image), provenance=provenance)
+    image = stage("azimuth_compress", azimuth_compress, rd, azimuth_ref)
+    return FocusedImage(image=_compact(image), provenance=provenance)

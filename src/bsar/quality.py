@@ -157,8 +157,7 @@ def compare_images(a, b, window=None):
 
     `window`, when given, is (row_start, row_stop, col_start, col_stop).
     """
-    ia = a.image if hasattr(a, "image") else np.asarray(a)
-    ib = b.image if hasattr(b, "image") else np.asarray(b)
+    ia, ib = np.asarray(a), np.asarray(b)
     if ia.shape != ib.shape:
         raise ParameterError(f"image dimensions differ: {ia.shape} vs {ib.shape}")
     if window is not None:

@@ -52,8 +52,8 @@ class AcquisitionConfig:
             "beam_azimuth_extent",
         )
         for name in positive:
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:  # NaN fails both comparisons
+                raise ParameterError(f"{name} must be finite and > 0, not {getattr(self, name)}")
         for name in ("num_pulses", "samples_per_pulse", "rng_seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -62,8 +62,10 @@ class AcquisitionConfig:
             raise ParameterError("matrix dimensions must be >= 1")
         if self.rng_seed < 0:
             raise ParameterError(f"rng_seed must be >= 0, not {self.rng_seed}")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ParameterError(f"noise_sigma must be finite and >= 0, not {self.noise_sigma}")
+        if not np.isfinite(self.squint_offset):
+            raise ParameterError(f"squint_offset must be finite, not {self.squint_offset}")
         if self.chirp_rate * self.chirp_duration > self.range_sampling:
             raise ParameterError("transmitted bandwidth exceeds the sampling band")
         if self.beam_azimuth_extent * self.prf > self.num_pulses:
@@ -93,6 +95,11 @@ class Scatterer:
     azimuth_time: float        # s, zero-Doppler crossing
     range_offset: float        # m added to closest_range
     reflectivity: complex = 1.0 + 0.0j
+
+    def __post_init__(self):
+        for name in ("azimuth_time", "range_offset", "reflectivity"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"scatterer {name} must be finite, not {getattr(self, name)}")
 
 
 @dataclass
@@ -172,9 +179,13 @@ def raw_rows(config, scene):
     positions = []
     first = None
     for index, sc in enumerate(scene):
-        r, lead, boresight, beam = _echo_geometry(config, sc)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                r, lead, boresight, beam = _echo_geometry(config, sc)
+                amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
+        except (OverflowError, FloatingPointError):  # Python's float power, numpy's arrays
+            raise ConfigurationError(f"scatterer {index}: its echo geometry overflows float64")
         _validate_scatterer(config, sc, index, lead, boresight)
-        amp = sc.reflectivity * beam * np.exp(-4j * np.pi * r / config.wavelength)
         echoes.append((amp, lead))
         row = sc.azimuth_time * config.prf
         col = (2.0 * sc.range_offset / SPEED_OF_LIGHT * config.range_sampling
@@ -213,13 +224,19 @@ def simulate_raw(config, scene):
     ``raw_rows`` in complex128, noise included, and is cast once.  raw is
     the one full-size buffer, in a map of its own (``core.mapped_zeros``);
     the RCMC_BLOCK_ROWS rows in flight among the worker threads of
-    ``core.run_blocks`` each hold a spectrum row and a ramp-table row.
+    ``core.run_blocks`` each hold a spectrum row and a ramp-table row.  A
+    block that overflows, in float64 or in the cast, is a configuration error.
     """
     rows, truth = raw_rows(config, scene)
     raw = mapped_zeros((config.num_pulses, config.samples_per_pulse), np.complex64)
 
     def fill(span):
-        raw[span] = rows(span)
+        try:
+            with np.errstate(over="raise"):  # per thread, as numpy's error state is
+                raw[span] = rows(span)
+        except FloatingPointError:
+            raise ConfigurationError("the raw matrix overflows complex64: scale the "
+                                     "reflectivities or noise_sigma down")
 
     run_blocks(fill, config.num_pulses)
     return raw, truth

@@ -60,7 +60,7 @@ def test_a3_blind_vs_oracle(capsys, blind_image, oracle_image, default_sim):
     _, truth = default_sim
     r = int(round(truth.positions[0][0]))
     c = int(round(truth.positions[0][1]))
-    summary = compare_images(blind_image, oracle_image,
+    summary = compare_images(blind_image.image, oracle_image.image,
                              window=(r - 32, r + 32, c - 32, c + 32))
     ok = summary["correlation"] >= 0.98
     report(capsys, "A3 blind vs oracle comparison", ok,

@@ -386,8 +386,8 @@ def test_azimuth_impulse_reference_is_identity():
     impulse[0] = 1.0
     expected = np.fft.ifft(x.copy(), axis=0)
     img = azimuth_compress(x, impulse)
-    np.testing.assert_allclose(img.image, expected, atol=1e-12)
-    assert img.provenance == "blind"
+    assert img is x
+    np.testing.assert_allclose(img, expected, atol=1e-12)
 
 
 def test_azimuth_compress_filters_rd_in_place():
@@ -396,8 +396,8 @@ def test_azimuth_compress_filters_rd_in_place():
     _, ref = make_reference(half=10)
     rd = range_doppler(random_matrix(5, (48, 96)), ref, MIGRATION, -1e-3, 0.05)
     expected = out_of_place_azimuth_compress(rd, ref)
-    image = azimuth_compress(rd, ref).image
-    assert np.shares_memory(image, rd)
+    image = azimuth_compress(rd, ref)
+    assert image is rd
     np.testing.assert_array_equal(image, expected)
 
 
@@ -417,7 +417,7 @@ def stage_image(raw, estimate, rcm):
 
     def keep(name, result):
         if name == "azimuth_compress":
-            seen["image"] = result.image.copy()
+            seen["image"] = result.copy()
 
     focus_pipeline(raw, estimate, rcm_override=rcm, on_stage=keep)
     return seen["image"]
@@ -450,7 +450,7 @@ def test_image_is_the_stage_image_cast_in_place(monkeypatch, request, mode, work
     seen = {}
 
     def keep(name, result):
-        seen[name] = result.image.astype(np.complex64) if name == "azimuth_compress" else result
+        seen[name] = result.astype(np.complex64) if name == "azimuth_compress" else result
 
     image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode, on_stage=keep).image
     assert image.dtype == np.complex64 and image.flags.c_contiguous
@@ -463,8 +463,9 @@ def test_image_is_the_stage_image_cast_in_place(monkeypatch, request, mode, work
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("shape", [(1, 7), (45, 60), (130, 33), (300, 1031)])
 def test_compact_casts_the_rows_in_place_and_releases_the_rest(monkeypatch, workers, shape):
-    # ragged row counts for the doubling blocks; (45, 60) has a row stride
-    # of exactly N, so row r's cast ends where row r's samples start
+    # row counts below, at and past one block, the last block ragged; (45,
+    # 60) has a row stride of exactly N, so row r's cast ends where row r's
+    # samples start
     monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
     m, n = shape
     spectrum = range_compress(random_matrix(7, shape), IMPULSE)
@@ -476,6 +477,11 @@ def test_compact_casts_the_rows_in_place_and_releases_the_rest(monkeypatch, work
     if hasattr(mmap, "MADV_DONTNEED"):  # the pages past the image read as zeros again
         tail = -(-image.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
         assert not spectrum.base.view(np.uint8)[tail:].any()
+    # a sample past float32's range in the last row is refused, not cast to inf
+    spectrum = range_compress(random_matrix(7, shape), IMPULSE)
+    spectrum[-1, n - 1] = 1e39
+    with pytest.raises(ParameterError, match="overflows complex64"):
+        _compact(spectrum[:, :n])
 
 
 def test_range_shift_covariance(default_scene):

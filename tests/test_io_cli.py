@@ -17,7 +17,7 @@ import bsar.focus
 from bsar import fileio
 from bsar.cli import _read, main
 from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, synth_chirp
-from bsar.errors import FormatError, SampleError
+from bsar.errors import FormatError, ParameterError, SampleError
 from bsar.decompose import leading_triplets
 from bsar.estimate import blind_estimate, build_references
 from bsar.focus import focus_pipeline, range_compress, rcmc
@@ -891,6 +891,61 @@ def test_cli_seed_or_grid_size_not_a_count_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
     assert not out_f.exists()
+
+
+SIMULATE_REFUSALS = {  # case: (section, field, value, kind of the error line)
+    "noise_sigma-nan": ("config", "noise_sigma", math.nan, "parameter"),
+    "noise_sigma-inf": ("config", "noise_sigma", math.inf, "parameter"),
+    "wavelength-inf": ("config", "wavelength", math.inf, "parameter"),
+    "squint_offset-inf": ("config", "squint_offset", math.inf, "parameter"),
+    "squint_offset-nan": ("config", "squint_offset", math.nan, "parameter"),
+    "azimuth_time-nan": ("scene", "azimuth_time", math.nan, "parameter"),
+    "range_offset-nan": ("scene", "range_offset", math.nan, "parameter"),
+    "reflectivity-nan": ("scene", "reflectivity", [math.nan, 0.0], "parameter"),
+    "reflectivity-1e300": ("scene", "reflectivity", [1e300, 0.0], "configuration"),
+    "closest_range-1e308": ("config", "closest_range", 1e308, "configuration"),
+}
+
+
+@pytest.mark.parametrize("case", [*SIMULATE_REFUSALS, "estimate-overflow", "focus-overflow",
+                                  "focus-overflow-dump"])
+def test_cli_refusal_of_a_non_finite_or_overflowing_input_is_one_line(
+        tmp_path, default_sim, default_estimate, case):
+    # in a fresh process, whose stderr also holds numpy's warnings: the one
+    # error line is all of it, and no output file is written; the raw file
+    # x 1e37 fits float32, but its decomposition's energy and its focused
+    # image do not
+    if case in SIMULATE_REFUSALS:
+        section, field, value, kind = SIMULATE_REFUSALS[case]
+        doc = json.loads(DEFAULT_CONFIG.read_text())
+        (doc["config"] if section == "config" else doc["scene"][0])[field] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = ["simulate", "--config", "config.json", "--truth", "truth.json"]
+    else:
+        kind = "parameter"
+        fileio.write_matrix(default_sim[0] * 1e37, tmp_path / "raw.bsar")
+        fileio.write_estimate(default_estimate, tmp_path / "est.json")
+        argv = {
+            "estimate-overflow": ["estimate", "--in", "raw.bsar", "--spectrum", "s.csv"],
+            "focus-overflow": ["focus", "--in", "raw.bsar", "--est", "est.json"],
+            "focus-overflow-dump": ["focus", "--in", "raw.bsar", "--est", "est.json",
+                                    "--dump-stages", "stages"],
+        }[case]
+    inputs = sorted(tmp_path.rglob("*"))
+    proc = run_python(["-m", "bsar.cli", *argv, "--out", "out"], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bsar: {kind}: "), err
+    assert [p for p in sorted(tmp_path.rglob("*")) if p.is_file()] == inputs
+
+
+def test_write_matrix_refuses_an_overflowing_matrix(tmp_path):
+    # the cast to float32 would write an infinity; the partial file goes
+    x = np.ones((130, 7), dtype=np.complex128)
+    x[129, 6] = 1e39
+    with pytest.raises(ParameterError, match="overflows float32"):
+        fileio.write_matrix(x, tmp_path / "m.bsar")
+    assert not (tmp_path / "m.bsar").exists()
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (64, 1)], ids=["one-row", "one-column"])

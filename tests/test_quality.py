@@ -197,7 +197,7 @@ def test_blind_vs_oracle_correlation(blind_image, oracle_image, default_sim):
     _, truth = default_sim
     r = int(round(truth.positions[0][0]))
     c = int(round(truth.positions[0][1]))
-    summary = compare_images(blind_image, oracle_image,
+    summary = compare_images(blind_image.image, oracle_image.image,
                              window=(r - 32, r + 32, c - 32, c + 32))
     assert summary["correlation"] >= 0.98
     assert summary["peak_offset"] == (0, 0)

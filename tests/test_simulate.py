@@ -153,7 +153,7 @@ def test_scatterer_range_overflow_rejected(default_scene):
 
 
 def test_config_invariants(default_scene):
-    config, _ = default_scene
+    config, scene = default_scene
     with pytest.raises(ParameterError):
         replace(config, wavelength=-1.0)
     with pytest.raises(ParameterError):
@@ -162,6 +162,32 @@ def test_config_invariants(default_scene):
         replace(config, chirp_rate=config.range_sampling / config.chirp_duration * 2)
     with pytest.raises(ParameterError):
         replace(config, beam_azimuth_extent=(config.num_pulses + 1) / config.prf)
+    # no field takes a NaN or an infinity, nor a scatterer's
+    for name, value in [("wavelength", np.inf), ("prf", np.nan), ("closest_range", np.inf),
+                        ("noise_sigma", np.nan), ("noise_sigma", np.inf),
+                        ("squint_offset", np.inf), ("squint_offset", -np.inf),
+                        ("squint_offset", np.nan)]:
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            replace(config, **{name: value})
+    for name, value in [("azimuth_time", np.nan), ("range_offset", -np.inf),
+                        ("reflectivity", complex(0.0, np.nan))]:
+        with pytest.raises(ParameterError, match=f"^scatterer {name} must be finite"):
+            replace(scene[0], **{name: value})
+
+
+@pytest.mark.parametrize("case", ["closest_range", "range_offset", "platform_speed",
+                                  "reflectivity"])
+def test_overflowing_scene_is_refused(default_scene, case):
+    # finite inputs whose echoes overflow float64, or whose raw samples
+    # overflow complex64, are refused, not turned into infinities
+    config, scene = default_scene
+    if case in ("closest_range", "platform_speed"):
+        config = replace(config, **{case: 1e200})
+    else:
+        scene = [replace(scene[0], **{case: {"range_offset": -1e308, "reflectivity": 1e300}[case]})]
+    match = "overflows complex64" if case == "reflectivity" else "scatterer 0: its echo geometry"
+    with pytest.raises(ConfigurationError, match=match):
+        simulate_raw(config, scene)
 
 
 def test_ground_truth_position_convention(default_scene):

@@ -166,6 +166,6 @@ def test_rcmc_is_worker_independent_on_ragged_shapes(monkeypatch, workers, singl
 def test_azimuth_compress_is_worker_independent(monkeypatch, workers, shape):
     rd = random_complex(shape, 4)
     ref = random_complex(min(shape[0], 41), 5)
-    one = with_workers(monkeypatch, 1, azimuth_compress, rd.copy(), ref).image
-    many = with_workers(monkeypatch, workers, azimuth_compress, rd.copy(), ref).image
+    one = with_workers(monkeypatch, 1, azimuth_compress, rd.copy(), ref)
+    many = with_workers(monkeypatch, workers, azimuth_compress, rd.copy(), ref)
     np.testing.assert_array_equal(many, one)

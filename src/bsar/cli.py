@@ -12,7 +12,6 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .core import mapped_zeros, run_blocks
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate, check_gate
@@ -78,30 +77,6 @@ def build_parser():
     return parser
 
 
-def _read(path, keep=None):
-    """The BSAR file's matrix in its own precision, complex64, read and
-    scanned a row block at a time: a NaN or infinite sample is a parameter
-    error naming the first one.  With `keep`, a (start, stop) row range,
-    every row is still scanned but only those rows are kept, in a map whose
-    other rows stay zero and take no memory."""
-    with fileio.MatrixReader(path) as reader:
-        lo, hi = (0, reader.shape[0]) if keep is None else keep
-        matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, np.complex64)
-
-        def fill(rows):
-            first, last, _ = rows.indices(reader.shape[0])
-            start, stop = max(first, lo), min(last, hi)
-            if (start, stop) == (first, last):  # every row kept: read in place
-                reader.read(rows, out=matrix[rows])
-            else:
-                block = reader.read(rows)
-                if start < stop:
-                    matrix[start:stop] = block[start - first:stop - first]
-
-        run_blocks(fill, reader.shape[0])
-    return matrix
-
-
 def _cmd_simulate(args):
     config, scene = fileio.load_scene(args.config)
     raw, truth = simulate_raw(config, scene)
@@ -117,7 +92,7 @@ def _cmd_estimate(args):
         raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
     if args.seed < 0:
         raise ParameterError(f"--seed {args.seed}: the start seed must be >= 0")
-    raw = _read(args.input)  # decomposed in the file's precision
+    raw = fileio.read_matrix(args.input)[0]  # decomposed in the file's precision
     # the estimate consumes the leading pair whatever length --k asks for
     k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
     svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
@@ -166,7 +141,7 @@ def _cmd_analyze(args):
     row, half = args.row, args.window // 2
     # the window's rows, if the position is finite; any other case is refused below
     keep = (0, 0) if not np.isfinite(row) else (round(row) - half, round(row) + half)
-    img = _read(args.input, keep=keep)
+    img = fileio.read_matrix(args.input, keep=keep)[0]
     report = analyze_point_target(img, (args.row, args.col), window=args.window)
     fileio.write_report_csv(report, args.out)
     if args.json:
@@ -185,14 +160,14 @@ def _parse_window(text):
 
 
 def _cmd_compare(args):
-    a, b = _read(args.a), _read(args.b)
+    a, b = fileio.read_matrix(args.a)[0], fileio.read_matrix(args.b)[0]
     window = _parse_window(args.window) if args.window else None
     fileio.write_json(compare_images(a, b, window=window), args.out)
     return 0
 
 
 def _cmd_render(args):
-    img = _read(args.input)
+    img = fileio.read_matrix(args.input)[0]
     fileio.render_magnitude(img, args.db, args.out)
     return 0
 

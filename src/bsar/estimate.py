@@ -203,7 +203,8 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     its own precision.  `gate` is checked by `check_gate`.  A Ritz ratio
     sigma1/sigma2 below max(gate, DEGENERACY_RATIO) refuses the scene: so does
     a bound proven below the gate, as it is never below the Ritz ratio of the
-    block that proves it.
+    block that proves it.  An estimate whose references do not fit the
+    raw grid (``build_references``) is a parameter error here, not in focus.
     """
     check_gate(gate)
     X = np.ascontiguousarray(as_complex_matrix(raw, single=True))
@@ -228,13 +229,15 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     # the beam center is the row where the azimuth chirp's frequency equals
     # the centroid, taken nearest the envelope peak
     crossing = wrap_half_open(dc - az_model.instantaneous_frequency(peak))
-    return BlindEstimate(
+    est = BlindEstimate(
         range_chirp=range_model,
         azimuth_chirp=az_model,
         doppler_centroid=dc,
         beam_center_row=peak + float(crossing) / (2.0 * az_model.rate),
         dominance_ratio=ratio,
     )
+    build_references(est, X.shape[0])
+    return est
 
 
 def build_references(estimate, num_pulses):

@@ -4,10 +4,11 @@ BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
 (bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved zero
 bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
 ``MatrixReader`` checks a file's header and size once and reads it in row
-blocks, each scanned for NaN and infinite samples; ``read_matrix`` is the
-whole payload through it.  A raw payload read back stays complex64, the
-precision ``simulate_raw`` makes it in: the decomposition multiplies it as
-it is, and the range FFT upcasts it block by block.  Everything else is
+blocks, each scanned for NaN and infinite samples; ``read_matrix``, the one
+whole-file read, goes through it, so in-process callers are refused a
+non-finite sample as the CLI is.  A raw payload read back stays complex64,
+the precision ``simulate_raw`` makes it in: the decomposition multiplies it
+as it is, and the range FFT upcasts it block by block.  Everything else is
 float64, and a focused image comes back to complex64 before it is written.
 
 JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
@@ -25,7 +26,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import RCMC_BLOCK_ROWS, run_blocks
+from .core import RCMC_BLOCK_ROWS, mapped_zeros, run_blocks
 from .errors import FormatError, ParameterError, SampleError
 from .estimate import BlindEstimate
 from .simulate import AcquisitionConfig, GroundTruth, Scatterer
@@ -96,35 +97,43 @@ class MatrixReader:
     def __exit__(self, *exc):
         os.close(self._fd)
 
-    def fill(self, rows, out):
-        """Read the payload rows of slice `rows` into `out`, a C-contiguous
-        complex64 block of their shape."""
-        lo = rows.indices(self.shape[0])[0]
-        offset = HEADER.size + lo * self.shape[1] * 8
-        got = os.preadv(self._fd, [out], offset)
-        if got != out.nbytes:  # the file shrank after it was opened
-            raise FormatError(f"{self.path}: truncated payload at row {lo}", offset=offset + got)
-
     def read(self, rows, out=None):
         """The payload rows of slice `rows` as a complex64 block, new or
-        `out` (as for ``fill``), scanned: a NaN or infinite sample raises
-        SampleError naming the first one, by row and column."""
+        `out` (C-contiguous, of their shape), scanned: a NaN or infinite
+        sample raises SampleError naming the first one, by row and column."""
         lo, hi, _ = rows.indices(self.shape[0])
         block = np.empty((hi - lo, self.shape[1]), "<c8") if out is None else out
-        self.fill(rows, block)
+        offset = HEADER.size + lo * self.shape[1] * 8
+        got = os.preadv(self._fd, [block], offset)
+        if got != block.nbytes:  # the file shrank after it was opened
+            raise FormatError(f"{self.path}: truncated payload at row {lo}", offset=offset + got)
         if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
             row, col = np.argwhere(~np.isfinite(block))[0]
             raise SampleError(f"{self.path}: non-finite sample at row {lo + row}, column {col}")
         return block
 
 
-def read_matrix(path):
+def read_matrix(path, keep=None):
     """Read a BSAR file; returns (matrix, flags) with the payload as a writable
-    complex64 matrix, which stays complex64 until the range FFT upcasts it.
-    Samples are not scanned: see ``MatrixReader.read``."""
+    complex64 matrix, read and scanned a row block at a time: a NaN or
+    infinite sample raises SampleError naming the first one.  With `keep`, a
+    (start, stop) row range, every row is still scanned but only those rows
+    are kept, in a map whose other rows stay zero and take no memory."""
     with MatrixReader(path) as reader:
-        matrix = np.empty(reader.shape, "<c8")
-        run_blocks(lambda rows: reader.fill(rows, matrix[rows]), reader.shape[0])
+        lo, hi = (0, reader.shape[0]) if keep is None else keep
+        matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, np.complex64)
+
+        def fill(rows):
+            first, last, _ = rows.indices(reader.shape[0])
+            start, stop = max(first, lo), min(last, hi)
+            if (start, stop) == (first, last):  # every row kept: read in place
+                reader.read(rows, out=matrix[rows])
+            else:
+                block = reader.read(rows)
+                if start < stop:
+                    matrix[start:stop] = block[start - first:stop - first]
+
+        run_blocks(fill, reader.shape[0])
     return matrix, reader.flags
 
 

@@ -68,6 +68,9 @@ class AcquisitionConfig:
             raise ParameterError(f"squint_offset must be finite, not {self.squint_offset}")
         if self.chirp_rate * self.chirp_duration > self.range_sampling:
             raise ParameterError("transmitted bandwidth exceeds the sampling band")
+        if self.chirp_samples > self.samples_per_pulse:  # before the pulse is built
+            raise ParameterError(f"the {self.chirp_samples}-sample pulse is longer than "
+                                 f"the {self.samples_per_pulse}-sample swath")
         if self.beam_azimuth_extent * self.prf > self.num_pulses:
             raise ParameterError("azimuth dwell does not fit inside the pulse grid")
 

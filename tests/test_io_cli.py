@@ -15,7 +15,7 @@ import bsar.cli
 import bsar.core
 import bsar.focus
 from bsar import fileio
-from bsar.cli import _read, main
+from bsar.cli import main
 from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, synth_chirp
 from bsar.errors import FormatError, ParameterError, SampleError
 from bsar.decompose import leading_triplets
@@ -202,7 +202,7 @@ def test_reader_names_the_first_of_two_non_finite_samples(monkeypatch, tmp_path,
         with pytest.raises(SampleError, match=r"non-finite sample at row 40, column 9$"):
             bsar.core.run_blocks(slow_read, 130)
     with pytest.raises(SampleError, match=r"at row 40, column 9$"):
-        _read(path)
+        fileio.read_matrix(path)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -256,11 +256,11 @@ def test_malformed_file_is_refused_before_any_pass(monkeypatch, tmp_path, capsys
 def test_read_fills_the_file_precision_and_rows(tmp_path):
     path = tmp_path / "m.bsar"
     x = damaged_file(path, (130, 16), [])
-    whole = _read(path)
+    whole, _ = fileio.read_matrix(path)
     assert whole.dtype == np.complex64
     np.testing.assert_array_equal(whole, x)
     # analyze keeps its window's rows only; the others stay zero
-    kept = _read(path, keep=(-10, 40))
+    kept, _ = fileio.read_matrix(path, keep=(-10, 40))
     np.testing.assert_array_equal(kept[:40], x[:40])
     assert not kept[40:].any()
 
@@ -543,6 +543,25 @@ def test_cli_clutter_refusal_writes_no_file(tmp_path, capsys, clutter_sim):
     assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--k", "4",
                  "--spectrum", str(spec_f)]) == 4
     single_error_line(capsys, "unsuitable-scene")
+    assert not est_f.exists() and not spec_f.exists()
+
+
+def test_cli_estimate_refuses_a_beam_centre_off_the_pulse_grid(tmp_path, capsys):
+    # a 1e-300 m wavelength leaves no azimuth chirp to fit: the fitted beam
+    # centre falls off the grid, which focus would refuse, so estimate refuses
+    # it and writes neither the estimate nor the spectrum CSV
+    doc = json.loads(DEFAULT_CONFIG.read_text())
+    doc["config"]["wavelength"] = 1e-300
+    cfg_f, raw_f = tmp_path / "config.json", tmp_path / "raw.bsar"
+    est_f, spec_f = tmp_path / "est.json", tmp_path / "s.csv"
+    cfg_f.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg_f), "--out", str(raw_f)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
+                 "--spectrum", str(spec_f)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bsar: parameter: beam center row "), err
+    assert err[0].endswith(" outside the 512-pulse grid"), err
     assert not est_f.exists() and not spec_f.exists()
 
 
@@ -937,6 +956,31 @@ def test_cli_refusal_of_a_non_finite_or_overflowing_input_is_one_line(
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith(f"bsar: {kind}: "), err
     assert [p for p in sorted(tmp_path.rglob("*")) if p.is_file()] == inputs
+
+
+@pytest.mark.parametrize("scene", ["desk_default", "empty"])
+def test_cli_simulate_refuses_a_pulse_longer_than_the_swath_before_building_it(
+        tmp_path, capsys, scene):
+    # a 2e6-sample pulse against the 1024-sample swath, with or without a
+    # scatterer whose echo it would carry: the config refuses it, before the
+    # pulse (32 MB in complex128) and its spectrum are built
+    doc = json.loads(DEFAULT_CONFIG.read_text())
+    doc["config"].update(chirp_rate=1e8, chirp_duration=0.04)
+    if scene == "empty":
+        doc["scene"] = []
+    cfg_f, out_f = tmp_path / "config.json", tmp_path / "raw.bsar"
+    cfg_f.write_text(json.dumps(doc))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        status = main(["simulate", "--config", str(cfg_f), "--out", str(out_f)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2 and peak < 2**20, (status, peak)
+    assert capsys.readouterr().err.splitlines() == [
+        "bsar: parameter: the 2000000-sample pulse is longer than the 1024-sample swath"]
+    assert not out_f.exists()
 
 
 def test_write_matrix_refuses_an_overflowing_matrix(tmp_path):

@@ -36,14 +36,28 @@ def written_and_read(write, read, name):
 @given(matrix=hnp.arrays(np.complex64, SHAPES), flags=st.integers(0, 0xFFFF),
        transposed=st.booleans())
 def test_bsar_complex64_roundtrip_is_bit_exact(matrix, flags, transposed):
-    # every float32 pattern, NaN payloads included, in any memory order
+    # every float32 pattern, NaN payloads included, in any memory order, as
+    # the file's bytes: read_matrix refuses a non-finite sample
     x = matrix.T if transposed else matrix
-    (back, back_flags), raw = written_and_read(
-        lambda p: fileio.write_matrix(x, p, flags), fileio.read_matrix, "m.bsar")
-    assert back_flags == flags
-    assert back.dtype == np.complex64 and back.shape == x.shape
-    assert back.tobytes() == np.ascontiguousarray(x).tobytes()
-    assert len(raw) == fileio.HEADER.size + 8 * x.size
+    _, raw = written_and_read(lambda p: fileio.write_matrix(x, p, flags), lambda p: None,
+                              "m.bsar")
+    assert fileio.HEADER.unpack(raw[:fileio.HEADER.size])[2:5] == (flags, *x.shape)
+    assert raw[fileio.HEADER.size:] == np.ascontiguousarray(x).tobytes()
+
+
+@ROUNDTRIPS
+@given(matrix=hnp.arrays(np.complex64, SHAPES), flags=st.integers(0, 0xFFFF))
+def test_read_matrix_returns_the_matrix_or_names_its_first_non_finite_sample(matrix, flags):
+    try:
+        (back, back_flags), _ = written_and_read(
+            lambda p: fileio.write_matrix(matrix, p, flags), fileio.read_matrix, "m.bsar")
+    except errors.SampleError as exc:
+        row, col = np.argwhere(~np.isfinite(matrix))[0]  # row-major order
+        assert str(exc).endswith(f": non-finite sample at row {row}, column {col}")
+    else:
+        assert np.isfinite(matrix).all()
+        assert back_flags == flags
+        assert back.dtype == np.complex64 and back.tobytes() == matrix.tobytes()
 
 
 @ROUNDTRIPS

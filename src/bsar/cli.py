@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__, fileio
 from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
-from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate, check_gate
+from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate
 from .focus import focus_pipeline
 from .quality import analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
@@ -41,12 +41,9 @@ def build_parser():
     p = sub.add_parser("estimate", help="blind parameter extraction from raw data")
     p.add_argument("--in", dest="input", required=True, help="raw BSAR file")
     p.add_argument("--out", required=True, help="output estimate JSON")
-    p.add_argument("--k", type=int, default=CONSUMED_TRIPLETS,
-                   help="singular values listed by --spectrum; the estimate uses the first two")
     p.add_argument("--gate", type=float, default=DEFAULT_DOMINANCE_GATE,
                    help="sigma1/sigma2 dominance gate")
-    p.add_argument("--seed", type=int, default=0, help="decomposition start seed")
-    p.add_argument("--spectrum", help="optional singular-value CSV")
+    p.add_argument("--spectrum", help="optional CSV of sigma1, sigma2 and their ratio")
 
     p = sub.add_parser("focus", help="focus raw data with blind or oracle parameters")
     p.add_argument("--in", dest="input", required=True, help="raw BSAR file")
@@ -87,21 +84,13 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    check_gate(args.gate)  # before the decomposition and the spectrum file
-    if args.k < 1:
-        raise ParameterError(f"--k {args.k}: the spectrum needs at least one singular value")
-    if args.seed < 0:
-        raise ParameterError(f"--seed {args.seed}: the start seed must be >= 0")
     raw = fileio.read_matrix(args.input)[0]  # decomposed in the file's precision
-    # the estimate consumes the leading pair whatever length --k asks for
-    k = min(max(args.k, CONSUMED_TRIPLETS), min(raw.shape))
-    svd = leading_triplets(raw, k=k, seed=args.seed, gate=args.gate)
+    # the min leaves a matrix under 2 x 2 for blind_estimate to refuse
+    svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=args.gate)
     est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
     if args.spectrum:
-        fileio.write_spectrum_csv(svd.singular_values[:args.k], svd.dominance_ratio,
-                                  args.spectrum)
-    decomposition = {"k": k, "seed": args.seed, "gate": args.gate, "products": svd.products,
-                     "precision": raw.dtype.name}
+        fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
+    decomposition = {"gate": args.gate, "products": svd.products, "precision": raw.dtype.name}
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input),
                           decomposition=decomposition)
     return 0
@@ -160,8 +149,9 @@ def _parse_window(text):
 
 
 def _cmd_compare(args):
-    a, b = fileio.read_matrix(args.a)[0], fileio.read_matrix(args.b)[0]
     window = _parse_window(args.window) if args.window else None
+    keep = window and window[:2]  # the window's rows; every row is still scanned
+    a, b = (fileio.read_matrix(path, keep=keep)[0] for path in (args.a, args.b))
     fileio.write_json(compare_images(a, b, window=window), args.out)
     return 0
 

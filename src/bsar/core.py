@@ -125,20 +125,6 @@ def sample_chirp(model, positions):
     return out
 
 
-def synth_chirp(model, length):
-    """Synthesize the chirp on the integer sample grid 0..length-1.
-
-    The support must fit inside the requested length; samples outside the
-    support are exactly zero.
-    """
-    length = int(length)
-    if length < model.support[1]:
-        raise ParameterError(
-            f"length {length} shorter than chirp support stop {model.support[1]}"
-        )
-    return sample_chirp(model, np.arange(length))
-
-
 def unwrap_phase(wrapped):
     """Unwrap radians so successive differences lie in (-pi, pi].
 

@@ -1,7 +1,7 @@
 """Leading singular triplets of the complex raw-data matrix.
 
 Only the few dominant triplets are ever consumed downstream, so only they
-are computed, by seeded block power iteration in which every product over X,
+are computed, by block power iteration in which every product over X,
 alternately X and X^H, gets its own Rayleigh-Ritz extraction (Halko,
 Martinsson & Tropp, SIAM Review, 2011, Alg. 4.4).  The result holds the
 triplets, the product count and the gate's sigma1/sigma2 bound.
@@ -126,7 +126,13 @@ def _float32_allowance(X, block):
     return total, ROUNDING + 4 * eps + 2 * eps * eps, e
 
 
-def leading_triplets(X, k, seed=0, gate=None):
+def check_gate(gate):
+    """Refuse a gate that cannot refuse: sigma1/sigma2 >= 1 passes any gate <= 1."""
+    if not (1.0 < gate < np.inf):
+        raise ParameterError(f"gate must be finite and > 1, got {gate}")
+
+
+def leading_triplets(X, k, gate=None):
     """Compute the k dominant singular triplets of X.
 
     Block power iteration (with guard vectors), one product over X at a time,
@@ -144,7 +150,8 @@ def leading_triplets(X, k, seed=0, gate=None):
     below the gate returns the Ritz pairs of the block that proved it,
     unconverged, for the caller to refuse the scene.  ConvergenceError carries
     the last sweep's triplets after MAX_SWEEPS sweeps.  X is made C-contiguous
-    once, so that no product takes numpy's strided path.
+    once, so that no product takes numpy's strided path; the start block is
+    always the same, and a `gate` is checked (`check_gate`) before it.
 
     complex64 X stays complex64: each product casts Q to it and takes its
     output back to complex128.  The tolerance is then float32's unit
@@ -154,6 +161,8 @@ def leading_triplets(X, k, seed=0, gate=None):
     threshold come from ``_float32_allowance``.  Any other X is made
     complex128, where the casts do nothing and ROUNDING is the allowance.
     """
+    if gate is not None:
+        check_gate(gate)
     X = np.ascontiguousarray(as_complex_matrix(X, single=True))
     M, N = X.shape
     k = int(k)
@@ -182,7 +191,7 @@ def leading_triplets(X, k, seed=0, gate=None):
     ops = (adjoint, forward)[::1 if right_side else -1]
     gated = gate is not None and block >= 2
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     W = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
     stalled, bound, last = False, np.inf, None  # bound: on sigma1/sigma2, only with a gate

@@ -23,7 +23,7 @@ from .core import (
     unwrap_phase,
     wrap_half_open,
 )
-from .decompose import leading_triplets
+from .decompose import check_gate, leading_triplets
 from .errors import DegenerateFitError, ParameterError, UnsuitableSceneError
 
 SUPPORT_THRESHOLD = 0.1       # fraction of the envelope peak that bounds a support
@@ -185,12 +185,6 @@ def estimate_range(v1):
     v = as_complex_vector(v1)
     support, _ = _auto_support(np.abs(v))
     return fit_quadratic_phase(v, support)
-
-
-def check_gate(gate):
-    """Refuse a gate that cannot refuse: sigma1/sigma2 >= 1 passes any gate <= 1."""
-    if not (1.0 < gate < np.inf):
-        raise ParameterError(f"gate must be finite and > 1, got {gate}")
 
 
 def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):

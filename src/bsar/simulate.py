@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ChirpModel, mapped_zeros, next_fast_len, run_blocks, shift_ramp, synth_chirp,
+from .core import (ChirpModel, mapped_zeros, next_fast_len, run_blocks, sample_chirp, shift_ramp,
                    wrap_half_open)
 from .errors import ConfigurationError, ParameterError
 from .estimate import BlindEstimate
@@ -90,7 +90,7 @@ class AcquisitionConfig:
         return ChirpModel(rate=rate, center=(n - 1) / 2.0, support=(0, n))
 
     def transmitted_pulse(self):
-        return synth_chirp(self.range_chirp_model(), self.chirp_samples)
+        return sample_chirp(self.range_chirp_model(), np.arange(self.chirp_samples))
 
 
 @dataclass(frozen=True)

@@ -101,11 +101,11 @@ def test_rank_deficiency_flagged(transpose):
     assert not np.any(U[:, 1:]) and not np.any(V[:, 1:])
 
 
-def test_seeded_runs_are_identical():
+def test_runs_are_identical():
     rng = np.random.default_rng(12)
     X = random_complex(rng, (20, 20))
-    a = leading_triplets(X, k=4, seed=3)
-    b = leading_triplets(X, k=4, seed=3)
+    a = leading_triplets(X, k=4)
+    b = leading_triplets(X, k=4)
     assert np.array_equal(a.singular_values, b.singular_values)
     assert np.array_equal(a.left_vectors, b.left_vectors)
     assert np.array_equal(a.right_vectors, b.right_vectors)
@@ -117,6 +117,19 @@ def test_parameter_validation():
         leading_triplets(X, k=0)
     with pytest.raises(ParameterError):
         leading_triplets(X, k=5)
+
+
+@pytest.mark.parametrize("gate", [np.nan, np.inf, 1.0, 0.5], ids=["nan", "inf", "1", "0.5"])
+def test_gate_that_cannot_refuse_is_refused_before_any_product(monkeypatch, gate):
+    # sigma1/sigma2 >= 1 passes any gate <= 1; unchecked, nan would act as no
+    # gate and inf as a refusal proven at the first product
+    def no_product(*args, **kwargs):
+        raise AssertionError("a product over X was formed")
+
+    monkeypatch.setattr(np.linalg, "qr", no_product)  # every product follows a QR
+    X = random_complex(np.random.default_rng(19), (40, 60))
+    with pytest.raises(ParameterError, match="gate must be finite and > 1"):
+        leading_triplets(X, k=2, gate=gate)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
@@ -156,7 +169,7 @@ def test_sweep_limit_raises_with_last_sweep(monkeypatch):
     V = last.right_vectors
     assert np.max(np.abs(V.conj().T @ V - np.eye(3))) < 1e-10
     # after more sweeps the message carries their count and the last change
-    # max|dsigma|/sigma1, here between the seeded runs' sweeps 2 and 3
+    # max|dsigma|/sigma1, here between the runs' sweeps 2 and 3
     sigmas, messages = [], []
     for sweeps in (2, 3):
         monkeypatch.setattr(decompose, "MAX_SWEEPS", sweeps)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from bsar.core import ChirpModel, synth_chirp, unwrap_phase, wrap_half_open
+from bsar.core import ChirpModel, unwrap_phase, wrap_half_open
 from bsar.errors import (
     DegenerateFitError,
     ParameterError,

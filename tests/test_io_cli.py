@@ -16,12 +16,12 @@ import bsar.core
 import bsar.focus
 from bsar import fileio
 from bsar.cli import main
-from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, synth_chirp
+from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, sample_chirp
 from bsar.errors import FormatError, ParameterError, SampleError
 from bsar.decompose import leading_triplets
 from bsar.estimate import blind_estimate, build_references
 from bsar.focus import focus_pipeline, range_compress, rcmc
-from bsar.quality import analyze_point_target
+from bsar.quality import analyze_point_target, compare_images
 from bsar.simulate import simulate_raw
 from conftest import DEFAULT_CONFIG
 from oracles import pgm_levels
@@ -386,8 +386,8 @@ def separable_chirp_matrix():
     so every product is exact in float32: the file holds a rank-one matrix."""
     rows = np.arange(128)
     beam = np.sinc((rows - 64.0) / 40.0) ** 2
-    azimuth = beam * synth_chirp(ChirpModel(rate=-2e-3, center=64.0, support=(0, 128)), 128)
-    pulse = synth_chirp(ChirpModel(rate=4e-3, center=60.0, support=(30, 91)), 160)
+    azimuth = beam * sample_chirp(ChirpModel(rate=-2e-3, center=64.0, support=(0, 128)), rows)
+    pulse = sample_chirp(ChirpModel(rate=4e-3, center=60.0, support=(30, 91)), np.arange(160))
     grid = 256.0
     return np.outer(np.round(azimuth * grid) / grid, np.round(pulse * grid) / grid)
 
@@ -507,17 +507,16 @@ def test_cli_estimate_of_the_payload_matches_its_complex128_upcast(tmp_path, req
 
 
 def test_cli_estimate_records_what_made_it(tmp_path, default_sim):
-    # the options, the product count and the precision the decomposition ran
+    # the gate, the product count and the precision the decomposition ran
     # in; read back, the extra keys are ignored and the image is the same
     raw = default_sim[0]
     raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
     fileio.write_matrix(raw, raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
-                 "--k", "4", "--gate", "2.5", "--seed", "3"]) == 0
-    svd = leading_triplets(raw, k=4, seed=3, gate=2.5)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", "2.5"]) == 0
+    svd = leading_triplets(raw, k=2, gate=2.5)
     assert strict_json(est_f)["decomposition"] == {
-        "k": 4, "seed": 3, "gate": 2.5, "products": svd.products, "precision": "complex64"}
-    written = blind_estimate(raw, gate=2.5, svd=svd)
+        "gate": 2.5, "products": svd.products, "precision": "complex64"}
+    written = blind_estimate(raw, gate=2.5)
     assert fileio.read_estimate(est_f) == written
     np.testing.assert_array_equal(focus_pipeline(raw, fileio.read_estimate(est_f)).image,
                                   focus_pipeline(raw, written).image)
@@ -540,7 +539,7 @@ def test_cli_clutter_refusal_writes_no_file(tmp_path, capsys, clutter_sim):
     # spectrum, so neither the estimate nor the spectrum CSV is written
     raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
     fileio.write_matrix(clutter_sim, raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--k", "4",
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
                  "--spectrum", str(spec_f)]) == 4
     single_error_line(capsys, "unsuitable-scene")
     assert not est_f.exists() and not spec_f.exists()
@@ -699,10 +698,13 @@ def test_cli_bad_usage_exits_2(capsys):
     for argv in (["focus"],                            # missing required arguments
                  ["no-such-command"],
                  estimate + ["--bogus", "1"],          # unknown option
-                 estimate + ["--taper", "0.1"],        # an option since removed
                  estimate + ["--gate", "abc"]):        # not a number
         assert main(argv) == 2
         single_error_line(capsys, "parameter")
+    for option in (["--taper", "0.1"], ["--k", "4"], ["--seed", "3"]):  # options since removed
+        assert main(estimate + option) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"bsar: parameter: unrecognized arguments: {' '.join(option)}"]
     for argv in (["--help"], ["--version"], ["focus", "--help"]):
         assert main(argv) == 0
     capsys.readouterr()
@@ -726,6 +728,39 @@ def test_cli_window_outside_image_exits_2(tmp_path, capsys, window):
     single_error_line(capsys, "parameter")
     assert not (tmp_path / "c.json").exists()
     assert main(args + ["--window", "0:512,0:1024"]) == 0  # the whole image is a window
+
+
+def test_cli_compare_window_reads_only_its_rows(tmp_path, capsys, monkeypatch):
+    # both files are read keeping only the window's rows, to the same summary
+    # as whole images give; every row is still scanned, so a NaN outside the
+    # window is refused
+    rng = np.random.default_rng(21)
+    a, b = (rng.standard_normal((96, 40)) + 1j * rng.standard_normal((96, 40)) for _ in "ab")
+    a_f, b_f, bad_f = tmp_path / "a.bsar", tmp_path / "b.bsar", tmp_path / "bad.bsar"
+    fileio.write_matrix(a, a_f)
+    fileio.write_matrix(b, b_f)
+    b[80, 3] = np.nan
+    fileio.write_matrix(b, bad_f)
+    whole_f, out_f = tmp_path / "whole.json", tmp_path / "c.json"
+    fileio.write_json(compare_images(fileio.read_matrix(a_f)[0], fileio.read_matrix(b_f)[0],
+                                     window=(10, 30, 4, 12)), whole_f)
+    read_matrix, keeps = fileio.read_matrix, []
+
+    def recorded(path, keep=None):
+        keeps.append(keep)
+        return read_matrix(path, keep=keep)
+
+    monkeypatch.setattr(fileio, "read_matrix", recorded)
+    args = ["compare", "--a", str(a_f), "--out", str(out_f), "--window", "10:30,4:12"]
+    assert main([*args, "--b", str(b_f)]) == 0
+    assert keeps == [(10, 30), (10, 30)]
+    assert out_f.read_bytes() == whole_f.read_bytes()
+    out_f.unlink()
+    capsys.readouterr()
+    assert main([*args, "--b", str(bad_f)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: {bad_f}: non-finite sample at row 80, column 3"]
+    assert not out_f.exists()
 
 
 @pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0", "1"])
@@ -787,17 +822,19 @@ def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):
     spec_f, report_f = tmp_path / "spectrum.csv", tmp_path / "report.csv"
     fileio.write_matrix(raw, raw_f)
     fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est.json"),
-                 "--k", "3", "--spectrum", str(spec_f)]) == 0
+    est_f = tmp_path / "est.json"
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
+                 "--spectrum", str(spec_f)]) == 0
     row0, col0 = truth.positions[0]
     assert main(["analyze", "--in", str(slc_f), "--row", str(row0), "--col", str(col0),
                  "--out", str(report_f)]) == 0
 
     header, *rows = spec_f.read_text().splitlines()
     assert header == "index,singular_value"
-    assert [r.split(",")[0] for r in rows] == ["0", "1", "2", "dominance_ratio"]
+    assert [r.split(",")[0] for r in rows] == ["0", "1", "dominance_ratio"]
     values = [float(r.split(",")[1]) for r in rows]
     assert values[-1] == pytest.approx(values[0] / values[1])
+    assert values[-1] == strict_json(est_f)["dominance_ratio"]
 
     header, line = report_f.read_text().splitlines()
     assert header == ("peak_row,peak_col,peak_magnitude,irw_range,irw_azimuth,"
@@ -805,28 +842,6 @@ def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):
     report = dict(zip(header.split(","), (float(v) for v in line.split(","))))
     assert abs(report["peak_row"] - row0) <= 1.0
     assert report["oversample_factor"] == 16
-
-
-def test_cli_estimate_k1_lists_one_singular_value(tmp_path, default_sim):
-    # --k only sets the spectrum length: the estimate still uses sigma1 and sigma2
-    raw_f, spec_f = tmp_path / "raw.bsar", tmp_path / "spectrum.csv"
-    fileio.write_matrix(default_sim[0], raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est1.json"),
-                 "--k", "1", "--spectrum", str(spec_f)]) == 0
-    assert main(["estimate", "--in", str(raw_f), "--out", str(tmp_path / "est2.json")]) == 0
-    assert (tmp_path / "est1.json").read_bytes() == (tmp_path / "est2.json").read_bytes()
-    header, *rows = spec_f.read_text().splitlines()
-    assert [r.split(",")[0] for r in rows] == ["0", "dominance_ratio"]
-    assert float(rows[1].split(",")[1]) == strict_json(tmp_path / "est1.json")["dominance_ratio"]
-
-
-def test_cli_estimate_k0_exits_2(tmp_path, capsys):
-    raw_f, est_f, spec_f = tmp_path / "raw.bsar", tmp_path / "est.json", tmp_path / "s.csv"
-    fileio.write_matrix(np.ones((8, 8), dtype=np.complex128), raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--k", "0",
-                 "--spectrum", str(spec_f)]) == 2
-    single_error_line(capsys, "parameter")
-    assert not est_f.exists() and not spec_f.exists()
 
 
 def test_cli_nan_sample_exits_2(tmp_path, capsys):
@@ -887,28 +902,21 @@ def test_cli_non_finite_position_or_floor_exits_2(tmp_path, capsys, blind_image,
     assert not out_f.exists()
 
 
-@pytest.mark.parametrize("case", ["estimate-seed-negative", "rng_seed-negative",
+@pytest.mark.parametrize("case", ["rng_seed-negative",
                                   "rng_seed-fraction", "num_pulses-fraction",
                                   "samples_per_pulse-bool"])
 def test_cli_seed_or_grid_size_not_a_count_exits_2(tmp_path, capsys, case):
-    # refused before any input is read or any sample drawn: here the raw
-    # file the estimate names does not exist
+    # refused before any sample is drawn
     field, problem = case.rsplit("-", 1)
     out_f = tmp_path / "out"
-    if field == "estimate-seed":
-        argv = ["estimate", "--in", str(tmp_path / "absent.bsar"), "--seed", "-1"]
-        message = "bsar: parameter: --seed -1: "
-    else:
-        message = f"bsar: parameter: {field} must be "
-        doc = json.loads(DEFAULT_CONFIG.read_text())
-        value = {"negative": -1, "fraction": doc["config"][field] + 0.5, "bool": True}[problem]
-        doc["config"][field] = value
-        config_f = tmp_path / "config.json"
-        config_f.write_text(json.dumps(doc))
-        argv = ["simulate", "--config", str(config_f)]
-    assert main([*argv, "--out", str(out_f)]) == 2
+    doc = json.loads(DEFAULT_CONFIG.read_text())
+    value = {"negative": -1, "fraction": doc["config"][field] + 0.5, "bool": True}[problem]
+    doc["config"][field] = value
+    config_f = tmp_path / "config.json"
+    config_f.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config_f), "--out", str(out_f)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(message), err
+    assert len(err) == 1 and err[0].startswith(f"bsar: parameter: {field} must be "), err
     assert not out_f.exists()
 
 

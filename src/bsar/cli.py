@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .decompose import leading_triplets
+from .decompose import check_gate, leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate
 from .focus import focus_pipeline
@@ -84,6 +84,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    check_gate(args.gate)  # a gate that cannot refuse costs no read
     raw = fileio.read_matrix(args.input)[0]  # decomposed in the file's precision
     # the min leaves a matrix under 2 x 2 for blind_estimate to refuse
     svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=args.gate)
@@ -157,8 +158,8 @@ def _cmd_compare(args):
 
 
 def _cmd_render(args):
-    img = fileio.read_matrix(args.input)[0]
-    fileio.render_magnitude(img, args.db, args.out)
+    with fileio.MatrixReader(args.input) as reader:  # read a row block at a time, twice
+        fileio.render_magnitude(reader, args.db, args.out)
     return 0
 
 

@@ -8,8 +8,9 @@ Conventions used throughout the package:
   radians,
 * frequencies are in cycles/sample (range) or cycles/pulse (azimuth),
 * the raw matrix is complex64 (float32 I/Q), from the simulator and the
-  file alike; the decomposition's products over it run in float32, and the
-  range FFT upcasts it.  All other arithmetic is float64.
+  file alike; the decomposition's products over it run in float32, and
+  focusing keeps it in a complex64 map whose blocks each pass upcasts and
+  stores back.  All other arithmetic is float64.
 """
 
 from dataclasses import dataclass
@@ -27,14 +28,25 @@ RAMP_STEP = 64  # fine-table length of the factored phase ramp
 RCMC_BLOCK_ROWS = 64  # rows in flight in a block pass, shared by its workers
 
 
-def as_complex_matrix(data, single=False):
-    """Validate and return a 2-D complex128 array (rows = pulses, cols = range);
-    with `single`, complex64 data is returned as it is, without a copy."""
+def as_complex_matrix(data):
+    """Validate and return a 2-D complex array (rows = pulses, cols = range):
+    complex64 data as it is, without a copy, anything else as complex128."""
     x = np.asarray(data)
-    x = x if single and x.dtype == np.complex64 else np.asarray(x, np.complex128)
+    x = x if x.dtype == np.complex64 else np.asarray(x, np.complex128)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ParameterError("expected a non-empty 2-D complex matrix")
     return x
+
+
+def row_source(data):
+    """(source, rows): `data` as a matrix (complex64 kept as it is) or as the
+    row-block reader it is, anything with `shape`, `dtype` and a
+    ``read(rows)`` such as ``fileio.MatrixReader``; rows(slice) returns
+    those rows of it."""
+    if hasattr(data, "read"):
+        return data, data.read
+    x = as_complex_matrix(data)
+    return x, x.__getitem__
 
 
 def mapped_zeros(shape, dtype):

@@ -163,7 +163,7 @@ def leading_triplets(X, k, gate=None):
     """
     if gate is not None:
         check_gate(gate)
-    X = np.ascontiguousarray(as_complex_matrix(X, single=True))
+    X = np.ascontiguousarray(as_complex_matrix(X))
     M, N = X.shape
     k = int(k)
     if not (1 <= k <= min(M, N)):

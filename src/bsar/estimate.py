@@ -167,7 +167,7 @@ def estimate_doppler_centroid(raw):
     CENTROID_BLOCK_ROWS + 1 rows, consecutive blocks sharing a row, each
     upcast once from complex64 raw, so no scene-sized copy is made.
     """
-    x = as_complex_matrix(raw, single=True)
+    x = as_complex_matrix(raw)
     total = 0j
     for lo in range(0, x.shape[0] - 1, CENTROID_BLOCK_ROWS):
         rows = x[lo:lo + CENTROID_BLOCK_ROWS + 1].astype(np.complex128, copy=False)
@@ -201,7 +201,7 @@ def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
     raw grid (``build_references``) is a parameter error here, not in focus.
     """
     check_gate(gate)
-    X = np.ascontiguousarray(as_complex_matrix(raw, single=True))
+    X = np.ascontiguousarray(as_complex_matrix(raw))
     if min(X.shape) < 2:
         raise ParameterError(f"raw matrix is {X.shape[0]}x{X.shape[1]}: "
                              "the estimate needs at least 2 rows and 2 columns")

@@ -8,8 +8,9 @@ blocks, each scanned for NaN and infinite samples; ``read_matrix``, the one
 whole-file read, goes through it, so in-process callers are refused a
 non-finite sample as the CLI is.  A raw payload read back stays complex64,
 the precision ``simulate_raw`` makes it in: the decomposition multiplies it
-as it is, and the range FFT upcasts it block by block.  Everything else is
-float64, and a focused image comes back to complex64 before it is written.
+as it is, and focusing keeps it complex64 in pass 1's map, upcasting it
+block by block for each pass.  Everything else is float64, and a focused
+image comes back to complex64 before it is written.
 
 JSON sidecars hold one key per dataclass field, as strict RFC 8259 JSON:
 non-finite floats are the strings "nan", "inf" and "-inf".
@@ -26,7 +27,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import RCMC_BLOCK_ROWS, mapped_zeros, run_blocks
+from .core import RCMC_BLOCK_ROWS, mapped_zeros, row_source, run_blocks
 from .errors import FormatError, ParameterError, SampleError
 from .estimate import BlindEstimate
 from .simulate import AcquisitionConfig, GroundTruth, Scatterer
@@ -66,6 +67,8 @@ class MatrixReader:
     one ``os.preadv`` at the rows' offset.
     """
 
+    dtype = np.dtype("<c8")  # of the payload and of the blocks ``read`` returns
+
     def __init__(self, path):
         self.path = path
         self._fd = os.open(path, os.O_RDONLY)
@@ -102,7 +105,7 @@ class MatrixReader:
         `out` (C-contiguous, of their shape), scanned: a NaN or infinite
         sample raises SampleError naming the first one, by row and column."""
         lo, hi, _ = rows.indices(self.shape[0])
-        block = np.empty((hi - lo, self.shape[1]), "<c8") if out is None else out
+        block = np.empty((hi - lo, self.shape[1]), self.dtype) if out is None else out
         offset = HEADER.size + lo * self.shape[1] * 8
         got = os.preadv(self._fd, [block], offset)
         if got != block.nbytes:  # the file shrank after it was opened
@@ -137,28 +140,36 @@ def read_matrix(path, keep=None):
     return matrix, reader.flags
 
 
-def render_magnitude(matrix, db_floor, path):
-    """8-bit grayscale PGM of the magnitude in dB relative to the peak."""
+def render_magnitude(image, db_floor, path):
+    """8-bit grayscale PGM of the magnitude in dB relative to the peak.
+
+    `image` is a matrix or a row-block reader (``core.row_source``), read in
+    two passes of RCMC_BLOCK_ROWS rows: the peak first, then the PGM rows,
+    so that only a block's float64 magnitude is held, and a reader's
+    non-finite sample is refused before the PGM is opened."""
     if not -np.inf < db_floor < 0:  # NaN fails both comparisons
         raise ParameterError(f"db_floor must be finite and negative, not {db_floor}")
-    mag = np.abs(matrix, dtype=np.float64)
-    peak = float(np.max(mag))
+    source, rows_of = row_source(image)
+    m, n = source.shape
+    blocks = [slice(lo, lo + RCMC_BLOCK_ROWS) for lo in range(0, m, RCMC_BLOCK_ROWS)]
+    peak = float(np.max([np.max(np.abs(rows_of(rows), dtype=np.float64)) for rows in blocks]))
     if peak == 0.0:
         warnings.warn("all-zero input: rendering a uniform black image")
         peak = 1.0  # every pixel then sits at -inf dB, below the floor
-    # dB, floor-scaled and clipped, then 8-bit levels, all within `mag`
-    mag /= peak
-    with np.errstate(divide="ignore"):
-        np.log10(mag, out=mag)
-    mag *= 20.0
-    mag -= db_floor
-    mag /= 0.0 - db_floor
-    np.clip(mag, 0.0, 1.0, out=mag)
-    mag *= 255.0
-    pixels = np.round(mag, out=mag).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{mag.shape[1]} {mag.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+        fh.write(f"P5\n{n} {m}\n255\n".encode("ascii"))
+        for rows in blocks:
+            # dB, floor-scaled and clipped, then 8-bit levels, all within `mag`
+            mag = np.abs(rows_of(rows), dtype=np.float64)
+            mag /= peak
+            with np.errstate(divide="ignore"):
+                np.log10(mag, out=mag)
+            mag *= 20.0
+            mag -= db_floor
+            mag /= 0.0 - db_floor
+            np.clip(mag, 0.0, 1.0, out=mag)
+            mag *= 255.0
+            fh.write(np.round(mag, out=mag).astype(np.uint8).tobytes())
 
 
 def sha256_file(path):

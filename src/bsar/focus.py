@@ -15,15 +15,19 @@ In blind mode ``track_rcm`` runs between passes 1 and 2: it finds the
 migration peaks on inverse FFTs of pass 1's rows inside the azimuth support,
 a block of rows at a time, and fits them against their pulse offsets from
 the estimate's beam center, the row ``rcmc`` counts pulses from.  The chain
-owns one full-size matrix, pass 1's buffer, a memory map of its own whose
+owns one full-size matrix, pass 1's map, a memory map of its own whose
 padded row stride (``_padded_width``) keeps the two azimuth passes from
-thrashing the cache.  Pass 1 fills it from a matrix or, a row block at a
-time, straight from a BSAR file (``fileio.MatrixReader``), so the payload is
-never resident whole; the later passes transform it in place, and the
-complex128 image is then cast to complex64, the file's precision, over the
-front of the same map, whose rest is given back (``_compact``).  The cast
-is a plain loop over row blocks in the calling thread, as threads cast no
-faster; an image that overflows complex64 is a parameter error.
+thrashing the cache.  The map has the raw rows' precision: complex64, half
+the bytes, for a BSAR file and ``simulate_raw``'s output, complex128 for
+complex128 rows.  Pass 1 fills it from a matrix or, a row block at a time,
+straight from a BSAR file (``fileio.MatrixReader``), so the payload is
+never resident whole; the later passes transform it in place.  Every pass
+upcasts its block of rows or columns to complex128, as complex64 FFTs are
+no faster, transforms it and stores it back once (``_store``): a value
+that overflows complex64 is a parameter error.  The image is then written
+complex64, the file's precision, over the front of the same map, whose
+rest is given back (``_compact``), in a plain loop over row blocks in the
+calling thread, as threads move rows no faster.
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -47,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (RCMC_BLOCK_ROWS, as_complex_matrix, as_complex_vector, mapped_zeros, median,
-                   next_fast_len, release_mapped, run_blocks, shift_ramp, wrap_half_open)
+                   next_fast_len, release_mapped, row_source, run_blocks, shift_ramp,
+                   wrap_half_open)
 from .errors import BsarError, ParameterError, SampleError, TrackingError
 from .estimate import _parabolic_peak, build_references
 
@@ -84,14 +89,15 @@ class FocusedImage:
     provenance: str            # "blind" or "oracle"
 
 
-def _row_source(raw):
-    """(source, rows): `raw` as a matrix (complex64 kept as it is) or as the
-    row-block reader it is, anything with `shape` and a ``read(rows)`` such
-    as ``fileio.MatrixReader``; rows(slice) returns those rows of it."""
-    if hasattr(raw, "read"):
-        return raw, raw.read
-    x = as_complex_matrix(raw, single=True)
-    return x, x.__getitem__
+def _store(out, block):
+    """out[...] = block, a complex128 block stored into pass 1's map; a value
+    past a complex64 map's range is a parameter error, not an infinity.
+    Called in the worker thread, as numpy's error state is per thread."""
+    try:
+        with np.errstate(over="raise"):
+            out[...] = block
+    except FloatingPointError:
+        raise ParameterError("a sample overflows complex64: scale the raw data down")
 
 
 def range_compress(raw, range_ref):
@@ -100,26 +106,30 @@ def range_compress(raw, range_ref):
     Returns the M x nfft matrix, a view of the padded buffer, a map of its
     own (``core.mapped_zeros``), that ``rcmc`` and ``azimuth_compress``
     transform in place.  `raw` is a matrix or a row-block reader
-    (``_row_source``); complex64 rows are upcast as each block is copied
-    into the buffer, so a reader's payload is never resident whole.  A
-    row's inverse FFT, trimmed to N columns with the group delay (the
-    reference's center index) removed, peaks at a point echo's phase-vertex
-    column.
+    (``core.row_source``), so a reader's payload is never resident whole.
+    The map has the raw rows' precision: complex64 for complex64 rows (a
+    BSAR file, ``simulate_raw``), else complex128.  Each block of rows is
+    transformed in complex128 and stored once (``_store``).  A row's
+    inverse FFT, trimmed to N columns with the group delay (the reference's
+    center index) removed, peaks at a point echo's phase-vertex column.
     """
-    source, rows_of = _row_source(raw)
+    source, rows_of = row_source(raw)
     m, n = source.shape
     ref = as_complex_vector(range_ref)
     if ref.size > n:
         raise ParameterError("reference longer than a data row")
     nfft = next_fast_len(n + ref.size - 1)
-    spectrum = mapped_zeros((m, _padded_width(nfft)), np.complex128)[:, :nfft]
+    spectrum = mapped_zeros((m, _padded_width(nfft, source.dtype.itemsize)),
+                            source.dtype)[:, :nfft]
     ref_spectrum = np.conj(np.fft.fft(ref, nfft))
 
     def compress(rows):
-        block = spectrum[rows]
-        block[:, :n] = rows_of(rows)  # the map's zeros pad the rest
+        data = rows_of(rows)
+        block = np.zeros((data.shape[0], nfft), np.complex128)
+        block[:, :n] = data
         np.fft.fft(block, axis=1, out=block)
         block *= ref_spectrum
+        _store(spectrum[rows], block)
 
     run_blocks(compress, m)
     return spectrum
@@ -149,7 +159,8 @@ def track_rcm(spectrum, width, delay, offsets):
     peaks = np.empty(offsets.size)
 
     def find_peaks(rows):
-        mags = np.abs(np.fft.ifft(spectrum[rows], axis=1))
+        block = spectrum[rows].astype(np.complex128)
+        mags = np.abs(np.fft.ifft(block, axis=1, out=block))
         mags = np.concatenate((mags[:, mags.shape[1] - delay:], mags[:, :width - delay]), axis=1)
         cols = np.argmax(mags, axis=1)
         peaks[rows] = [_parabolic_peak(row, col) for row, col in zip(mags, cols)]
@@ -182,8 +193,9 @@ def rcmc(spectrum, width, delay, rcm, azimuth_rate, doppler_centroid):
     -(delta(d_eta) - delta(eta0)) range samples, with eta0 = -dc /
     (2 * azimuth_rate) the zero-Doppler offset, and removes the group
     `delay` before the inverse range DFT.  Targets thus land at their
-    closest-approach range.  A complex128 `spectrum` is transformed in
-    place; the M x `width` range-Doppler matrix returned is a view of it.
+    closest-approach range.  A complex64 or complex128 `spectrum` is
+    transformed in place, a block at a time in complex128; the M x `width`
+    range-Doppler matrix returned is a view of it.
     """
     x = as_complex_matrix(spectrum)
     m, nfft = x.shape
@@ -199,37 +211,40 @@ def rcmc(spectrum, width, delay, rcm, azimuth_rate, doppler_centroid):
     shift = delta - delay  # the group delay is a constant shift
 
     def azimuth_fft(cols):
-        block = x[:, cols]
-        np.fft.fft(block, axis=0, out=block)
+        block = x[:, cols].astype(np.complex128)
+        _store(x[:, cols], np.fft.fft(block, axis=0, out=block))
 
     def shift_range(rows):
-        block = x[rows]
-        block *= shift_ramp(shift[rows], nfft)
-        np.fft.ifft(block, axis=1, out=block)
+        table = shift_ramp(shift[rows], nfft)
+        np.multiply(x[rows], table, out=table)  # x * ramp, as complex products differ swapped
+        _store(x[rows], np.fft.ifft(table, axis=1, out=table))
 
     run_blocks(azimuth_fft, nfft)
     run_blocks(shift_range, m)
     return x[:, :width]
 
 
-def _padded_width(n):
-    """Smallest width >= n whose complex128 row is an odd number of 64-byte
-    cache lines (width = 4 mod 8).
+def _padded_width(n, itemsize):
+    """Smallest width >= n whose row of `itemsize`-byte samples is an odd
+    number of 64-byte cache lines: width = 4 mod 8 for complex128, 8 mod 16
+    for complex64.
 
     Axis-0 FFTs step through memory one row at a time; at a power-of-two row
     stride every element of a column maps to the same few cache sets and
     evicts the others, while an odd number of lines spreads them over all
     sets.
     """
-    return n + (4 - n) % 8
+    line = 64 // itemsize
+    return n + (line - n) % (2 * line)
 
 
 def azimuth_compress(rd, azimuth_ref):
     """Azimuth matched filter in the frequency domain, then inverse DFT.
 
     `rd` must be in the range-Doppler domain; the reference is zero-padded to
-    the column length and conjugated in the frequency domain.  A complex128
-    `rd` is consumed: it is filtered in place and returned as the image.
+    the column length and conjugated in the frequency domain.  A complex64 or
+    complex128 `rd` is consumed: it is filtered in place, a block at a time
+    in complex128, and returned as the image.
     """
     x = as_complex_matrix(rd)
     ref = as_complex_vector(azimuth_ref)
@@ -238,34 +253,29 @@ def azimuth_compress(rd, azimuth_ref):
     matched = np.conj(np.fft.fft(ref, x.shape[0]))[:, None]
 
     def filter_columns(cols):
-        block = x[:, cols]
-        block *= matched
-        np.fft.ifft(block, axis=0, out=block)
+        block = x[:, cols] * matched
+        _store(x[:, cols], np.fft.ifft(block, axis=0, out=block))
 
     run_blocks(filter_columns, x.shape[1])
     return x
 
 
 def _compact(image):
-    """The complex128 image, a row-strided view of pass 1's map, cast to
-    complex64 and written C-contiguous over the front of that same map; the
-    rest of the map is given back (``core.release_mapped``).
+    """The image, a row-strided view of pass 1's map, written complex64 and
+    C-contiguous over the front of that same map: a row move for a complex64
+    map, a cast for a complex128 one; the rest of the map is given back
+    (``core.release_mapped``).
 
-    Row r lands at bytes [8rN, 8(r+1)N) and is read from byte 16rP on, with
-    P >= N the map's row stride, so casting RCMC_BLOCK_ROWS rows at a time,
-    in order, overwrites only rows that are already cast; numpy buffers the
-    first block, which overlaps its own rows.  The loop runs in the calling
-    thread, where ``np.errstate`` sees an image that overflows complex64: a
-    parameter error, not an image of infinities.
+    Row r lands at bytes [8rN, 8(r+1)N) and is read from byte srP on, with s
+    the map's itemsize and P >= N its row stride, so moving RCMC_BLOCK_ROWS
+    rows at a time, in order, overwrites only rows that are already moved;
+    numpy buffers a block that overlaps its own rows.  A cast that
+    overflows complex64 is a parameter error (``_store``).
     """
     m, n = image.shape
     out = image.base.view(np.complex64)[:m * n].reshape(m, n)
-    try:
-        with np.errstate(over="raise"):
-            for lo in range(0, m, RCMC_BLOCK_ROWS):
-                out[lo:lo + RCMC_BLOCK_ROWS] = image[lo:lo + RCMC_BLOCK_ROWS]
-    except FloatingPointError:
-        raise ParameterError("the focused image overflows complex64: scale the raw data down")
+    for lo in range(0, m, RCMC_BLOCK_ROWS):
+        _store(out[lo:lo + RCMC_BLOCK_ROWS], image[lo:lo + RCMC_BLOCK_ROWS])
     release_mapped(image, out.nbytes)
     return out
 
@@ -274,17 +284,18 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
     """Compose the full focusing chain from a parameter estimate.
 
     `raw` is a matrix, complex64 or complex128, or a row-block reader
-    (``range_compress``).  The pulse grid is the raw matrix's:
-    `build_references` builds the references on its rows.  An analytic
-    RcmModel may be supplied to bypass peak tracking (oracle mode).
-    on_stage, when given, is called with (stage_name, result) after every
-    stage, before the next stage transforms pass 1's buffer further; the
-    complex128 image it gets from "azimuth_compress" is then compacted in
-    place (``_compact``), so a caller that keeps it keeps a copy.  The
-    returned image is complex64 and C-contiguous, the precision of the
-    BSAR file, and the one scene-sized matrix left.
+    (``range_compress``), whose precision pass 1's map takes.  The pulse
+    grid is the raw matrix's: `build_references` builds the references on
+    its rows.  An analytic RcmModel may be supplied to bypass peak tracking
+    (oracle mode).  on_stage, when given, is called with (stage_name,
+    result) after every stage, before the next stage transforms pass 1's
+    map further; the image it gets from "azimuth_compress", in the map's
+    precision, is then compacted in place (``_compact``), so a caller that
+    keeps it keeps a copy.  The returned image is complex64 and
+    C-contiguous, the precision of the BSAR file, and the one scene-sized
+    matrix left.
     """
-    source, _ = _row_source(raw)
+    source, _ = row_source(raw)
     m, width = source.shape
 
     def stage(name, fn, *args):

@@ -7,6 +7,7 @@ import pytest
 
 import bsar.core
 import bsar.focus
+from bsar import fileio
 from bsar.core import ChirpModel, mapped_zeros, next_fast_len, sample_chirp, shift_ramp
 from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import _parabolic_peak, build_references
@@ -307,10 +308,12 @@ def test_shift_ramp_matches_direct_exp(n):
 
 
 def test_padded_width_is_an_odd_number_of_cache_lines():
-    for n in range(1, 301):
-        width = _padded_width(n)
-        assert n <= width < n + 8
-        assert (width * 16) % 128 == 64  # complex128 row = odd count of 64-byte lines
+    for itemsize in (8, 16):  # complex64, complex128
+        line = 64 // itemsize  # samples in a 64-byte line
+        for n in range(1, 301):
+            width = _padded_width(n, itemsize)
+            assert n <= width < n + 2 * line
+            assert (width * itemsize) % 128 == 64  # a row = odd count of 64-byte lines
 
 
 def random_matrix(seed, shape):
@@ -411,8 +414,8 @@ def test_blind_peak_hits_ground_truth(blind_image, default_sim):
 
 
 def stage_image(raw, estimate, rcm):
-    """The complex128 image of the "azimuth_compress" stage, copied before
-    focus_pipeline compacts it to complex64 in place."""
+    """The image of the "azimuth_compress" stage, complex128 for complex128
+    raw, copied before focus_pipeline compacts it to complex64 in place."""
     seen = {}
 
     def keep(name, result):
@@ -429,8 +432,11 @@ def test_pipeline_linearity(default_scene):
     sc1 = scene[0]
     sc2 = replace(sc1, azimuth_time=sc1.azimuth_time + 0.15,
                   range_offset=sc1.range_offset - 200.0, reflectivity=0.6 + 0.2j)
+    # complex128 raw keeps a complex128 map, so every stage stays linear to
+    # float64 precision
     raw1, truth = simulate_raw(cfg, [sc1])
-    raw2, _ = simulate_raw(cfg, [sc2])
+    raw1 = raw1.astype(np.complex128)
+    raw2 = simulate_raw(cfg, [sc2])[0].astype(np.complex128)
     estimate, rcm = oracle_estimate(truth)
     img1 = stage_image(raw1, estimate, rcm)
     img2 = stage_image(raw2, estimate, rcm)
@@ -565,9 +571,10 @@ def test_zero_azimuth_rate_is_a_parameter_error(request, mode):
 
 
 def focus_memory(monkeypatch, raw, estimate, rcm):
-    """(maps, heap peak) of one focus_pipeline call: the (shape, dtype) of
-    every map it asks core.mapped_zeros for, which tracemalloc does not see,
-    and the peak of what tracemalloc does see, in units of M*N*16 bytes."""
+    """(maps, heap peak) of one focus_pipeline call on `raw`, a matrix or a
+    fileio.MatrixReader: the (shape, dtype) of every map it asks
+    core.mapped_zeros for, which tracemalloc does not see, and the peak of
+    what tracemalloc does see, in units of M*N*16 bytes."""
     maps = []
 
     def recorded(shape, dtype):
@@ -581,14 +588,15 @@ def focus_memory(monkeypatch, raw, estimate, rcm):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return maps, peak / (raw.size * 16)
+    m, n = raw.shape
+    return maps, peak / (m * n * 16)
 
 
-def pass_one_map(raw, estimate):
+def pass_one_map(raw, estimate, dtype):
     """The (shape, dtype) of pass 1's map: M rows of the padded nfft."""
     range_ref, _ = build_references(estimate, raw.shape[0])
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
-    return (raw.shape[0], _padded_width(nfft)), np.dtype(np.complex128)
+    return (raw.shape[0], _padded_width(nfft, np.dtype(dtype).itemsize)), np.dtype(dtype)
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
@@ -600,31 +608,101 @@ def test_focus_pipeline_peak_memory(monkeypatch, mode, default_sim, default_esti
     raw = default_sim[0].astype(np.complex128)
     estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
     maps, peak = focus_memory(monkeypatch, raw, estimate, rcm)
-    assert maps == [pass_one_map(raw, estimate)]
+    assert maps == [pass_one_map(raw, estimate, np.complex128)]
     assert peak <= 0.4, peak
+
+
+U32 = 2.0 ** -24  # unit roundoff of float32: |fl(z) - z| <= U32 |z| for complex64
+
+
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_complex64_map_is_the_complex128_spectrum_rounded_once(request, scene):
+    # each block of rows is transformed in complex128 and stored once
+    raw, _, estimate, _ = focus_inputs(request, scene, "blind")
+    range_ref, _ = build_references(estimate, raw.shape[0])
+    single = range_compress(raw, range_ref)
+    assert single.dtype == np.complex64
+    double = range_compress(raw.astype(np.complex128), range_ref)
+    np.testing.assert_array_equal(single, double.astype(np.complex64))
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
 @pytest.mark.parametrize("scene", ["default", "squint"])
 def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
-    # a BSAR payload is focused as read; the range FFT upcasts it exactly
+    # not bit for bit, but within a bound derived from U32 and the number of
+    # stores: complex64 raw rounds each pass's complex128 block once as it is
+    # stored into the map, at passes 1 to 4; complex128 raw rounds once, in
+    # _compact.  With Y pass 1's exact spectrum, the later passes scale a
+    # norm by sqrt(M) (azimuth FFT), by 1/sqrt(nfft) (unit-modulus ramp,
+    # inverse range FFT, trim) and by at most g/sqrt(M) (matched filter of
+    # peak gain g, inverse azimuth FFT), so the k-th store's error moves the
+    # image by at most U32 (1 + U32)^k g ||Y|| / sqrt(nfft), and _compact's
+    # by at most U32 g ||Y|| / sqrt(nfft); float64 arithmetic adds far
+    # less than 1e-12 of the image's norm
     raw, _, estimate, rcm = focus_inputs(request, scene, mode)
-    single = raw.astype(np.complex64)
-    image = focus_pipeline(single, estimate, rcm_override=rcm, provenance=mode).image
-    upcast = focus_pipeline(single.astype(np.complex128), estimate, rcm_override=rcm,
-                            provenance=mode).image
-    np.testing.assert_array_equal(image, upcast)
+    assert raw.dtype == np.complex64  # simulate_raw's precision
+    seen = {}
+    single = focus_pipeline(raw, estimate, rcm_override=rcm,
+                            on_stage=lambda name, result: seen.update({name: result})).image
+    rcm = seen["track_rcm"] if rcm is None else rcm  # one model for both images
+    double = focus_pipeline(raw.astype(np.complex128), estimate, rcm_override=rcm).image
+    range_ref, azimuth_ref = build_references(estimate, raw.shape[0])
+    spectrum = range_compress(raw.astype(np.complex128), range_ref)
+    gain = np.max(np.abs(np.fft.fft(azimuth_ref, raw.shape[0])))
+    stores = 4
+    per_rounding = U32 * gain * np.linalg.norm(spectrum) / np.sqrt(spectrum.shape[1])
+    bound = per_rounding * (1 + sum((1 + U32) ** k for k in range(stores)))
+    error = np.linalg.norm(single.astype(np.complex128) - double)
+    assert error <= bound + 1e-12 * np.linalg.norm(double), (error, bound)
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
 def test_focus_pipeline_peak_memory_complex64(monkeypatch, mode, default_sim, default_estimate,
                                               default_oracle):
-    # complex64 raw is not copied whole: the same bounds as for complex128 raw
-    raw = default_sim[0].astype(np.complex64)
+    # complex64 raw is not copied whole, and pass 1's map is complex64, half
+    # the bytes of complex128's; the heap holds block-sized temporaries only
+    raw = default_sim[0]
     estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
     maps, peak = focus_memory(monkeypatch, raw, estimate, rcm)
-    assert maps == [pass_one_map(raw, estimate)]
+    assert maps == [pass_one_map(raw, estimate, np.complex64)]
     assert peak <= 0.4, peak
+
+
+@pytest.mark.parametrize("mode", ["blind", "oracle"])
+def test_focus_pipeline_on_a_reader_maps_one_complex64_matrix(
+        monkeypatch, tmp_path, mode, default_sim, default_estimate, default_oracle):
+    # a BSAR file focused a row block at a time: one complex64 map of M x
+    # padded(nfft), and no scene-sized matrix on the heap
+    raw = default_sim[0]
+    fileio.write_matrix(raw, tmp_path / "raw.bsar")
+    estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
+    with fileio.MatrixReader(tmp_path / "raw.bsar") as reader:
+        maps, peak = focus_memory(monkeypatch, reader, estimate, rcm)
+    assert maps == [pass_one_map(raw, estimate, np.complex64)]
+    assert peak <= 0.4, peak
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("stage", ["range_compress", "rcmc"])
+def test_complex64_map_overflow_is_a_parameter_error(monkeypatch, default_sim, default_oracle,
+                                                     stage, workers):
+    # complex64 raw scaled so that pass 1's spectrum peaks at twice float32's
+    # largest value, or at half of it while pass 2's azimuth spectrum peaks
+    # past twice of it: the store that overflows is refused, not written as
+    # an infinity, at any worker count
+    raw = default_sim[0]
+    estimate, rcm = default_oracle
+    range_ref, _ = build_references(estimate, raw.shape[0])
+    spectrum = range_compress(raw.astype(np.complex128), range_ref)
+    f32_max = float(np.finfo(np.float32).max)
+    scale = (2.0 if stage == "range_compress" else 0.5) * f32_max / np.max(np.abs(spectrum))
+    if stage == "rcmc":
+        assert scale * np.max(np.abs(np.fft.fft(spectrum, axis=0))) > 2.0 * f32_max
+    big = raw * float(scale)
+    assert big.dtype == np.complex64 and np.isfinite(big).all()
+    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
+    with pytest.raises(ParameterError, match=f"stage '{stage}': a sample overflows complex64"):
+        focus_pipeline(big, estimate, rcm_override=rcm)
 
 
 def test_stage_dumps(default_sim, default_estimate):

@@ -324,6 +324,30 @@ def test_render_peak_memory():
     assert peak <= 1.5 * img.nbytes, peak / img.nbytes
 
 
+def test_render_of_a_reader_reads_row_blocks_to_the_same_bytes(tmp_path):
+    # two passes of RCMC_BLOCK_ROWS rows over the file, the last block
+    # ragged, write the matrix's PGM byte for byte; the heap holds a block's
+    # magnitude, not the image's
+    img = complex64_image((8 * RCMC_BLOCK_ROWS + 5, 1024))
+    img[7] = 0.0
+    img_f = tmp_path / "img.bsar"
+    fileio.write_matrix(img, img_f, flags=fileio.FLAG_FOCUSED)
+    fileio.render_magnitude(img, -40.0, tmp_path / "matrix.pgm")
+    with fileio.MatrixReader(img_f) as reader:
+        tracemalloc.start()
+        try:
+            fileio.render_magnitude(reader, -40.0, tmp_path / "reader.pgm")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    data = (tmp_path / "reader.pgm").read_bytes()
+    assert data == (tmp_path / "matrix.pgm").read_bytes()
+    header = f"P5\n1024 {img.shape[0]}\n255\n".encode("ascii")
+    pixels = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(img.shape)
+    np.testing.assert_array_equal(pixels, pgm_levels(img, -40.0))
+    assert peak <= 0.5 * img.nbytes, peak / img.nbytes
+
+
 def test_render_rejects_nonnegative_floor(tmp_path):
     # an infinite floor maps every level to 0 or NaN: an all-black image
     from bsar.errors import ParameterError
@@ -776,6 +800,19 @@ def test_cli_gate_that_cannot_refuse_exits_2(tmp_path, capsys, default_sim, gate
     assert not est_f.exists() and not spectrum_f.exists()
 
 
+def test_cli_gate_is_refused_before_the_raw_file_is_read(tmp_path, capsys, default_sim):
+    # the raw file holds a NaN sample past the first row block; the gate,
+    # checked before the read, is what the one error line names
+    raw = default_sim[0].copy()
+    raw[300, 17] = np.nan
+    raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
+    fileio.write_matrix(raw, raw_f)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", "0.5"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "bsar: parameter: gate must be finite and > 1, got 0.5"]
+    assert not est_f.exists()
+
+
 def test_cli_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["estimate", "--in", str(tmp_path / "nope.bsar"),
                  "--out", str(tmp_path / "e.json")]) == 2
@@ -940,8 +977,8 @@ def test_cli_refusal_of_a_non_finite_or_overflowing_input_is_one_line(
         tmp_path, default_sim, default_estimate, case):
     # in a fresh process, whose stderr also holds numpy's warnings: the one
     # error line is all of it, and no output file is written; the raw file
-    # x 1e37 fits float32, but its decomposition's energy and its focused
-    # image do not
+    # x 1e37 fits float32, but its decomposition's energy and pass 1's
+    # complex64 map do not
     if case in SIMULATE_REFUSALS:
         section, field, value, kind = SIMULATE_REFUSALS[case]
         doc = json.loads(DEFAULT_CONFIG.read_text())

@@ -182,8 +182,9 @@ def main(argv=None):
     except BsarError as exc:
         print(f"bsar: {exc.kind}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return exc.exit_status
-    except FileNotFoundError as exc:
-        print(f"bsar: parameter: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a path not permitted
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"bsar: parameter: {reason}: {exc.filename}", file=sys.stderr)
         return 2
 
 

@@ -69,18 +69,6 @@ def mapped_zeros(shape, dtype):
     return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
-def release_mapped(array, start):
-    """Give the pages of the map under `array` (from ``mapped_zeros``, or a
-    view of it) from byte `start`, rounded up to a page, to the map's end
-    back to the system; they read as zeros if touched again."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    buffer = array.obj  # the memoryview np.frombuffer holds of the map
-    start = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
-    if hasattr(mmap, "MADV_DONTNEED") and start < len(buffer):
-        buffer.madvise(mmap.MADV_DONTNEED, start, len(buffer) - start)
-
-
 def as_complex_vector(data):
     x = np.asarray(data, dtype=np.complex128)
     if x.ndim != 1 or x.size < 1:

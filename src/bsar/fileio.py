@@ -89,8 +89,10 @@ class MatrixReader:
                 problem = "truncated payload" if size < end else "trailing bytes"
                 raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
                                   offset=min(size, end))
-        except BaseException:
+        except BaseException as exc:
             os.close(self._fd)
+            if isinstance(exc, OSError):  # a directory opens, then fails its first read
+                exc.filename = path
             raise
         self.shape = (m, n)
 

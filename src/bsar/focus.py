@@ -24,10 +24,9 @@ straight from a BSAR file (``fileio.MatrixReader``), so the payload is
 never resident whole; the later passes transform it in place.  Every pass
 upcasts its block of rows or columns to complex128, as complex64 FFTs are
 no faster, transforms it and stores it back once (``_store``): a value
-that overflows complex64 is a parameter error.  The image is then written
-complex64, the file's precision, over the front of the same map, whose
-rest is given back (``_compact``), in a plain loop over row blocks in the
-calling thread, as threads move rows no faster.
+that overflows complex64 is a parameter error.  The image is pass 4's
+output where it lies, the M x N view of that map in its precision;
+``fileio.write_matrix`` casts and writes it a block of rows at a time.
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -50,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (RCMC_BLOCK_ROWS, as_complex_matrix, as_complex_vector, mapped_zeros, median,
-                   next_fast_len, release_mapped, row_source, run_blocks, shift_ramp,
-                   wrap_half_open)
+from .core import (as_complex_matrix, as_complex_vector, mapped_zeros, median, next_fast_len,
+                   row_source, run_blocks, shift_ramp, wrap_half_open)
 from .errors import BsarError, ParameterError, SampleError, TrackingError
 from .estimate import _parabolic_peak, build_references
 
@@ -83,7 +81,8 @@ class RcmModel:
 
 @dataclass
 class FocusedImage:
-    """Single-look complex image plus provenance of the parameters used."""
+    """Single-look complex image, the M x N view of pass 1's map in the raw
+    rows' precision, plus provenance of the parameters used."""
 
     image: np.ndarray
     provenance: str            # "blind" or "oracle"
@@ -260,26 +259,6 @@ def azimuth_compress(rd, azimuth_ref):
     return x
 
 
-def _compact(image):
-    """The image, a row-strided view of pass 1's map, written complex64 and
-    C-contiguous over the front of that same map: a row move for a complex64
-    map, a cast for a complex128 one; the rest of the map is given back
-    (``core.release_mapped``).
-
-    Row r lands at bytes [8rN, 8(r+1)N) and is read from byte srP on, with s
-    the map's itemsize and P >= N its row stride, so moving RCMC_BLOCK_ROWS
-    rows at a time, in order, overwrites only rows that are already moved;
-    numpy buffers a block that overlaps its own rows.  A cast that
-    overflows complex64 is a parameter error (``_store``).
-    """
-    m, n = image.shape
-    out = image.base.view(np.complex64)[:m * n].reshape(m, n)
-    for lo in range(0, m, RCMC_BLOCK_ROWS):
-        _store(out[lo:lo + RCMC_BLOCK_ROWS], image[lo:lo + RCMC_BLOCK_ROWS])
-    release_mapped(image, out.nbytes)
-    return out
-
-
 def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stage=None):
     """Compose the full focusing chain from a parameter estimate.
 
@@ -289,11 +268,9 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
     its rows.  An analytic RcmModel may be supplied to bypass peak tracking
     (oracle mode).  on_stage, when given, is called with (stage_name,
     result) after every stage, before the next stage transforms pass 1's
-    map further; the image it gets from "azimuth_compress", in the map's
-    precision, is then compacted in place (``_compact``), so a caller that
-    keeps it keeps a copy.  The returned image is complex64 and
-    C-contiguous, the precision of the BSAR file, and the one scene-sized
-    matrix left.
+    map further; the image it gets from "azimuth_compress" is the returned
+    image.  That image is the M x N view of pass 1's map, the one
+    scene-sized matrix, in the map's precision.
     """
     source, _ = row_source(raw)
     m, width = source.shape
@@ -322,4 +299,4 @@ def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stag
     rd = stage("rcmc", rcmc, spectrum, width, delay, rcm, estimate.azimuth_chirp.rate,
                estimate.doppler_centroid)
     image = stage("azimuth_compress", azimuth_compress, rd, azimuth_ref)
-    return FocusedImage(image=_compact(image), provenance=provenance)
+    return FocusedImage(image=image, provenance=provenance)

@@ -1,4 +1,3 @@
-import mmap
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,6 @@ from bsar.core import (
     ChirpModel,
     mapped_zeros,
     median,
-    release_mapped,
     next_fast_len,
     sample_chirp,
     unwrap_phase,
@@ -208,15 +206,3 @@ def test_mapped_zeros_is_a_writable_zero_array_outside_the_heap(shape):
     x[...] = 1.0 + 2.0j
     assert np.all(x == 1.0 + 2.0j)
     assert peak < 4096  # only the array objects are traced, not the map
-
-
-@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no MADV_DONTNEED")
-@pytest.mark.parametrize("start", [0, 1, mmap.PAGESIZE, 3 * mmap.PAGESIZE + 5, 1 << 30])
-def test_release_mapped_zeroes_the_pages_past_start(start):
-    x = mapped_zeros((64, 1024), np.complex128)
-    x[...] = 1.0
-    release_mapped(x[:, :100], start)  # a view finds its map too
-    kept = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE  # rounded up to a page
-    raw = x.view(np.uint8).ravel()
-    assert np.all(raw[:kept].view(np.float64)[::2] == 1.0)
-    assert not raw[kept:].any()

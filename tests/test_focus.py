@@ -1,4 +1,3 @@
-import mmap
 import tracemalloc
 from dataclasses import replace
 
@@ -13,7 +12,6 @@ from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import _parabolic_peak, build_references
 from bsar.focus import (
     RcmModel,
-    _compact,
     _padded_width,
     azimuth_compress,
     fit_rcm,
@@ -413,19 +411,6 @@ def test_blind_peak_hits_ground_truth(blind_image, default_sim):
     assert abs(peak[1] - col0) <= 1.0
 
 
-def stage_image(raw, estimate, rcm):
-    """The image of the "azimuth_compress" stage, complex128 for complex128
-    raw, copied before focus_pipeline compacts it to complex64 in place."""
-    seen = {}
-
-    def keep(name, result):
-        if name == "azimuth_compress":
-            seen["image"] = result.copy()
-
-    focus_pipeline(raw, estimate, rcm_override=rcm, on_stage=keep)
-    return seen["image"]
-
-
 def test_pipeline_linearity(default_scene):
     config, scene = default_scene
     cfg = replace(config, noise_sigma=0.0)
@@ -438,9 +423,8 @@ def test_pipeline_linearity(default_scene):
     raw1 = raw1.astype(np.complex128)
     raw2 = simulate_raw(cfg, [sc2])[0].astype(np.complex128)
     estimate, rcm = oracle_estimate(truth)
-    img1 = stage_image(raw1, estimate, rcm)
-    img2 = stage_image(raw2, estimate, rcm)
-    both = stage_image(raw1 + raw2, estimate, rcm)
+    img1, img2, both = (focus_pipeline(raw, estimate, rcm_override=rcm).image
+                        for raw in (raw1, raw2, raw1 + raw2))
     assert both.dtype == np.complex128
     scale = np.max(np.abs(both))
     np.testing.assert_allclose(both, img1 + img2, atol=1e-9 * scale)
@@ -448,46 +432,19 @@ def test_pipeline_linearity(default_scene):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
-def test_image_is_the_stage_image_cast_in_place(monkeypatch, request, mode, workers):
-    # the returned image is the complex64 cast of the azimuth_compress stage,
-    # C-contiguous at the front of pass 1's map, at any worker count
+def test_image_is_the_stage_image_in_pass_one_map(monkeypatch, request, mode, workers):
+    # the returned image is the azimuth_compress stage's array itself, the
+    # M x N view of pass 1's map in the raw's precision, at any worker count
     raw, _, estimate, rcm = focus_inputs(request, "default", mode)
     monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
     seen = {}
-
-    def keep(name, result):
-        seen[name] = result.astype(np.complex64) if name == "azimuth_compress" else result
-
-    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode, on_stage=keep).image
-    assert image.dtype == np.complex64 and image.flags.c_contiguous
-    np.testing.assert_array_equal(image, seen["azimuth_compress"])
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode,
+                           on_stage=seen.__setitem__).image
+    assert image is seen["azimuth_compress"]
+    assert image.shape == raw.shape and image.dtype == raw.dtype == np.complex64
     spectrum = seen["range_compress"]
     assert image.ctypes.data == spectrum.ctypes.data
     assert np.shares_memory(image, spectrum)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
-@pytest.mark.parametrize("shape", [(1, 7), (45, 60), (130, 33), (300, 1031)])
-def test_compact_casts_the_rows_in_place_and_releases_the_rest(monkeypatch, workers, shape):
-    # row counts below, at and past one block, the last block ragged; (45,
-    # 60) has a row stride of exactly N, so row r's cast ends where row r's
-    # samples start
-    monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
-    m, n = shape
-    spectrum = range_compress(random_matrix(7, shape), IMPULSE)
-    assert spectrum.shape == (m, next_fast_len(n))
-    expected = spectrum[:, :n].astype(np.complex64)
-    image = _compact(spectrum[:, :n])
-    np.testing.assert_array_equal(image, expected)
-    assert image.flags.c_contiguous and image.ctypes.data == spectrum.ctypes.data
-    if hasattr(mmap, "MADV_DONTNEED"):  # the pages past the image read as zeros again
-        tail = -(-image.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE
-        assert not spectrum.base.view(np.uint8)[tail:].any()
-    # a sample past float32's range in the last row is refused, not cast to inf
-    spectrum = range_compress(random_matrix(7, shape), IMPULSE)
-    spectrum[-1, n - 1] = 1e39
-    with pytest.raises(ParameterError, match="overflows complex64"):
-        _compact(spectrum[:, :n])
 
 
 def test_range_shift_covariance(default_scene):
@@ -602,8 +559,8 @@ def pass_one_map(raw, estimate, dtype):
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
 def test_focus_pipeline_peak_memory(monkeypatch, mode, default_sim, default_estimate,
                                     default_oracle):
-    # pass 1's map is the one full-size matrix, and the image is compacted
-    # into it; any other scene-sized matrix on the heap, even a complex64
+    # pass 1's map is the one full-size matrix, and the image is a view of
+    # it; any other scene-sized matrix on the heap, even a complex64
     # one (0.5 units), breaks the heap bound
     raw = default_sim[0].astype(np.complex128)
     estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle
@@ -631,14 +588,13 @@ def test_complex64_map_is_the_complex128_spectrum_rounded_once(request, scene):
 def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
     # not bit for bit, but within a bound derived from U32 and the number of
     # stores: complex64 raw rounds each pass's complex128 block once as it is
-    # stored into the map, at passes 1 to 4; complex128 raw rounds once, in
-    # _compact.  With Y pass 1's exact spectrum, the later passes scale a
+    # stored into the map, at passes 1 to 4; complex128 raw is not rounded
+    # at all.  With Y pass 1's exact spectrum, the later passes scale a
     # norm by sqrt(M) (azimuth FFT), by 1/sqrt(nfft) (unit-modulus ramp,
     # inverse range FFT, trim) and by at most g/sqrt(M) (matched filter of
     # peak gain g, inverse azimuth FFT), so the k-th store's error moves the
-    # image by at most U32 (1 + U32)^k g ||Y|| / sqrt(nfft), and _compact's
-    # by at most U32 g ||Y|| / sqrt(nfft); float64 arithmetic adds far
-    # less than 1e-12 of the image's norm
+    # image by at most U32 (1 + U32)^k g ||Y|| / sqrt(nfft); float64
+    # arithmetic adds far less than 1e-12 of the image's norm
     raw, _, estimate, rcm = focus_inputs(request, scene, mode)
     assert raw.dtype == np.complex64  # simulate_raw's precision
     seen = {}
@@ -651,7 +607,7 @@ def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
     gain = np.max(np.abs(np.fft.fft(azimuth_ref, raw.shape[0])))
     stores = 4
     per_rounding = U32 * gain * np.linalg.norm(spectrum) / np.sqrt(spectrum.shape[1])
-    bound = per_rounding * (1 + sum((1 + U32) ** k for k in range(stores)))
+    bound = per_rounding * sum((1 + U32) ** k for k in range(stores))
     error = np.linalg.norm(single.astype(np.complex128) - double)
     assert error <= bound + 1e-12 * np.linalg.norm(double), (error, bound)
 

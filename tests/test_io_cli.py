@@ -49,6 +49,7 @@ def strict_json(path):
 def single_error_line(capsys, kind):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"bsar: {kind}: "), err
+    return err[0]
 
 
 # --- BSAR binary format ----------------------------------------------------------
@@ -105,7 +106,7 @@ def test_write_matrix_peak_memory():
 
 
 def test_complex64_rows_are_written_without_a_cast_copy():
-    # the focused image is C-contiguous complex64: its rows go to the file as they are
+    # simulate_raw's raw is C-contiguous complex64: its rows go to the file as they are
     x = np.ones((1024, 1024), dtype=np.complex64)
     tracemalloc.start()
     try:
@@ -116,11 +117,13 @@ def test_complex64_rows_are_written_without_a_cast_copy():
     assert peak < RCMC_BLOCK_ROWS * x.shape[1] * x.itemsize / 8, peak
 
 
-@pytest.mark.parametrize("layout", ["transposed", "column-strided"])
+@pytest.mark.parametrize("layout", ["transposed", "column-strided", "row-padded"])
 def test_matrix_written_row_major_whatever_the_layout(tmp_path, layout):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((9, 14)) + 1j * rng.standard_normal((9, 14))
-    view = x.T if layout == "transposed" else x[:, ::3]
+    view = {"transposed": x.T, "column-strided": x[:, ::3],
+            # focus_pipeline's image: the first N columns of pass 1's wider complex64 map
+            "row-padded": np.pad(x.astype(np.complex64), ((0, 0), (0, 10)))[:, :14]}[layout]
     fileio.write_matrix(view, tmp_path / "view.bsar")
     fileio.write_matrix(np.ascontiguousarray(view), tmp_path / "copy.bsar")
     data = (tmp_path / "view.bsar").read_bytes()
@@ -817,6 +820,32 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys):
     assert main(["estimate", "--in", str(tmp_path / "nope.bsar"),
                  "--out", str(tmp_path / "e.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "focus", "analyze", "compare",
+                                     "render", "analyze-in"])
+def test_cli_directory_as_a_file_exits_2(tmp_path, capsys, default_sim, default_estimate,
+                                         blind_image, command):
+    # a directory as --out, or as --in: one line naming it, no traceback
+    raw_f, est_f, slc_f, report_f, folder = (tmp_path / name for name in (
+        "raw.bsar", "est.json", "slc.bsar", "report.csv", "folder"))
+    fileio.write_matrix(default_sim[0], raw_f)
+    fileio.write_estimate(default_estimate, est_f)
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    folder.mkdir()
+    position = ["--row", "256.5", "--col", "480.5"]
+    argv = {
+        "simulate": ["simulate", "--config", DEFAULT_CONFIG, "--out", folder],
+        "estimate": ["estimate", "--in", raw_f, "--out", folder],
+        "focus": ["focus", "--in", raw_f, "--est", est_f, "--out", folder],
+        "analyze": ["analyze", "--in", slc_f, *position, "--out", folder],
+        "compare": ["compare", "--a", slc_f, "--b", slc_f, "--out", folder],
+        "render": ["render", "--in", slc_f, "--out", folder],
+        "analyze-in": ["analyze", "--in", folder, *position, "--out", report_f],
+    }[command]
+    assert main([str(arg) for arg in argv]) == 2
+    assert single_error_line(capsys, "parameter").endswith(f": {folder}")
+    assert not report_f.exists() and not any(folder.iterdir())
 
 
 def test_cli_simulate_deterministic(tmp_path):

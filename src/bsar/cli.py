@@ -6,6 +6,7 @@ stderr, ``bsar: <kind>: <message>``, with line breaks in the message as spaces.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -50,8 +51,6 @@ def build_parser():
     p.add_argument("--est", help="estimate JSON from the estimate step")
     p.add_argument("--oracle", help="ground-truth JSON for oracle-mode focusing")
     p.add_argument("--out", required=True, help="output focused BSAR file")
-    p.add_argument("--dump-stages",
-                   help="directory for BSAR dumps of the RCMC output and the image")
 
     p = sub.add_parser("analyze", help="point-target impulse-response metrics")
     p.add_argument("--in", dest="input", required=True, help="focused BSAR file")
@@ -85,14 +84,14 @@ def _cmd_simulate(args):
 
 def _cmd_estimate(args):
     check_gate(args.gate)  # a gate that cannot refuse costs no read
-    raw = fileio.read_matrix(args.input)[0]  # decomposed in the file's precision
+    raw, flags = fileio.read_matrix(args.input)  # decomposed in the file's precision
     # the min leaves a matrix under 2 x 2 for blind_estimate to refuse
     svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=args.gate)
     est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
     decomposition = {"gate": args.gate, "products": svd.products, "precision": raw.dtype.name}
-    fileio.write_estimate(est, args.out, input_hash=fileio.sha256_file(args.input),
+    fileio.write_estimate(est, args.out, input_hash=fileio.sha256_matrix(raw, flags),
                           decomposition=decomposition)
     return 0
 
@@ -100,18 +99,6 @@ def _cmd_estimate(args):
 def _cmd_focus(args):
     if bool(args.est) == bool(args.oracle):
         raise ParameterError("exactly one of --est or --oracle is required")
-
-    on_stage = None
-    if args.dump_stages:
-
-        def on_stage(name, result):  # after pass 1: a refused input leaves no directory
-            os.makedirs(args.dump_stages, exist_ok=True)
-            path = os.path.join(args.dump_stages, f"{name}.bsar")
-            if name == "rcmc":  # not pass 1's spectrum nor the model
-                fileio.write_matrix(result, path)
-            elif name == "azimuth_compress":  # the --out file's bytes
-                fileio.write_matrix(result, path, flags=fileio.FLAG_FOCUSED)
-
     # a malformed file is refused on opening, before any pass; pass 1 then
     # reads the payload a row block at a time, so it is never resident whole
     with fileio.MatrixReader(args.input) as reader:
@@ -122,7 +109,7 @@ def _cmd_focus(args):
             if truth.config is None:
                 raise ParameterError("--oracle truth file lacks the config block")
             est, rcm = oracle_estimate(truth)
-        img = focus_pipeline(reader, est, rcm_override=rcm, on_stage=on_stage).image
+        img = focus_pipeline(reader, est, rcm_override=rcm).image
     fileio.write_matrix(img, args.out, flags=fileio.FLAG_FOCUSED)
     return 0
 
@@ -176,6 +163,11 @@ COMMANDS = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        # each output path fails before any input is read, as writing it would
+        for path in filter(None, map(vars(args).get, ("out", "truth", "spectrum", "json"))):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            if code == errno.EISDIR or not os.path.isdir(os.path.dirname(path) or "."):
+                raise OSError(code, os.strerror(code), path)
         return COMMANDS[args.command](args)
     except SystemExit as exc:  # only --help and --version exit, with status 0
         return exc.code

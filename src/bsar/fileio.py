@@ -1,8 +1,8 @@
 """File formats: BSAR complex matrices, PGM renders and JSON sidecars.
 
 BSAR layout (little-endian): magic "BSAR", uint16 version (=1), uint16 flags
-(bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved zero
-bytes, then rows*cols interleaved float32 (I, Q) pairs in row-major order.
+(bit 0 set for focused data), uint32 rows, uint32 cols, 16 reserved bytes that
+must be zero, then rows*cols interleaved float32 (I, Q) pairs, row-major.
 ``MatrixReader`` checks a file's header and size once and reads it in row
 blocks, each scanned for NaN and infinite samples; ``read_matrix``, the one
 whole-file read, goes through it, so in-process callers are refused a
@@ -77,13 +77,15 @@ class MatrixReader:
             if len(header) < HEADER.size:
                 raise FormatError(f"truncated header ({len(header)} bytes)",
                                   offset=len(header))
-            magic, version, self.flags, m, n, _ = HEADER.unpack(header)
+            magic, version, self.flags, m, n, reserved = HEADER.unpack(header)
             if magic != MAGIC:
                 raise FormatError(f"bad magic {magic!r}", offset=0)
             if version != VERSION:
                 raise FormatError(f"unsupported version {version}", offset=4)
             if m < 1 or n < 1:
                 raise FormatError(f"invalid dimensions {m}x{n}", offset=8)
+            if reserved != bytes(16):
+                raise FormatError("nonzero reserved header bytes", offset=16)
             size, end = os.fstat(self._fd).st_size, HEADER.size + m * n * 8
             if size != end:
                 problem = "truncated payload" if size < end else "trailing bytes"
@@ -174,11 +176,11 @@ def render_magnitude(image, db_floor, path):
             fh.write(np.round(mag, out=mag).astype(np.uint8).tobytes())
 
 
-def sha256_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+def sha256_matrix(matrix, flags):
+    """SHA-256 of the BSAR file of `matrix` and `flags`, header included,
+    taken from the matrix in memory, so that it names the bytes read."""
+    digest = hashlib.sha256(HEADER.pack(MAGIC, VERSION, flags, *matrix.shape, bytes(16)))
+    digest.update(np.ascontiguousarray(matrix, dtype="<c8"))
     return digest.hexdigest()
 
 

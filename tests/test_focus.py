@@ -662,8 +662,16 @@ def test_complex64_map_overflow_is_a_parameter_error(monkeypatch, default_sim, d
 
 
 def test_stage_dumps(default_sim, default_estimate):
+    # every stage, in order; RCMC's output is copied in the callback, since
+    # azimuth_compress then filters that buffer in place, and it is the
+    # tracked model's RCMC of the range-compressed raw matrix
     raw, _ = default_sim
-    seen = []
-    focus_pipeline(raw, default_estimate,
-                   on_stage=lambda name, _: seen.append(name))
-    assert seen == ["range_compress", "track_rcm", "rcmc", "azimuth_compress"]
+    seen = {}
+    focus_pipeline(raw, default_estimate, on_stage=lambda name, result: seen.update(
+        {name: result.copy() if name == "rcmc" else result}))
+    assert list(seen) == ["range_compress", "track_rcm", "rcmc", "azimuth_compress"]
+    range_ref, _ = build_references(default_estimate, raw.shape[0])
+    rd = rcmc(range_compress(raw, range_ref), raw.shape[1], (range_ref.size - 1) // 2,
+              seen["track_rcm"], default_estimate.azimuth_chirp.rate,
+              default_estimate.doppler_centroid)
+    np.testing.assert_array_equal(seen["rcmc"], rd)

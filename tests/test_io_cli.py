@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -19,8 +20,8 @@ from bsar.cli import main
 from bsar.core import RCMC_BLOCK_ROWS, ChirpModel, sample_chirp
 from bsar.errors import FormatError, ParameterError, SampleError
 from bsar.decompose import leading_triplets
-from bsar.estimate import blind_estimate, build_references
-from bsar.focus import focus_pipeline, range_compress, rcmc
+from bsar.estimate import blind_estimate
+from bsar.focus import focus_pipeline
 from bsar.quality import analyze_point_target, compare_images
 from bsar.simulate import simulate_raw
 from conftest import DEFAULT_CONFIG
@@ -247,7 +248,7 @@ def test_malformed_file_is_refused_before_any_pass(monkeypatch, tmp_path, capsys
     passes = []
     monkeypatch.setattr(bsar.focus, "range_compress", lambda *args: passes.append(args))
     monkeypatch.setattr(bsar.cli, "leading_triplets", lambda *args, **kw: passes.append(args))
-    for argv in (["focus", "--est", str(est_f), "--dump-stages", str(tmp_path / "st")],
+    for argv in (["focus", "--est", str(est_f)],
                  ["estimate"], ["analyze", "--row", "256", "--col", "480"]):
         capsys.readouterr()
         assert main([*argv, "--in", str(raw_f), "--out", str(out_f)]) == 3
@@ -359,6 +360,22 @@ def test_render_rejects_nonnegative_floor(tmp_path):
         with pytest.raises(ParameterError, match="finite and negative"):
             fileio.render_magnitude(np.ones((2, 2)), db_floor, tmp_path / "x.pgm")
     assert not (tmp_path / "x.pgm").exists()
+
+
+def test_nonzero_reserved_header_byte_is_refused(tmp_path, capsys):
+    # the reserved bytes are zero, so that a header re-packed from the flags
+    # and shape is the file's own
+    path = tmp_path / "m.bsar"
+    fileio.write_matrix(np.ones((4, 4), np.complex64), path)
+    data = bytearray(path.read_bytes())
+    data[fileio.HEADER.size - 1] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="reserved") as info:
+        fileio.MatrixReader(path)
+    assert info.value.offset == 16
+    assert main(["render", "--in", str(path), "--out", str(tmp_path / "m.pgm")]) == 3
+    single_error_line(capsys, "format")
+    assert not (tmp_path / "m.pgm").exists()
 
 
 # --- JSON sidecars -----------------------------------------------------------------
@@ -728,8 +745,11 @@ def test_cli_bad_usage_exits_2(capsys):
                  estimate + ["--gate", "abc"]):        # not a number
         assert main(argv) == 2
         single_error_line(capsys, "parameter")
-    for option in (["--taper", "0.1"], ["--k", "4"], ["--seed", "3"]):  # options since removed
-        assert main(estimate + option) == 2
+    focus = ["focus", "--in", "raw.bsar", "--est", "est.json", "--out", "x.bsar"]
+    for argv, option in ((estimate, ["--taper", "0.1"]), (estimate, ["--k", "4"]),
+                         (estimate, ["--seed", "3"]),
+                         (focus, ["--dump-stages", "stages"])):  # options since removed
+        assert main(argv + option) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"bsar: parameter: unrecognized arguments: {' '.join(option)}"]
     for argv in (["--help"], ["--version"], ["focus", "--help"]):
@@ -848,6 +868,47 @@ def test_cli_directory_as_a_file_exits_2(tmp_path, capsys, default_sim, default_
     assert not report_f.exists() and not any(folder.iterdir())
 
 
+@pytest.mark.parametrize("case", ["simulate-truth", "analyze-json", "estimate-spectrum",
+                                  "focus-missing-parent"])
+def test_cli_unwritable_output_is_refused_before_any_input_is_read(
+        monkeypatch, tmp_path, capsys, default_sim, default_estimate, blind_image, case):
+    # every output path is checked first, so a later one that cannot be
+    # written leaves no earlier output behind, and no input is opened
+    raw_f, est_f, slc_f, folder = (tmp_path / name for name in (
+        "raw.bsar", "est.json", "slc.bsar", "folder"))
+    fileio.write_matrix(default_sim[0], raw_f)
+    fileio.write_estimate(default_estimate, est_f)
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    folder.mkdir()
+    argv, path, reason = {
+        "simulate-truth": (["simulate", "--config", DEFAULT_CONFIG, "--out", tmp_path / "r2.bsar",
+                            "--truth", folder], folder, "Is a directory"),
+        "analyze-json": (["analyze", "--in", slc_f, "--row", "256.5", "--col", "480.5",
+                          "--out", tmp_path / "r.csv", "--json", folder], folder, "Is a directory"),
+        "estimate-spectrum": (["estimate", "--in", raw_f, "--out", folder,
+                               "--spectrum", tmp_path / "s.csv"], folder, "Is a directory"),
+        "focus-missing-parent": (["focus", "--in", raw_f, "--est", est_f,
+                                  "--out", folder / "missing" / "blind.bsar"],
+                                 folder / "missing" / "blind.bsar", "file not found"),
+    }[case]
+    opened = []
+
+    def recorded(name, original):
+        def call(*args, **kw):
+            opened.append(name)
+            return original(*args, **kw)
+        return call
+
+    for name in ("load_scene", "read_matrix", "MatrixReader"):
+        monkeypatch.setattr(fileio, name, recorded(name, getattr(fileio, name)))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"bsar: parameter: {reason}: {path}"]
+    assert opened == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_simulate_deterministic(tmp_path):
     a = tmp_path / "a.bsar"
     b = tmp_path / "b.bsar"
@@ -856,30 +917,24 @@ def test_cli_simulate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_dump_stages(tmp_path):
-    raw_f = tmp_path / "raw.bsar"
-    est_f = tmp_path / "est.json"
-    stages = tmp_path / "stages"
-    assert main(["simulate", "--config", str(DEFAULT_CONFIG), "--out", str(raw_f)]) == 0
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
-    assert main(["focus", "--in", str(raw_f), "--est", str(est_f),
-                 "--out", str(tmp_path / "slc.bsar"),
-                 "--dump-stages", str(stages)]) == 0
-    names = sorted(p.name for p in stages.iterdir())
-    assert names == ["azimuth_compress.bsar", "rcmc.bsar"]
+@pytest.mark.parametrize("rewritten", [False, True], ids=["unchanged", "rewritten"])
+def test_cli_estimate_hashes_the_bytes_it_read(monkeypatch, tmp_path, default_sim, rewritten):
+    # input_sha256 is the raw file's SHA-256, taken from the bytes read, so
+    # a file rewritten while the estimate runs is not read a second time
+    raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
+    fileio.write_matrix(default_sim[0], raw_f)
+    digest = hashlib.sha256(raw_f.read_bytes()).hexdigest()
+    estimate = bsar.cli.blind_estimate
 
-    # the RCMC dump is written before azimuth_compress filters that buffer
-    raw, _ = fileio.read_matrix(raw_f)
-    est = fileio.read_estimate(est_f)
-    models = {}
-    focus_pipeline(raw, est, on_stage=models.__setitem__)
-    range_ref, _ = build_references(est, raw.shape[0])
-    rd = rcmc(range_compress(raw, range_ref), raw.shape[1], (range_ref.size - 1) // 2,
-              models["track_rcm"], est.azimuth_chirp.rate, est.doppler_centroid)
-    dumped, _ = fileio.read_matrix(stages / "rcmc.bsar")
-    np.testing.assert_array_equal(dumped, rd.astype(np.complex64))
-    # the image dump is the --out file, focused flag included
-    assert (stages / "azimuth_compress.bsar").read_bytes() == (tmp_path / "slc.bsar").read_bytes()
+    def rewriting(raw, **kw):
+        if rewritten:
+            fileio.write_matrix(2 * raw, raw_f)
+        return estimate(raw, **kw)
+
+    monkeypatch.setattr(bsar.cli, "blind_estimate", rewriting)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
+    assert strict_json(est_f)["input_sha256"] == digest
+    assert (hashlib.sha256(raw_f.read_bytes()).hexdigest() != digest) == rewritten
 
 
 def test_cli_csv_outputs_are_numeric(tmp_path, default_sim, blind_image):
@@ -937,7 +992,7 @@ def test_cli_non_finite_sample_exits_2(tmp_path, capsys, default_sim, default_es
     fileio.write_json(truth, truth_f)
     argv = {
         "estimate": ["estimate", "--in", bad_f, "--spectrum", tmp_path / "s.csv"],
-        "focus-est": ["focus", "--in", bad_f, "--est", est_f, "--dump-stages", tmp_path / "st"],
+        "focus-est": ["focus", "--in", bad_f, "--est", est_f],
         "focus-oracle": ["focus", "--in", bad_f, "--oracle", truth_f],
         "analyze": ["analyze", "--in", bad_f, "--row", "256", "--col", "480"],
         "compare-a": ["compare", "--a", bad_f, "--b", good_f],
@@ -1000,8 +1055,7 @@ SIMULATE_REFUSALS = {  # case: (section, field, value, kind of the error line)
 }
 
 
-@pytest.mark.parametrize("case", [*SIMULATE_REFUSALS, "estimate-overflow", "focus-overflow",
-                                  "focus-overflow-dump"])
+@pytest.mark.parametrize("case", [*SIMULATE_REFUSALS, "estimate-overflow", "focus-overflow"])
 def test_cli_refusal_of_a_non_finite_or_overflowing_input_is_one_line(
         tmp_path, default_sim, default_estimate, case):
     # in a fresh process, whose stderr also holds numpy's warnings: the one
@@ -1021,8 +1075,6 @@ def test_cli_refusal_of_a_non_finite_or_overflowing_input_is_one_line(
         argv = {
             "estimate-overflow": ["estimate", "--in", "raw.bsar", "--spectrum", "s.csv"],
             "focus-overflow": ["focus", "--in", "raw.bsar", "--est", "est.json"],
-            "focus-overflow-dump": ["focus", "--in", "raw.bsar", "--est", "est.json",
-                                    "--dump-stages", "stages"],
         }[case]
     inputs = sorted(tmp_path.rglob("*"))
     proc = run_python(["-m", "bsar.cli", *argv, "--out", "out"], cwd=tmp_path)

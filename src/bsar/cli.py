@@ -17,7 +17,7 @@ from .decompose import check_gate, leading_triplets
 from .errors import BsarError, ParameterError
 from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate
 from .focus import focus_pipeline
-from .quality import analyze_point_target, compare_images
+from .quality import ANALYSIS_WINDOW, analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
 
 
@@ -58,7 +58,6 @@ def build_parser():
     p.add_argument("--col", type=float, required=True)
     p.add_argument("--out", required=True, help="output CSV report")
     p.add_argument("--json", help="optional JSON report")
-    p.add_argument("--window", type=int, default=64)
 
     p = sub.add_parser("compare", help="compare two focused images")
     p.add_argument("--a", required=True)
@@ -85,6 +84,8 @@ def _cmd_simulate(args):
 def _cmd_estimate(args):
     check_gate(args.gate)  # a gate that cannot refuse costs no read
     raw, flags = fileio.read_matrix(args.input)  # decomposed in the file's precision
+    if flags & fileio.FLAG_FOCUSED:  # its estimate would be garbage, not a refusal
+        raise ParameterError(f"{args.input}: a focused image (flag bit 0), not raw data")
     # the min leaves a matrix under 2 x 2 for blind_estimate to refuse
     svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=args.gate)
     est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
@@ -102,6 +103,8 @@ def _cmd_focus(args):
     # a malformed file is refused on opening, before any pass; pass 1 then
     # reads the payload a row block at a time, so it is never resident whole
     with fileio.MatrixReader(args.input) as reader:
+        if reader.flags & fileio.FLAG_FOCUSED:  # refused before the estimate is read
+            raise ParameterError(f"{args.input}: a focused image (flag bit 0), not raw data")
         if args.est:
             est, rcm = fileio.read_estimate(args.est), None
         else:
@@ -115,11 +118,11 @@ def _cmd_focus(args):
 
 
 def _cmd_analyze(args):
-    row, half = args.row, args.window // 2
+    row, half = args.row, ANALYSIS_WINDOW // 2
     # the window's rows, if the position is finite; any other case is refused below
     keep = (0, 0) if not np.isfinite(row) else (round(row) - half, round(row) + half)
     img = fileio.read_matrix(args.input, keep=keep)[0]
-    report = analyze_point_target(img, (args.row, args.col), window=args.window)
+    report = analyze_point_target(img, (args.row, args.col))
     fileio.write_report_csv(report, args.out)
     if args.json:
         fileio.write_json(report, args.json)

@@ -259,33 +259,27 @@ def azimuth_compress(rd, azimuth_ref):
     return x
 
 
-def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind", on_stage=None):
+def focus_pipeline(raw, estimate, rcm_override=None, provenance="blind"):
     """Compose the full focusing chain from a parameter estimate.
 
     `raw` is a matrix, complex64 or complex128, or a row-block reader
     (``range_compress``), whose precision pass 1's map takes.  The pulse
     grid is the raw matrix's: `build_references` builds the references on
     its rows.  An analytic RcmModel may be supplied to bypass peak tracking
-    (oracle mode).  on_stage, when given, is called with (stage_name,
-    result) after every stage, before the next stage transforms pass 1's
-    map further; the image it gets from "azimuth_compress" is the returned
-    image.  That image is the M x N view of pass 1's map, the one
-    scene-sized matrix, in the map's precision.
+    (oracle mode).  The image returned is the M x N view of pass 1's map,
+    the one scene-sized matrix, in the map's precision.
     """
     source, _ = row_source(raw)
     m, width = source.shape
 
     def stage(name, fn, *args):
         try:
-            result = fn(*args)
+            return fn(*args)
         except SampleError:
             raise  # names the file, row and column; no stage is at fault
         except BsarError as exc:
             exc.args = (f"stage {name!r}: {exc}",) + exc.args[1:]
             raise
-        if on_stage is not None:
-            on_stage(name, result)
-        return result
 
     range_ref, azimuth_ref = build_references(estimate, m)
     delay = (range_ref.size - 1) // 2

@@ -18,6 +18,7 @@ MINUS_3DB = 10.0 ** (-3.0 / 20.0)
 ISLR_EXTENT = 10.0  # multiples of the -3 dB width integrated on each side
 OVERSAMPLE = 16     # analysis interpolation factor
 DB_FLOOR = -120.0   # compare_images clips magnitudes this far below the peak
+ANALYSIS_WINDOW = 64  # samples on a side around the point target
 
 
 @dataclass
@@ -98,7 +99,7 @@ def cut_metrics(cut, peak_idx, factor):
     return irw, float(pslr), float(islr)
 
 
-def analyze_point_target(img, approx_position, window=64):
+def analyze_point_target(img, approx_position, window=ANALYSIS_WINDOW):
     """Oversampled impulse-response metrics around an approximate position."""
     x = np.asarray(img.image if hasattr(img, "image") else img)
     if x.ndim != 2:

@@ -123,7 +123,6 @@ class GroundTruth:
     chirp_samples: int
     bandwidth_fraction: float
     beam_center_row: float
-    beam_rows: float           # null-to-null main-lobe extent in pulses
     range_support: tuple       # columns covered by the zero-Doppler echo
     azimuth_support: tuple     # main-lobe rows, clipped to the grid
     config: AcquisitionConfig = field(repr=False, default=None)
@@ -248,8 +247,7 @@ def simulate_raw(config, scene):
 def _ground_truth(config, scene, positions, first):
     common = dict(range_chirp_rate=config.range_chirp_model().rate,
                   chirp_samples=config.chirp_samples,
-                  bandwidth_fraction=config.bandwidth_fraction,
-                  beam_rows=float(config.beam_azimuth_extent * config.prf), config=config)
+                  bandwidth_fraction=config.bandwidth_fraction, config=config)
     if first is None:
         return GroundTruth(positions=[], azimuth_chirp_rate=0.0, doppler_centroid=0.0,
                            rcm_curve=np.zeros(config.num_pulses), beam_center_row=float("nan"),
@@ -268,7 +266,7 @@ def _ground_truth(config, scene, positions, first):
 
     lead0 = 2.0 * sc.range_offset / SPEED_OF_LIGHT * config.range_sampling
     beam_center = (sc.azimuth_time + config.squint_offset) * config.prf
-    beam_rows = common["beam_rows"]
+    beam_rows = config.beam_azimuth_extent * config.prf  # null-to-null main lobe, pulses
     az_lo = max(int(np.floor(beam_center - beam_rows / 2.0)), 0)
     az_hi = min(int(np.ceil(beam_center + beam_rows / 2.0)) + 1, config.num_pulses)
     return GroundTruth(

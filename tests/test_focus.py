@@ -228,14 +228,14 @@ def test_track_rcm_origin_invariance(default_sim, default_estimate):
 @pytest.mark.parametrize("scene", ["default", "squint"])
 def test_pipeline_tracks_the_peaks_of_rolled_rows(request, scene):
     # the blind model is exactly the fit to the peaks of the support rows
-    # compressed in the time domain; a group delay or a trim off by one
-    # sample moves every peak
+    # compressed in the time domain, so the blind image is the image that
+    # fit gives; a group delay or a trim off by one sample moves every peak
     raw = request.getfixturevalue(f"{scene}_sim")[0].astype(np.complex128)
     estimate = request.getfixturevalue(f"{scene}_estimate")
-    models = {}
-    focus_pipeline(raw, estimate, on_stage=models.__setitem__)
     range_ref, _ = build_references(estimate, raw.shape[0])
-    assert models["track_rcm"] == rolled_tracked(raw, range_ref, estimate)
+    override = rolled_tracked(raw, range_ref, estimate)
+    image = focus_pipeline(raw, estimate).image
+    assert image.tobytes() == focus_pipeline(raw, estimate, rcm_override=override).image.tobytes()
 
 
 @pytest.mark.parametrize("ref_len", [1, 2, 9])
@@ -433,18 +433,19 @@ def test_pipeline_linearity(default_scene):
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
 def test_image_is_the_stage_image_in_pass_one_map(monkeypatch, request, mode, workers):
-    # the returned image is the azimuth_compress stage's array itself, the
-    # M x N view of pass 1's map in the raw's precision, at any worker count
+    # the returned image is the M x N view of pass 1's map in the raw's
+    # precision, at any worker count: its root is the map's flat buffer of
+    # M x padded(nfft) samples, it starts at that buffer's first byte, and
+    # its rows step by the padded width
     raw, _, estimate, rcm = focus_inputs(request, "default", mode)
     monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
-    seen = {}
-    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode,
-                           on_stage=seen.__setitem__).image
-    assert image is seen["azimuth_compress"]
+    image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
     assert image.shape == raw.shape and image.dtype == raw.dtype == np.complex64
-    spectrum = seen["range_compress"]
-    assert image.ctypes.data == spectrum.ctypes.data
-    assert np.shares_memory(image, spectrum)
+    (m, padded), dtype = pass_one_map(raw, estimate, np.complex64)
+    root = image.base
+    assert root.shape == (m * padded,) and root.dtype == dtype
+    assert image.ctypes.data == root.ctypes.data
+    assert image.strides == (padded * dtype.itemsize, dtype.itemsize)
 
 
 def test_range_shift_covariance(default_scene):
@@ -597,12 +598,10 @@ def test_complex64_raw_focuses_like_its_upcast(request, scene, mode):
     # arithmetic adds far less than 1e-12 of the image's norm
     raw, _, estimate, rcm = focus_inputs(request, scene, mode)
     assert raw.dtype == np.complex64  # simulate_raw's precision
-    seen = {}
-    single = focus_pipeline(raw, estimate, rcm_override=rcm,
-                            on_stage=lambda name, result: seen.update({name: result})).image
-    rcm = seen["track_rcm"] if rcm is None else rcm  # one model for both images
-    double = focus_pipeline(raw.astype(np.complex128), estimate, rcm_override=rcm).image
+    single = focus_pipeline(raw, estimate, rcm_override=rcm).image
     range_ref, azimuth_ref = build_references(estimate, raw.shape[0])
+    rcm = tracked(raw, range_ref, estimate) if rcm is None else rcm  # one model for both images
+    double = focus_pipeline(raw.astype(np.complex128), estimate, rcm_override=rcm).image
     spectrum = range_compress(raw.astype(np.complex128), range_ref)
     gain = np.max(np.abs(np.fft.fft(azimuth_ref, raw.shape[0])))
     stores = 4
@@ -661,17 +660,17 @@ def test_complex64_map_overflow_is_a_parameter_error(monkeypatch, default_sim, d
         focus_pipeline(big, estimate, rcm_override=rcm)
 
 
-def test_stage_dumps(default_sim, default_estimate):
-    # every stage, in order; RCMC's output is copied in the callback, since
-    # azimuth_compress then filters that buffer in place, and it is the
-    # tracked model's RCMC of the range-compressed raw matrix
-    raw, _ = default_sim
-    seen = {}
-    focus_pipeline(raw, default_estimate, on_stage=lambda name, result: seen.update(
-        {name: result.copy() if name == "rcmc" else result}))
-    assert list(seen) == ["range_compress", "track_rcm", "rcmc", "azimuth_compress"]
-    range_ref, _ = build_references(default_estimate, raw.shape[0])
-    rd = rcmc(range_compress(raw, range_ref), raw.shape[1], (range_ref.size - 1) // 2,
-              seen["track_rcm"], default_estimate.azimuth_chirp.rate,
-              default_estimate.doppler_centroid)
-    np.testing.assert_array_equal(seen["rcmc"], rd)
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("scene", ["default", "squint"])
+def test_pipeline_is_its_stages_composed(request, scene, dtype):
+    # the blind image is azimuth_compress of rcmc of range_compress, with
+    # the model track_rcm fits to pass 1's rows of the azimuth support,
+    # each stage called on its own
+    raw = request.getfixturevalue(f"{scene}_sim")[0].astype(dtype)
+    estimate = request.getfixturevalue(f"{scene}_estimate")
+    image = focus_pipeline(raw, estimate).image
+    range_ref, azimuth_ref = build_references(estimate, raw.shape[0])
+    rd = rcmc(range_compress(raw, range_ref), raw.shape[1], delay_of(range_ref),
+              tracked(raw, range_ref, estimate), estimate.azimuth_chirp.rate,
+              estimate.doppler_centroid)
+    assert azimuth_compress(rd, azimuth_ref).tobytes() == image.tobytes()

@@ -746,9 +746,12 @@ def test_cli_bad_usage_exits_2(capsys):
         assert main(argv) == 2
         single_error_line(capsys, "parameter")
     focus = ["focus", "--in", "raw.bsar", "--est", "est.json", "--out", "x.bsar"]
+    analyze = ["analyze", "--in", "blind.bsar", "--row", "256.5", "--col", "480.5",
+               "--out", "r.csv"]
     for argv, option in ((estimate, ["--taper", "0.1"]), (estimate, ["--k", "4"]),
                          (estimate, ["--seed", "3"]),
-                         (focus, ["--dump-stages", "stages"])):  # options since removed
+                         (focus, ["--dump-stages", "stages"]),
+                         (analyze, ["--window", "64"])):  # options since removed
         assert main(argv + option) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"bsar: parameter: unrecognized arguments: {' '.join(option)}"]
@@ -866,6 +869,33 @@ def test_cli_directory_as_a_file_exits_2(tmp_path, capsys, default_sim, default_
     assert main([str(arg) for arg in argv]) == 2
     assert single_error_line(capsys, "parameter").endswith(f": {folder}")
     assert not report_f.exists() and not any(folder.iterdir())
+
+
+@pytest.mark.parametrize("command", ["estimate", "focus-est", "focus-oracle"])
+def test_cli_focused_input_is_refused(monkeypatch, tmp_path, capsys, default_sim,
+                                      default_estimate, blind_image, command):
+    # a file whose flag bit 0 marks it focused is not raw data: one line
+    # naming it, exit 2, no output, and neither a decomposition nor a
+    # focusing pass nor, for focus, a read of the estimate or truth
+    est_f, truth_f, slc_f, out_f, spectrum_f = (tmp_path / name for name in (
+        "est.json", "truth.json", "slc.bsar", "out", "s.csv"))
+    fileio.write_estimate(default_estimate, est_f)
+    fileio.write_json(default_sim[1], truth_f)
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    argv = {
+        "estimate": ["estimate", "--in", slc_f, "--out", out_f, "--spectrum", spectrum_f],
+        "focus-est": ["focus", "--in", slc_f, "--est", est_f, "--out", out_f],
+        "focus-oracle": ["focus", "--in", slc_f, "--oracle", truth_f, "--out", out_f],
+    }[command]
+    called = []
+    for module, name in ((bsar.cli, "leading_triplets"), (bsar.cli, "focus_pipeline"),
+                         (fileio, "read_estimate"), (fileio, "read_truth")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: called.append(name))
+    assert main([str(arg) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: {slc_f}: a focused image (flag bit 0), not raw data"]
+    assert called == []
+    assert not out_f.exists() and not spectrum_f.exists()
 
 
 @pytest.mark.parametrize("case", ["simulate-truth", "analyze-json", "estimate-spectrum",

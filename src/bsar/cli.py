@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from . import __version__, fileio
-from .decompose import check_gate, leading_triplets
+from .decompose import leading_triplets
 from .errors import BsarError, ParameterError
-from .estimate import CONSUMED_TRIPLETS, DEFAULT_DOMINANCE_GATE, blind_estimate
+from .estimate import CONSUMED_TRIPLETS, DOMINANCE_GATE, blind_estimate
 from .focus import focus_pipeline
 from .quality import ANALYSIS_WINDOW, analyze_point_target, compare_images
 from .simulate import oracle_estimate, simulate_raw
@@ -42,8 +42,6 @@ def build_parser():
     p = sub.add_parser("estimate", help="blind parameter extraction from raw data")
     p.add_argument("--in", dest="input", required=True, help="raw BSAR file")
     p.add_argument("--out", required=True, help="output estimate JSON")
-    p.add_argument("--gate", type=float, default=DEFAULT_DOMINANCE_GATE,
-                   help="sigma1/sigma2 dominance gate")
     p.add_argument("--spectrum", help="optional CSV of sigma1, sigma2 and their ratio")
 
     p = sub.add_parser("focus", help="focus raw data with blind or oracle parameters")
@@ -67,7 +65,6 @@ def build_parser():
 
     p = sub.add_parser("render", help="render magnitude as an 8-bit PGM")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--db", type=float, default=-40.0, help="dB floor (negative)")
     p.add_argument("--out", required=True, help="output PGM file")
     return parser
 
@@ -82,16 +79,14 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
-    check_gate(args.gate)  # a gate that cannot refuse costs no read
-    raw, flags = fileio.read_matrix(args.input)  # decomposed in the file's precision
-    if flags & fileio.FLAG_FOCUSED:  # its estimate would be garbage, not a refusal
-        raise ParameterError(f"{args.input}: a focused image (flag bit 0), not raw data")
+    # decomposed in the file's precision; a focused image's estimate would be garbage
+    raw, flags = fileio.read_matrix(args.input, focused=False)
     # the min leaves a matrix under 2 x 2 for blind_estimate to refuse
-    svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=args.gate)
-    est = blind_estimate(raw, gate=args.gate, svd=svd)  # a refused scene writes no file
+    svd = leading_triplets(raw, k=min(CONSUMED_TRIPLETS, *raw.shape), gate=DOMINANCE_GATE)
+    est = blind_estimate(raw, svd=svd)  # a refused scene writes no file
     if args.spectrum:
         fileio.write_spectrum_csv(svd.singular_values, svd.dominance_ratio, args.spectrum)
-    decomposition = {"gate": args.gate, "products": svd.products, "precision": raw.dtype.name}
+    decomposition = {"gate": DOMINANCE_GATE, "products": svd.products, "precision": raw.dtype.name}
     fileio.write_estimate(est, args.out, input_hash=fileio.sha256_matrix(raw, flags),
                           decomposition=decomposition)
     return 0
@@ -100,11 +95,9 @@ def _cmd_estimate(args):
 def _cmd_focus(args):
     if bool(args.est) == bool(args.oracle):
         raise ParameterError("exactly one of --est or --oracle is required")
-    # a malformed file is refused on opening, before any pass; pass 1 then
-    # reads the payload a row block at a time, so it is never resident whole
-    with fileio.MatrixReader(args.input) as reader:
-        if reader.flags & fileio.FLAG_FOCUSED:  # refused before the estimate is read
-            raise ParameterError(f"{args.input}: a focused image (flag bit 0), not raw data")
+    # a malformed or focused file is refused on opening, before any pass; pass
+    # 1 then reads the payload a row block at a time, never resident whole
+    with fileio.MatrixReader(args.input, focused=False) as reader:
         if args.est:
             est, rcm = fileio.read_estimate(args.est), None
         else:
@@ -121,7 +114,7 @@ def _cmd_analyze(args):
     row, half = args.row, ANALYSIS_WINDOW // 2
     # the window's rows, if the position is finite; any other case is refused below
     keep = (0, 0) if not np.isfinite(row) else (round(row) - half, round(row) + half)
-    img = fileio.read_matrix(args.input, keep=keep)[0]
+    img = fileio.read_matrix(args.input, keep=keep, focused=True)[0]
     report = analyze_point_target(img, (args.row, args.col))
     fileio.write_report_csv(report, args.out)
     if args.json:
@@ -142,14 +135,14 @@ def _parse_window(text):
 def _cmd_compare(args):
     window = _parse_window(args.window) if args.window else None
     keep = window and window[:2]  # the window's rows; every row is still scanned
-    a, b = (fileio.read_matrix(path, keep=keep)[0] for path in (args.a, args.b))
+    a, b = (fileio.read_matrix(path, keep=keep, focused=True)[0] for path in (args.a, args.b))
     fileio.write_json(compare_images(a, b, window=window), args.out)
     return 0
 
 
 def _cmd_render(args):
-    with fileio.MatrixReader(args.input) as reader:  # read a row block at a time, twice
-        fileio.render_magnitude(reader, args.db, args.out)
+    with fileio.MatrixReader(args.input) as reader:  # either kind, in row blocks, twice
+        fileio.render_magnitude(reader, args.out)
     return 0
 
 

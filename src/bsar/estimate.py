@@ -23,12 +23,11 @@ from .core import (
     unwrap_phase,
     wrap_half_open,
 )
-from .decompose import check_gate, leading_triplets
+from .decompose import leading_triplets
 from .errors import DegenerateFitError, ParameterError, UnsuitableSceneError
 
 SUPPORT_THRESHOLD = 0.1       # fraction of the envelope peak that bounds a support
-DEFAULT_DOMINANCE_GATE = 3.0  # sigma1/sigma2 required for a usable scene
-DEGENERACY_RATIO = 1.0 + 1e-6  # sigma1/sigma2 refused whatever the gate: an unresolved pair
+DOMINANCE_GATE = 3.0          # sigma1/sigma2 required for a usable scene
 CONSUMED_TRIPLETS = 2         # sigma1, sigma2, u1 and v1 are all the chain uses
 MIN_PHASE_EXCURSION = 0.125  # cycles, |rate|*L^2/4: a time-bandwidth product of 1
 CENTROID_BLOCK_ROWS = 16      # rows upcast at a time by the centroid's float64 sum
@@ -187,33 +186,31 @@ def estimate_range(v1):
     return fit_quadratic_phase(v, support)
 
 
-def blind_estimate(raw, gate=DEFAULT_DOMINANCE_GATE, svd=None):
+def blind_estimate(raw, svd=None):
     """Full blind parameter extraction from a raw data matrix.
 
     `svd` is a TruncatedSVD of `raw` with k >= 2 that the caller already
-    computed with the same gate; without one, the leading pair is decomposed
-    here.  complex64 raw is used as it is, in the decomposition's products
-    and the centroid's blocks; a strided `raw` is copied to C order once, in
-    its own precision.  `gate` is checked by `check_gate`.  A Ritz ratio
-    sigma1/sigma2 below max(gate, DEGENERACY_RATIO) refuses the scene: so does
-    a bound proven below the gate, as it is never below the Ritz ratio of the
-    block that proves it.  An estimate whose references do not fit the
-    raw grid (``build_references``) is a parameter error here, not in focus.
+    computed; without one, the leading pair is decomposed here.  complex64
+    raw is used as it is, in the decomposition's products and the centroid's
+    blocks; a strided `raw` is copied to C order once, in its own precision.
+    A Ritz ratio sigma1/sigma2 below DOMINANCE_GATE refuses the scene; so
+    does a bound proven below it, never below its block's Ritz ratio.
+    An estimate whose references do not fit the raw grid
+    (``build_references``) is a parameter error here, not in focus.
     """
-    check_gate(gate)
     X = np.ascontiguousarray(as_complex_matrix(raw))
     if min(X.shape) < 2:
         raise ParameterError(f"raw matrix is {X.shape[0]}x{X.shape[1]}: "
                              "the estimate needs at least 2 rows and 2 columns")
     if svd is None:
-        svd = leading_triplets(X, k=CONSUMED_TRIPLETS, gate=gate)
+        svd = leading_triplets(X, k=CONSUMED_TRIPLETS, gate=DOMINANCE_GATE)
     if svd.singular_values[0] == 0.0:
         raise UnsuitableSceneError("all-zero matrix: no signal to estimate from")
     ratio = svd.dominance_ratio
-    if ratio < max(gate, DEGENERACY_RATIO):
+    if ratio < DOMINANCE_GATE:
         raise UnsuitableSceneError(
             f"Ritz ratio {ratio:.3f} after {svd.products} products over X below gate "
-            f"{max(gate, DEGENERACY_RATIO):.3f} (sigma1/sigma2 proven at most "
+            f"{DOMINANCE_GATE:.3f} (sigma1/sigma2 proven at most "
             f"{svd.ratio_bound:.3f}): scene lacks a strong point scatterer")
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]

@@ -36,6 +36,7 @@ MAGIC = b"BSAR"
 VERSION = 1
 HEADER = struct.Struct("<4sHHII16s")
 FLAG_FOCUSED = 0x1
+RENDER_FLOOR_DB = -40.0  # the dB level, relative to the peak, that a PGM renders black
 
 
 def write_matrix(matrix, path, flags=0):
@@ -62,14 +63,15 @@ class MatrixReader:
     """A BSAR file open for reading in row blocks.
 
     The header and the file size are checked once, on opening, so a
-    malformed file is refused before any row is read.  ``read`` is safe to
-    call from several threads at once: each call fills its own block with
-    one ``os.preadv`` at the rows' offset.
+    malformed file, or one whose flag bit 0 is not `focused` (unless None),
+    is refused before any row is read.  ``read`` is safe to call from
+    several threads at once: each call fills its own block with one
+    ``os.preadv`` at the rows' offset.
     """
 
     dtype = np.dtype("<c8")  # of the payload and of the blocks ``read`` returns
 
-    def __init__(self, path):
+    def __init__(self, path, focused=None):
         self.path = path
         self._fd = os.open(path, os.O_RDONLY)
         try:
@@ -91,6 +93,10 @@ class MatrixReader:
                 problem = "truncated payload" if size < end else "trailing bytes"
                 raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
                                   offset=min(size, end))
+            if focused is not None and bool(self.flags & FLAG_FOCUSED) != focused:
+                raise ParameterError(f"{path}: raw data (flag bit 0 clear), not a focused image"
+                                     if focused else
+                                     f"{path}: a focused image (flag bit 0), not raw data")
         except BaseException as exc:
             os.close(self._fd)
             if isinstance(exc, OSError):  # a directory opens, then fails its first read
@@ -120,13 +126,14 @@ class MatrixReader:
         return block
 
 
-def read_matrix(path, keep=None):
+def read_matrix(path, keep=None, focused=None):
     """Read a BSAR file; returns (matrix, flags) with the payload as a writable
     complex64 matrix, read and scanned a row block at a time: a NaN or
     infinite sample raises SampleError naming the first one.  With `keep`, a
     (start, stop) row range, every row is still scanned but only those rows
-    are kept, in a map whose other rows stay zero and take no memory."""
-    with MatrixReader(path) as reader:
+    are kept, in a map whose other rows stay zero and take no memory.  A
+    file whose flag bit 0 is not `focused` is refused (``MatrixReader``)."""
+    with MatrixReader(path, focused) as reader:
         lo, hi = (0, reader.shape[0]) if keep is None else keep
         matrix = (np.empty if keep is None else mapped_zeros)(reader.shape, np.complex64)
 
@@ -144,15 +151,14 @@ def read_matrix(path, keep=None):
     return matrix, reader.flags
 
 
-def render_magnitude(image, db_floor, path):
-    """8-bit grayscale PGM of the magnitude in dB relative to the peak.
+def render_magnitude(image, path):
+    """8-bit grayscale PGM of the magnitude in dB relative to the peak, from
+    RENDER_FLOOR_DB (black) to 0 dB (white).
 
     `image` is a matrix or a row-block reader (``core.row_source``), read in
     two passes of RCMC_BLOCK_ROWS rows: the peak first, then the PGM rows,
     so that only a block's float64 magnitude is held, and a reader's
     non-finite sample is refused before the PGM is opened."""
-    if not -np.inf < db_floor < 0:  # NaN fails both comparisons
-        raise ParameterError(f"db_floor must be finite and negative, not {db_floor}")
     source, rows_of = row_source(image)
     m, n = source.shape
     blocks = [slice(lo, lo + RCMC_BLOCK_ROWS) for lo in range(0, m, RCMC_BLOCK_ROWS)]
@@ -169,8 +175,8 @@ def render_magnitude(image, db_floor, path):
             with np.errstate(divide="ignore"):
                 np.log10(mag, out=mag)
             mag *= 20.0
-            mag -= db_floor
-            mag /= 0.0 - db_floor
+            mag -= RENDER_FLOOR_DB
+            mag /= 0.0 - RENDER_FLOOR_DB
             np.clip(mag, 0.0, 1.0, out=mag)
             mag *= 255.0
             fh.write(np.round(mag, out=mag).astype(np.uint8).tobytes())

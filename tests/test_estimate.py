@@ -13,8 +13,7 @@ from bsar.errors import (
 )
 from bsar.decompose import leading_triplets
 from bsar.estimate import (
-    DEFAULT_DOMINANCE_GATE,
-    DEGENERACY_RATIO,
+    DOMINANCE_GATE,
     MIN_PHASE_EXCURSION,
     blind_estimate,
     build_references,
@@ -259,10 +258,10 @@ def test_layout_leaves_the_decomposition_and_estimate_bit_identical(default_sim)
     # buffer is strided, and a transposed copy's .T is Fortran-ordered
     raw, _ = default_sim
     assert raw.flags.c_contiguous
-    svd = leading_triplets(raw, k=2, gate=DEFAULT_DOMINANCE_GATE)
+    svd = leading_triplets(raw, k=2, gate=DOMINANCE_GATE)
     est = blind_estimate(raw)
     for X in (strided(raw), raw.T.copy().T):
-        other = leading_triplets(X, k=2, gate=DEFAULT_DOMINANCE_GATE)
+        other = leading_triplets(X, k=2, gate=DOMINANCE_GATE)
         for name in ("singular_values", "left_vectors", "right_vectors"):
             assert np.array_equal(getattr(other, name), getattr(svd, name)), name
         assert (other.products, other.ratio_bound) == (svd.products, svd.ratio_bound)
@@ -324,16 +323,6 @@ def test_refusal_ritz_ratio_within_its_bound(clutter_sim):
 def test_gate_refuses_degenerate_first_pair():
     # identity: Ritz ratio exactly 1, and no bound below the gate
     assert refusal(np.eye(16, dtype=np.complex128))[0] == 1.0
-
-
-def test_unresolved_first_pair_refused_under_a_lower_gate():
-    # sigma1/sigma2 = 1 + 5e-7 passes a gate of 1 + 1e-7 but not DEGENERACY_RATIO
-    gate = 1.0 + 1e-7
-    X = np.diag(np.r_[1.0 + 5e-7, 1.0, 0.01 * np.ones(14)]).astype(np.complex128)
-    svd = leading_triplets(X, k=2, gate=gate)
-    assert gate < svd.dominance_ratio < DEGENERACY_RATIO
-    with pytest.raises(UnsuitableSceneError, match=r"below gate 1\.000 "):
-        blind_estimate(X, gate=gate, svd=svd)
 
 
 def test_all_zero_matrix_is_unsuitable():

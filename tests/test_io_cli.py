@@ -210,21 +210,30 @@ def test_reader_names_the_first_of_two_non_finite_samples(monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("command", ["estimate", "focus", "analyze"])
+@pytest.mark.parametrize("command", ["estimate", "focus", "analyze", "compare",
+                                     "compare-window", "render"])
 def test_cli_names_the_first_of_two_non_finite_samples(monkeypatch, tmp_path, capsys,
                                                        default_sim, default_estimate,
                                                        command, workers):
+    # raw data for estimate and focus, a focused image for the others; the
+    # window's rows (224-288) hold neither damaged row, and every row is scanned
     raw, _ = default_sim
     damaged = raw.copy()
     damaged[[450, 300], [5, 17]] = np.nan
-    bad_f, est_f = tmp_path / "bad.bsar", tmp_path / "est.json"
-    fileio.write_matrix(damaged, bad_f)
+    bad_f, good_f, est_f = tmp_path / "bad.bsar", tmp_path / "good.bsar", tmp_path / "est.json"
+    flags = 0 if command in ("estimate", "focus") else fileio.FLAG_FOCUSED
+    fileio.write_matrix(damaged, bad_f, flags=flags)
+    fileio.write_matrix(raw, good_f, flags=flags)
     fileio.write_estimate(default_estimate, est_f)
     monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
-    argv = {"estimate": ["estimate"], "focus": ["focus", "--est", str(est_f)],
-            "analyze": ["analyze", "--row", "256", "--col", "480"]}[command]
+    compare = ["compare", "--a", good_f, "--b", bad_f]
+    argv = {"estimate": ["estimate", "--in", bad_f],
+            "focus": ["focus", "--in", bad_f, "--est", est_f],
+            "analyze": ["analyze", "--in", bad_f, "--row", "256", "--col", "480"],
+            "compare": compare, "compare-window": [*compare, "--window", "224:288,448:512"],
+            "render": ["render", "--in", bad_f]}[command]
     capsys.readouterr()
-    assert main([*argv, "--in", str(bad_f), "--out", str(tmp_path / "out")]) == 2
+    assert main([str(arg) for arg in [*argv, "--out", tmp_path / "out"]]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"bsar: parameter: {bad_f}: non-finite sample at row 300, column 17"]
     assert not (tmp_path / "out").exists()
@@ -275,7 +284,7 @@ def test_render_single_pixel(tmp_path):
     img = np.zeros((4, 6), dtype=np.complex128)
     img[1, 2] = 5.0
     path = tmp_path / "r.pgm"
-    fileio.render_magnitude(img, -40.0, path)
+    fileio.render_magnitude(img, path)
     data = path.read_bytes()
     header = b"P5\n6 4\n255\n"
     assert data.startswith(header)
@@ -287,7 +296,7 @@ def test_render_single_pixel(tmp_path):
 def test_render_constant_magnitude(tmp_path):
     img = np.exp(1j * np.linspace(0, 3, 24)).reshape(4, 6)
     path = tmp_path / "c.pgm"
-    fileio.render_magnitude(img, -40.0, path)
+    fileio.render_magnitude(img, path)
     header = b"P5\n6 4\n255\n"
     pixels = np.frombuffer(path.read_bytes()[len(header):], dtype=np.uint8)
     assert np.all(pixels == 255)
@@ -296,8 +305,7 @@ def test_render_constant_magnitude(tmp_path):
 def test_render_header_for_512x1024(tmp_path):
     path = tmp_path / "big.pgm"
     with pytest.warns(UserWarning):
-        fileio.render_magnitude(np.zeros((512, 1024), dtype=np.complex128),
-                                -40.0, path)
+        fileio.render_magnitude(np.zeros((512, 1024), dtype=np.complex128), path)
     assert path.read_bytes().startswith(b"P5\n1024 512\n255\n")
 
 
@@ -310,10 +318,9 @@ def test_render_complex64_levels_match_the_upcast(tmp_path):
     img = complex64_image((64, 96))
     img[5:9] = 0.0  # -inf dB, clipped to the floor
     path = tmp_path / "r.pgm"
-    for db_floor in (-40.0, -120.0):
-        fileio.render_magnitude(img, db_floor, path)
-        pixels = np.frombuffer(path.read_bytes()[len(b"P5\n96 64\n255\n"):], dtype=np.uint8)
-        np.testing.assert_array_equal(pixels.reshape(img.shape), pgm_levels(img, db_floor))
+    fileio.render_magnitude(img, path)
+    pixels = np.frombuffer(path.read_bytes()[len(b"P5\n96 64\n255\n"):], dtype=np.uint8)
+    np.testing.assert_array_equal(pixels.reshape(img.shape), pgm_levels(img, -40.0))
 
 
 def test_render_peak_memory():
@@ -321,7 +328,7 @@ def test_render_peak_memory():
     img = complex64_image()
     tracemalloc.start()
     try:
-        fileio.render_magnitude(img, -40.0, os.devnull)
+        fileio.render_magnitude(img, os.devnull)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -336,11 +343,11 @@ def test_render_of_a_reader_reads_row_blocks_to_the_same_bytes(tmp_path):
     img[7] = 0.0
     img_f = tmp_path / "img.bsar"
     fileio.write_matrix(img, img_f, flags=fileio.FLAG_FOCUSED)
-    fileio.render_magnitude(img, -40.0, tmp_path / "matrix.pgm")
+    fileio.render_magnitude(img, tmp_path / "matrix.pgm")
     with fileio.MatrixReader(img_f) as reader:
         tracemalloc.start()
         try:
-            fileio.render_magnitude(reader, -40.0, tmp_path / "reader.pgm")
+            fileio.render_magnitude(reader, tmp_path / "reader.pgm")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -350,16 +357,6 @@ def test_render_of_a_reader_reads_row_blocks_to_the_same_bytes(tmp_path):
     pixels = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(img.shape)
     np.testing.assert_array_equal(pixels, pgm_levels(img, -40.0))
     assert peak <= 0.5 * img.nbytes, peak / img.nbytes
-
-
-def test_render_rejects_nonnegative_floor(tmp_path):
-    # an infinite floor maps every level to 0 or NaN: an all-black image
-    from bsar.errors import ParameterError
-
-    for db_floor in (0.0, 3.0, -np.inf, np.inf, np.nan):
-        with pytest.raises(ParameterError, match="finite and negative"):
-            fileio.render_magnitude(np.ones((2, 2)), db_floor, tmp_path / "x.pgm")
-    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_nonzero_reserved_header_byte_is_refused(tmp_path, capsys):
@@ -489,8 +486,7 @@ def test_cli_end_to_end(tmp_path, default_sim):
     summary = json.loads(cmp_f.read_text())
     assert summary["correlation"] >= 0.98
 
-    assert main(["render", "--in", str(blind_f), "--db", "-40",
-                 "--out", str(pgm_f)]) == 0
+    assert main(["render", "--in", str(blind_f), "--out", str(pgm_f)]) == 0
     assert pgm_f.read_bytes().startswith(b"P5\n1024 512\n255\n")
 
     # the spectrum CSV records a dominance ratio above the gate
@@ -556,11 +552,11 @@ def test_cli_estimate_records_what_made_it(tmp_path, default_sim):
     raw = default_sim[0]
     raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
     fileio.write_matrix(raw, raw_f)
-    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", "2.5"]) == 0
-    svd = leading_triplets(raw, k=2, gate=2.5)
+    assert main(["estimate", "--in", str(raw_f), "--out", str(est_f)]) == 0
+    svd = leading_triplets(raw, k=2, gate=3.0)
     assert strict_json(est_f)["decomposition"] == {
-        "gate": 2.5, "products": svd.products, "precision": "complex64"}
-    written = blind_estimate(raw, gate=2.5)
+        "gate": 3.0, "products": svd.products, "precision": "complex64"}
+    written = blind_estimate(raw)
     assert fileio.read_estimate(est_f) == written
     np.testing.assert_array_equal(focus_pipeline(raw, fileio.read_estimate(est_f)).image,
                                   focus_pipeline(raw, written).image)
@@ -742,16 +738,19 @@ def test_cli_bad_usage_exits_2(capsys):
     for argv in (["focus"],                            # missing required arguments
                  ["no-such-command"],
                  estimate + ["--bogus", "1"],          # unknown option
-                 estimate + ["--gate", "abc"]):        # not a number
+                 ["analyze", "--in", "blind.bsar", "--row", "abc", "--col", "480.5",
+                  "--out", "r.csv"]):                  # not a number
         assert main(argv) == 2
         single_error_line(capsys, "parameter")
     focus = ["focus", "--in", "raw.bsar", "--est", "est.json", "--out", "x.bsar"]
     analyze = ["analyze", "--in", "blind.bsar", "--row", "256.5", "--col", "480.5",
                "--out", "r.csv"]
+    render = ["render", "--in", "blind.bsar", "--out", "blind.pgm"]
     for argv, option in ((estimate, ["--taper", "0.1"]), (estimate, ["--k", "4"]),
-                         (estimate, ["--seed", "3"]),
+                         (estimate, ["--seed", "3"]), (estimate, ["--gate", "3"]),
                          (focus, ["--dump-stages", "stages"]),
-                         (analyze, ["--window", "64"])):  # options since removed
+                         (analyze, ["--window", "64"]),
+                         (render, ["--db", "-40"])):  # options since removed
         assert main(argv + option) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"bsar: parameter: unrecognized arguments: {' '.join(option)}"]
@@ -762,7 +761,7 @@ def test_cli_bad_usage_exits_2(capsys):
 
 def test_cli_bad_window_string(tmp_path, capsys):
     a = tmp_path / "a.bsar"
-    fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), a)
+    fileio.write_matrix(np.ones((4, 4), dtype=np.complex128), a, flags=fileio.FLAG_FOCUSED)
     assert main(["compare", "--a", str(a), "--b", str(a),
                  "--out", str(tmp_path / "c.json"), "--window", "oops"]) == 2
     assert "window" in capsys.readouterr().err
@@ -772,7 +771,7 @@ def test_cli_bad_window_string(tmp_path, capsys):
                          ids=["reversed", "outside"])
 def test_cli_window_outside_image_exits_2(tmp_path, capsys, window):
     a = tmp_path / "a.bsar"
-    fileio.write_matrix(np.ones((512, 1024), dtype=np.complex64), a)
+    fileio.write_matrix(np.ones((512, 1024), dtype=np.complex64), a, flags=fileio.FLAG_FOCUSED)
     args = ["compare", "--a", str(a), "--b", str(a), "--out", str(tmp_path / "c.json")]
     assert main(args + ["--window", window]) == 2
     single_error_line(capsys, "parameter")
@@ -787,18 +786,18 @@ def test_cli_compare_window_reads_only_its_rows(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(21)
     a, b = (rng.standard_normal((96, 40)) + 1j * rng.standard_normal((96, 40)) for _ in "ab")
     a_f, b_f, bad_f = tmp_path / "a.bsar", tmp_path / "b.bsar", tmp_path / "bad.bsar"
-    fileio.write_matrix(a, a_f)
-    fileio.write_matrix(b, b_f)
+    fileio.write_matrix(a, a_f, flags=fileio.FLAG_FOCUSED)
+    fileio.write_matrix(b, b_f, flags=fileio.FLAG_FOCUSED)
     b[80, 3] = np.nan
-    fileio.write_matrix(b, bad_f)
+    fileio.write_matrix(b, bad_f, flags=fileio.FLAG_FOCUSED)
     whole_f, out_f = tmp_path / "whole.json", tmp_path / "c.json"
     fileio.write_json(compare_images(fileio.read_matrix(a_f)[0], fileio.read_matrix(b_f)[0],
                                      window=(10, 30, 4, 12)), whole_f)
     read_matrix, keeps = fileio.read_matrix, []
 
-    def recorded(path, keep=None):
+    def recorded(path, keep=None, focused=None):
         keeps.append(keep)
-        return read_matrix(path, keep=keep)
+        return read_matrix(path, keep=keep, focused=focused)
 
     monkeypatch.setattr(fileio, "read_matrix", recorded)
     args = ["compare", "--a", str(a_f), "--out", str(out_f), "--window", "10:30,4:12"]
@@ -815,27 +814,29 @@ def test_cli_compare_window_reads_only_its_rows(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("gate", ["nan", "inf", "-1", "0", "1"])
 def test_cli_gate_that_cannot_refuse_exits_2(tmp_path, capsys, default_sim, gate):
-    # sigma1/sigma2 >= 1, so a gate at or below 1 would pass any scene
+    # sigma1/sigma2 >= 1, so a gate at or below 1 would pass any scene; the
+    # gate is a constant, and no value of the removed --gate is taken
     raw_f = tmp_path / "raw.bsar"
     est_f = tmp_path / "est.json"
     spectrum_f = tmp_path / "spectrum.csv"
     fileio.write_matrix(default_sim[0], raw_f)
     assert main(["estimate", "--in", str(raw_f), "--out", str(est_f),
                  "--spectrum", str(spectrum_f), "--gate", gate]) == 2
-    single_error_line(capsys, "parameter")
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: unrecognized arguments: --gate {gate}"]
     assert not est_f.exists() and not spectrum_f.exists()
 
 
 def test_cli_gate_is_refused_before_the_raw_file_is_read(tmp_path, capsys, default_sim):
-    # the raw file holds a NaN sample past the first row block; the gate,
-    # checked before the read, is what the one error line names
+    # the raw file holds a NaN sample past the first row block; the removed
+    # option, a usage error before the read, is what the one error line names
     raw = default_sim[0].copy()
     raw[300, 17] = np.nan
     raw_f, est_f = tmp_path / "raw.bsar", tmp_path / "est.json"
     fileio.write_matrix(raw, raw_f)
     assert main(["estimate", "--in", str(raw_f), "--out", str(est_f), "--gate", "0.5"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "bsar: parameter: gate must be finite and > 1, got 0.5"]
+        "bsar: parameter: unrecognized arguments: --gate 0.5"]
     assert not est_f.exists()
 
 
@@ -896,6 +897,43 @@ def test_cli_focused_input_is_refused(monkeypatch, tmp_path, capsys, default_sim
         f"bsar: parameter: {slc_f}: a focused image (flag bit 0), not raw data"]
     assert called == []
     assert not out_f.exists() and not spectrum_f.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare-a", "compare-b"])
+def test_cli_raw_input_is_refused_where_a_focused_image_is_read(
+        monkeypatch, tmp_path, capsys, default_sim, blind_image, command):
+    # a file whose flag bit 0 is clear is raw data, not an image to analyze
+    # or compare: one line naming it, exit 2, no output, and none of its
+    # rows is read
+    raw_f, slc_f, out_f = (tmp_path / name for name in ("raw.bsar", "slc.bsar", "out"))
+    fileio.write_matrix(default_sim[0], raw_f)
+    fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
+    argv = {
+        "analyze": ["analyze", "--in", raw_f, "--row", "256.5", "--col", "480.5"],
+        "compare-a": ["compare", "--a", raw_f, "--b", slc_f],
+        "compare-b": ["compare", "--a", slc_f, "--b", raw_f],
+    }[command]
+    read, read_from = fileio.MatrixReader.read, set()
+
+    def recorded(reader, rows, out=None):
+        read_from.add(reader.path)
+        return read(reader, rows, out)
+
+    monkeypatch.setattr(fileio.MatrixReader, "read", recorded)
+    assert main([str(arg) for arg in [*argv, "--out", out_f]]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"bsar: parameter: {raw_f}: raw data (flag bit 0 clear), not a focused image"]
+    assert str(raw_f) not in read_from
+    assert not out_f.exists()
+
+
+def test_cli_render_reads_raw_data(tmp_path, default_sim):
+    # render reads either kind: raw data renders to the PGM of its matrix
+    raw_f, pgm_f, expected_f = (tmp_path / name for name in ("raw.bsar", "raw.pgm", "x.pgm"))
+    fileio.write_matrix(default_sim[0], raw_f)
+    assert main(["render", "--in", str(raw_f), "--out", str(pgm_f)]) == 0
+    fileio.render_magnitude(fileio.read_matrix(raw_f)[0], expected_f)
+    assert pgm_f.read_bytes() == expected_f.read_bytes()
 
 
 @pytest.mark.parametrize("case", ["simulate-truth", "analyze-json", "estimate-spectrum",
@@ -1009,15 +1047,17 @@ def test_cli_nan_sample_exits_2(tmp_path, capsys):
                                      "compare-a", "compare-b", "render"])
 def test_cli_non_finite_sample_exits_2(tmp_path, capsys, default_sim, default_estimate,
                                        bad, command):
-    # one bad sample past the first row block of the desk scene's raw file:
-    # the error names the file, its row and column, and nothing is written
+    # one bad sample past the first row block of the desk scene's raw file,
+    # flagged focused for analyze and compare: the error names the file, its
+    # row and column, and nothing is written
     raw, truth = default_sim
     good_f, bad_f, est_f, truth_f = (tmp_path / name for name in (
         "good.bsar", "bad.bsar", "est.json", "truth.json"))
-    fileio.write_matrix(raw, good_f)
+    flags = fileio.FLAG_FOCUSED if command.startswith(("analyze", "compare")) else 0
+    fileio.write_matrix(raw, good_f, flags=flags)
     damaged = raw.copy()
     damaged[300, 17] = bad
-    fileio.write_matrix(damaged, bad_f)
+    fileio.write_matrix(damaged, bad_f, flags=flags)
     fileio.write_estimate(default_estimate, est_f)
     fileio.write_json(truth, truth_f)
     argv = {
@@ -1046,6 +1086,7 @@ def test_cli_non_finite_sample_exits_2(tmp_path, capsys, default_sim, default_es
     ["render", "--db=nan"],
 ], ids=["row-nan", "row-inf", "col-nan", "col-minus-inf", "db-minus-inf", "db-nan"])
 def test_cli_non_finite_position_or_floor_exits_2(tmp_path, capsys, blind_image, argv):
+    # the floor is a constant now, so any --db is a usage error
     slc_f, out_f = tmp_path / "slc.bsar", tmp_path / "out"
     fileio.write_matrix(blind_image.image, slc_f, flags=fileio.FLAG_FOCUSED)
     assert main([*argv, "--in", str(slc_f), "--out", str(out_f)]) == 2

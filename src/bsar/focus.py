@@ -15,18 +15,17 @@ In blind mode ``track_rcm`` runs between passes 1 and 2: it finds the
 migration peaks on inverse FFTs of pass 1's rows inside the azimuth support,
 a block of rows at a time, and fits them against their pulse offsets from
 the estimate's beam center, the row ``rcmc`` counts pulses from.  The chain
-owns one full-size matrix, pass 1's map, a memory map of its own whose
-padded row stride (``_padded_width``) keeps the two azimuth passes from
-thrashing the cache.  The map has the raw rows' precision: complex64, half
-the bytes, for a BSAR file and ``simulate_raw``'s output, complex128 for
-complex128 rows.  Pass 1 fills it from a matrix or, a row block at a time,
-straight from a BSAR file (``fileio.MatrixReader``), so the payload is
-never resident whole; the later passes transform it in place.  Every pass
-upcasts its block of rows or columns to complex128, as complex64 FFTs are
-no faster, transforms it and stores it back once (``_store``): a value
-that overflows complex64 is a parameter error.  The image is pass 4's
-output where it lies, the M x N view of that map in its precision;
-``fileio.write_matrix`` casts and writes it a block of rows at a time.
+owns one full-size matrix, pass 1's map, an M x nfft memory map of its own
+in the raw rows' precision: complex64, half the bytes, for a BSAR file and
+``simulate_raw``'s output, complex128 for complex128 rows.  Pass 1 fills
+it from a matrix or, a row block at a time, straight from a BSAR file
+(``fileio.MatrixReader``), so the payload is never resident whole; the
+later passes transform it in place.  Every pass upcasts its block of rows
+or columns to complex128, as complex64 FFTs are no faster, transforms it
+and stores it back once (``_store``): a value that overflows complex64 is
+a parameter error.  The image is pass 4's output where it lies, the M x N
+view of that map in its precision; ``fileio.write_matrix`` casts and
+writes it a block of rows at a time.
 
 Each pass runs on row blocks (1, 3) or column blocks (2, 4) that
 ``core.run_blocks`` shares among one thread per CPU of the process's
@@ -102,15 +101,15 @@ def _store(out, block):
 def range_compress(raw, range_ref):
     """Pass 1: every row's range spectrum, zero-padded to nfft, times conj(R).
 
-    Returns the M x nfft matrix, a view of the padded buffer, a map of its
-    own (``core.mapped_zeros``), that ``rcmc`` and ``azimuth_compress``
-    transform in place.  `raw` is a matrix or a row-block reader
-    (``core.row_source``), so a reader's payload is never resident whole.
-    The map has the raw rows' precision: complex64 for complex64 rows (a
-    BSAR file, ``simulate_raw``), else complex128.  Each block of rows is
-    transformed in complex128 and stored once (``_store``).  A row's
-    inverse FFT, trimmed to N columns with the group delay (the reference's
-    center index) removed, peaks at a point echo's phase-vertex column.
+    Returns the M x nfft matrix, a map of its own (``core.mapped_zeros``),
+    that ``rcmc`` and ``azimuth_compress`` transform in place.  `raw` is a
+    matrix or a row-block reader (``core.row_source``), so a reader's
+    payload is never resident whole.  The map has the raw rows' precision:
+    complex64 for complex64 rows (a BSAR file, ``simulate_raw``), else
+    complex128.  Each block of rows is transformed in complex128 and stored
+    once (``_store``).  A row's inverse FFT, trimmed to N columns with the
+    group delay (the reference's center index) removed, peaks at a point
+    echo's phase-vertex column.
     """
     source, rows_of = row_source(raw)
     m, n = source.shape
@@ -118,8 +117,7 @@ def range_compress(raw, range_ref):
     if ref.size > n:
         raise ParameterError("reference longer than a data row")
     nfft = next_fast_len(n + ref.size - 1)
-    spectrum = mapped_zeros((m, _padded_width(nfft, source.dtype.itemsize)),
-                            source.dtype)[:, :nfft]
+    spectrum = mapped_zeros((m, nfft), source.dtype)
     ref_spectrum = np.conj(np.fft.fft(ref, nfft))
 
     def compress(rows):
@@ -221,20 +219,6 @@ def rcmc(spectrum, width, delay, rcm, azimuth_rate, doppler_centroid):
     run_blocks(azimuth_fft, nfft)
     run_blocks(shift_range, m)
     return x[:, :width]
-
-
-def _padded_width(n, itemsize):
-    """Smallest width >= n whose row of `itemsize`-byte samples is an odd
-    number of 64-byte cache lines: width = 4 mod 8 for complex128, 8 mod 16
-    for complex64.
-
-    Axis-0 FFTs step through memory one row at a time; at a power-of-two row
-    stride every element of a column maps to the same few cache sets and
-    evicts the others, while an odd number of lines spreads them over all
-    sets.
-    """
-    line = 64 // itemsize
-    return n + (line - n) % (2 * line)
 
 
 def azimuth_compress(rd, azimuth_ref):

@@ -12,7 +12,6 @@ from bsar.errors import ParameterError, TrackingError
 from bsar.estimate import _parabolic_peak, build_references
 from bsar.focus import (
     RcmModel,
-    _padded_width,
     azimuth_compress,
     fit_rcm,
     focus_pipeline,
@@ -305,15 +304,6 @@ def test_shift_ramp_matches_direct_exp(n):
                                rtol=0.0, atol=1e-13)
 
 
-def test_padded_width_is_an_odd_number_of_cache_lines():
-    for itemsize in (8, 16):  # complex64, complex128
-        line = 64 // itemsize  # samples in a 64-byte line
-        for n in range(1, 301):
-            width = _padded_width(n, itemsize)
-            assert n <= width < n + 2 * line
-            assert (width * itemsize) % 128 == 64  # a row = odd count of 64-byte lines
-
-
 def random_matrix(seed, shape):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -435,17 +425,17 @@ def test_pipeline_linearity(default_scene):
 def test_image_is_the_stage_image_in_pass_one_map(monkeypatch, request, mode, workers):
     # the returned image is the M x N view of pass 1's map in the raw's
     # precision, at any worker count: its root is the map's flat buffer of
-    # M x padded(nfft) samples, it starts at that buffer's first byte, and
-    # its rows step by the padded width
+    # M x nfft samples, it starts at that buffer's first byte, and its rows
+    # step by nfft
     raw, _, estimate, rcm = focus_inputs(request, "default", mode)
     monkeypatch.setattr(bsar.core, "block_workers", lambda: workers)
     image = focus_pipeline(raw, estimate, rcm_override=rcm, provenance=mode).image
     assert image.shape == raw.shape and image.dtype == raw.dtype == np.complex64
-    (m, padded), dtype = pass_one_map(raw, estimate, np.complex64)
+    (m, nfft), dtype = pass_one_map(raw, estimate, np.complex64)
     root = image.base
-    assert root.shape == (m * padded,) and root.dtype == dtype
+    assert root.shape == (m * nfft,) and root.dtype == dtype
     assert image.ctypes.data == root.ctypes.data
-    assert image.strides == (padded * dtype.itemsize, dtype.itemsize)
+    assert image.strides == (nfft * dtype.itemsize, dtype.itemsize)
 
 
 def test_range_shift_covariance(default_scene):
@@ -551,10 +541,10 @@ def focus_memory(monkeypatch, raw, estimate, rcm):
 
 
 def pass_one_map(raw, estimate, dtype):
-    """The (shape, dtype) of pass 1's map: M rows of the padded nfft."""
+    """The (shape, dtype) of pass 1's map: M rows of nfft."""
     range_ref, _ = build_references(estimate, raw.shape[0])
     nfft = next_fast_len(raw.shape[1] + range_ref.size - 1)
-    return (raw.shape[0], _padded_width(nfft, np.dtype(dtype).itemsize)), np.dtype(dtype)
+    return (raw.shape[0], nfft), np.dtype(dtype)
 
 
 @pytest.mark.parametrize("mode", ["blind", "oracle"])
@@ -627,7 +617,7 @@ def test_focus_pipeline_peak_memory_complex64(monkeypatch, mode, default_sim, de
 def test_focus_pipeline_on_a_reader_maps_one_complex64_matrix(
         monkeypatch, tmp_path, mode, default_sim, default_estimate, default_oracle):
     # a BSAR file focused a row block at a time: one complex64 map of M x
-    # padded(nfft), and no scene-sized matrix on the heap
+    # nfft, and no scene-sized matrix on the heap
     raw = default_sim[0]
     fileio.write_matrix(raw, tmp_path / "raw.bsar")
     estimate, rcm = (default_estimate, None) if mode == "blind" else default_oracle

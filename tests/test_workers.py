@@ -147,14 +147,20 @@ def test_focus_pipeline_is_worker_independent(monkeypatch, request, scene, mode,
 
 
 # M = 45 rows: not a multiple of any block and fewer than workers x block;
-# n = 60 with a 16-sample reference pads the range FFT to the odd nfft 75
+# with a 16-sample reference, n = 60 pads the range FFT to the odd nfft 75,
+# and n = 49 to 64, a power-of-two row stride for pass 1's map (the n = 49
+# cases carry an "n49" id, so the n = 60 ones keep their ids)
+RAGGED_NFFT = {60: 75, 49: 64}
+
+
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
-@pytest.mark.parametrize("single", [False, True])
-def test_rcmc_is_worker_independent_on_ragged_shapes(monkeypatch, workers, single):
-    raw = random_complex((45, 60), 2)
+@pytest.mark.parametrize("single, n", [(False, 60), (True, 60), (False, 49), (True, 49)],
+                         ids=["False", "True", "False-n49", "True-n49"])
+def test_rcmc_is_worker_independent_on_ragged_shapes(monkeypatch, workers, single, n):
+    raw = random_complex((45, n), 2)
     raw = raw.astype(np.complex64) if single else raw
     ref = random_complex(16, 3)
-    assert next_fast_len(60 + 16 - 1) == 75
+    assert next_fast_len(n + 16 - 1) == RAGGED_NFFT[n]
     rcm = RcmModel(reference_range_bin=30.0, linear=0.02, quadratic=2e-4, fit_rms=0.0)
     args = (raw, ref, rcm, -2e-3, 0.1)
     np.testing.assert_array_equal(with_workers(monkeypatch, workers, range_doppler, *args),

@@ -81,20 +81,22 @@ def _residual(W, R, Q, H):
                                             - Q[i:i + RESIDUAL_ROWS] @ H) ** 2 for i in rows)))
 
 
-def _float32_allowance(X, block):
-    """(total, rounding, zero) for complex64 X, M x N: a proven upper bound
-    on ||X||_F^2, the gate's allowance relative to it, and the singular
-    value at or below which a computed one cannot be told from zero.
+def _float32_allowance(X, norms, block):
+    """(total, rounding, zero) for complex64 X, M x N, from `norms`, the
+    float32 squared norms of its rows or columns: a proven upper bound on
+    ||X||_F^2, the gate's allowance relative to it, and the singular value
+    at or below which a computed one cannot be told from zero.
 
     With u = 2^-24 and eta = 2^-149 (float32's unit roundoff and least
     subnormal), gamma_k = k u / (1 - k u) and n = max(M, N), the inner length
     of a product (Higham, *Accuracy and Stability of Numerical Algorithms*,
     2002, ch. 3, in any summation order):
 
-    * total.  Each row's float32 sum of 2N squares is at least (1 - 2N u)
-      times its exact value, less 2N eta / 2 for underflow; the float64 sum
-      of the M rows loses at most (M - 1) 2^-53 <= u more, for M <= 2^29.
-      So ||X||_F^2 <= (sum + M N eta) / (1 - (2N + 1) u) = total.
+    * total.  Each float32 norm sums 2L squares, L = N for a row or M for
+      a column (its I and Q halves, then added), so it is at least (1 - 2L
+      u) times its exact value, less 2L eta / 2 for underflow; the float64
+      sum of the MN / L norms loses at most u more, for MN / L <= 2^29.
+      So ||X||_F^2 <= (sum + M N eta) / (1 - (2L + 1) u) = total.
     * the product.  Q is cast, |Q~ - Q| <= u |Q|, and W^ = fl(op(Q~)) has
       real and imaginary parts that are sums of 2n products, so W^ = op(Q)
       + E with |E| <= c |X| |Q| + sqrt(2) n eta elementwise, where c = u +
@@ -115,9 +117,8 @@ def _float32_allowance(X, block):
     """
     M, N = X.shape
     u, eta = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float32).smallest_subnormal)
-    parts = X.view(np.float32)
-    rows = np.einsum("ij,ij->i", parts, parts)  # float32, each a sum of 2N products
-    total = (float(np.sum(rows, dtype=np.float64)) + X.size * eta) / (1 - (2 * N + 1) * u)
+    L = X.size // norms.size
+    total = (float(np.sum(norms, dtype=np.float64)) + X.size * eta) / (1 - (2 * L + 1) * u)
     n = max(M, N)
     c = u + np.sqrt(2) * (2 * n * u / (1 - 2 * n * u)) * (1 + u)
     e = c * np.sqrt(block * total) + np.sqrt(2) * n * eta * np.sqrt(min(M, N) * block)
@@ -150,8 +151,11 @@ def leading_triplets(X, k, gate=None):
     below the gate returns the Ritz pairs of the block that proved it,
     unconverged, for the caller to refuse the scene.  ConvergenceError carries
     the last sweep's triplets after MAX_SWEEPS sweeps.  X is made C-contiguous
-    once, so that no product takes numpy's strided path; the start block is
-    always the same, and a `gate` is checked (`check_gate`) before it.
+    once, so that no product takes numpy's strided path; a `gate` is checked
+    (`check_gate`) first.  The squared norms of X's rows (columns if U
+    starts), one pass over X, sum to ||X||_F^2 and give the start block: the
+    strongest row, conjugated (column), of each of block - 1 equal strips,
+    and one fixed Gaussian column, which no singular vector is orthogonal to.
 
     complex64 X stays complex64: each product casts Q to it and takes its
     output back to complex128.  The tolerance is then float32's unit
@@ -171,10 +175,13 @@ def leading_triplets(X, k, gate=None):
     right_side = N <= M
     dim = N if right_side else M
     block = min(k + OVERSAMPLE, dim)
+    parts = X.view(np.float32 if X.dtype == np.complex64 else np.float64)
+    norms = np.einsum("ij,ij->i" if right_side else "ij,ij->j", parts, parts)  # one pass over X
+    norms = norms if right_side else norms[0::2] + norms[1::2]  # a column's I + Q
     if X.dtype == np.complex64:
-        total, rounding, zero = _float32_allowance(X, block)
+        total, rounding, zero = _float32_allowance(X, norms, block)
     else:
-        total, rounding, zero = float(np.vdot(X, X).real), ROUNDING, 0.0
+        total, rounding, zero = float(np.sum(norms)), ROUNDING, 0.0
     tol = max(TOL, float(np.finfo(X.dtype).eps) / 2)
     if not np.isfinite(total):
         raise ParameterError("matrix energy is not finite: NaN or Inf samples, or overflow")
@@ -191,8 +198,11 @@ def leading_triplets(X, k, gate=None):
     ops = (adjoint, forward)[::1 if right_side else -1]
     gated = gate is not None and block >= 2
 
+    edges = np.linspace(0, norms.size, block, dtype=int)
+    picks = [lo + int(np.argmax(norms[lo:hi])) for lo, hi in zip(edges[:-1], edges[1:])]
     rng = np.random.default_rng(0)
-    W = rng.standard_normal((dim, block)) + 1j * rng.standard_normal((dim, block))
+    W = np.column_stack([X[picks].conj().T if right_side else X[:, picks],
+                         rng.standard_normal(dim) + 1j * rng.standard_normal(dim)])
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
     stalled, bound, last = False, np.inf, None  # bound: on sigma1/sigma2, only with a gate
     Q = None

@@ -209,8 +209,8 @@ def blind_estimate(raw, svd=None):
     ratio = svd.dominance_ratio
     if ratio < DOMINANCE_GATE:
         raise UnsuitableSceneError(
-            f"Ritz ratio {ratio:.3f} after {svd.products} products over X below gate "
-            f"{DOMINANCE_GATE:.3f} (sigma1/sigma2 proven at most "
+            f"Ritz ratio {ratio:.3f} after {svd.products} product{'s' * (svd.products != 1)} "
+            f"over X below gate {DOMINANCE_GATE:.3f} (sigma1/sigma2 proven at most "
             f"{svd.ratio_bound:.3f}): scene lacks a strong point scatterer")
     u1 = svd.left_vectors[:, 0]
     v1 = svd.right_vectors[:, 0]

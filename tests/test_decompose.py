@@ -322,10 +322,10 @@ def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
     assert leading_triplets(clutter_sim, k=2).products > svd.products
 
 
-def test_clutter_scene_is_certified_at_its_second_product(clutter_sim, monkeypatch):
-    # the gate's bounds in the order computed: product 1's H = W^H W alone,
-    # then product 2's, on the other Gram operator, which refuses before the
-    # residual of product 1's block is needed: two products over X
+def test_clutter_scene_is_certified_at_its_first_product(clutter_sim, monkeypatch):
+    # the start block holds X's own strongest columns, so the bound from
+    # product 1's H = W^H W alone refuses the scene, before any residual is
+    # formed: one product over X
     calls, ratio_bound = [], decompose._ratio_bound
 
     def recorded(evals, total, residual=np.inf, rounding=decompose.ROUNDING):
@@ -334,8 +334,59 @@ def test_clutter_scene_is_certified_at_its_second_product(clutter_sim, monkeypat
 
     monkeypatch.setattr(decompose, "_ratio_bound", recorded)
     svd = leading_triplets(clutter_sim.astype(np.complex128), k=2, gate=GATE)
-    assert svd.products == 2 and [np.isfinite(r) for r, _ in calls] == [False, False]
-    assert calls[1][1] == svd.ratio_bound < GATE <= calls[0][1]
+    assert svd.products == 1 and len(calls) == 1 and not np.isfinite(calls[0][0])
+    assert calls[0][1] == svd.ratio_bound < GATE
+
+
+def strip_trap(rng):
+    """Wide 40 x 96: sigma1 = 10 on a target spread thin over three columns
+    in four, and on every fourth column a structure orthogonal to u1, of
+    singular values 2.5 to 3, one column each: every strip of the start
+    block holds a structure column, and it is the strip's strongest."""
+    M, N = 40, 96
+    basis, _ = np.linalg.qr(random_complex(rng, (M, M)))
+    structure = np.arange(0, N, 4)
+    v1 = np.exp(2j * np.pi * rng.random(N))
+    v1[structure] = 0.0
+    X = 10.0 * np.outer(basis[:, 0], v1.conj() / np.linalg.norm(v1))
+    X[:, structure] = basis[:, 1:structure.size + 1] * np.linspace(2.5, 3.0, structure.size)
+    return X
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@ORIENTATIONS
+def test_start_block_finds_a_target_its_strongest_columns_miss(transpose, dtype):
+    # a start block of X's strongest columns alone is orthogonal to u1 here,
+    # so it would stop at sigma1 = 3, not 10; its Gaussian column finds u1
+    for seed in range(3):
+        X = strip_trap(np.random.default_rng([29, seed]))
+        X = (X.T if transpose else X).astype(dtype)
+        s = np.linalg.svd(X.astype(np.complex128), compute_uv=False)
+        svd = leading_triplets(X, k=2, gate=GATE)
+        if svd.ratio_bound < GATE:  # refused: only on a bound at or above the dense ratio
+            assert svd.ratio_bound >= s[0] / s[1], seed
+        else:
+            assert svd.singular_values[0] == pytest.approx(s[0], rel=1e-6), seed
+
+
+def test_start_block_of_one_pick_and_the_gaussian_column():
+    # k = 1 on 2 x 3: block 2, one strip's strongest column and the Gaussian one
+    X = random_complex(np.random.default_rng(30), (2, 3))
+    svd = leading_triplets(X, k=1)
+    s = np.linalg.svd(X, compute_uv=False)
+    assert svd.singular_values[0] == pytest.approx(s[0], rel=1e-9)
+
+
+@ORIENTATIONS
+def test_matrix_zero_outside_one_strip(transpose):
+    # the other strips' strongest columns are zero, so the start block holds
+    # one column of X, the Gaussian one and what the QR makes of zero columns
+    X = np.zeros((40, 96), np.complex128)
+    X[:, 16:32] = random_complex(np.random.default_rng(31), (40, 16))  # strip 2 of 6
+    X = X.T if transpose else X
+    s = np.linalg.svd(X, compute_uv=False)
+    svd = leading_triplets(X, k=2)
+    np.testing.assert_allclose(svd.singular_values, s[:2], rtol=1e-8)
 
 
 def test_gate_leaves_an_accepted_decomposition_unchanged(default_sim):

@@ -290,7 +290,7 @@ def test_gate_refuses_noise_only():
         blind_estimate(noise)
 
 
-REFUSAL = re.compile(r"Ritz ratio (\S+) after (\d+) products over X below gate 3\.000 "
+REFUSAL = re.compile(r"Ritz ratio (\S+) after (\d+) products? over X below gate 3\.000 "
                      r"\(sigma1/sigma2 proven at most (\S+)\): ")
 
 

@@ -127,12 +127,6 @@ def _float32_allowance(X, norms, block):
     return total, ROUNDING + 4 * eps + 2 * eps * eps, e
 
 
-def check_gate(gate):
-    """Refuse a gate that cannot refuse: sigma1/sigma2 >= 1 passes any gate <= 1."""
-    if not (1.0 < gate < np.inf):
-        raise ParameterError(f"gate must be finite and > 1, got {gate}")
-
-
 def leading_triplets(X, k, gate=None):
     """Compute the k dominant singular triplets of X.
 
@@ -149,10 +143,9 @@ def leading_triplets(X, k, gate=None):
     product bounds sigma1/sigma2 (`_ratio_bound`) from H alone, then the
     previous block's from its residual, as W R = A Q_prev; the first bound
     below the gate returns the Ritz pairs of the block that proved it,
-    unconverged, for the caller to refuse the scene.  ConvergenceError carries
-    the last sweep's triplets after MAX_SWEEPS sweeps.  X is made C-contiguous
-    once, so that no product takes numpy's strided path; a `gate` is checked
-    (`check_gate`) first.  The squared norms of X's rows (columns if U
+    unconverged, for the caller to refuse the scene; MAX_SWEEPS sweeps raise
+    ConvergenceError.  X is made C-contiguous once, so that no product takes
+    numpy's strided path.  The squared norms of X's rows (columns if U
     starts), one pass over X, sum to ||X||_F^2 and give the start block: the
     strongest row, conjugated (column), of each of block - 1 equal strips,
     and one fixed Gaussian column, which no singular vector is orthogonal to.
@@ -165,8 +158,6 @@ def leading_triplets(X, k, gate=None):
     threshold come from ``_float32_allowance``.  Any other X is made
     complex128, where the casts do nothing and ROUNDING is the allowance.
     """
-    if gate is not None:
-        check_gate(gate)
     X = np.ascontiguousarray(as_complex_matrix(X))
     M, N = X.shape
     k = int(k)
@@ -204,7 +195,7 @@ def leading_triplets(X, k, gate=None):
     W = np.column_stack([X[picks].conj().T if right_side else X[:, picks],
                          rng.standard_normal(dim) + 1j * rng.standard_normal(dim)])
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
-    stalled, bound, last = False, np.inf, None  # bound: on sigma1/sigma2, only with a gate
+    bound, last = np.inf, None  # bound: on sigma1/sigma2, only with a gate
     Q = None
     for products in range(1, 2 * MAX_SWEEPS):
         del Q  # the last block's, before the QR: `last` keeps what the residual needs
@@ -233,7 +224,9 @@ def leading_triplets(X, k, gate=None):
         if gated:
             last = (Q.astype(X.dtype, copy=False), H, evals, evecs)
     else:
-        stalled = True
+        raise ConvergenceError(
+            f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps: "
+            f"last relative Ritz change max|dsigma|/sigma1 = {step / scale:.6g}")
 
     # Ritz vectors on the block's side, and their images X v or X^H u
     order = np.argsort(evals)[::-1][:k]
@@ -246,12 +239,5 @@ def leading_triplets(X, k, gate=None):
     basis[:, ~nonzero] = 0.0
     other[:, ~nonzero] = 0.0
     U, V = (other, basis) if starting == right_side else (basis, other)
-    result = TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
-                          products=products, ratio_bound=bound)
-    if stalled:
-        raise ConvergenceError(
-            f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps: "
-            f"last relative Ritz change max|dsigma|/sigma1 = {step / scale:.6g}",
-            last_iterate=result,
-        )
-    return result
+    return TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
+                        products=products, ratio_bound=bound)

@@ -43,14 +43,10 @@ class NoTargetError(ParameterError):
 
 
 class FormatError(BsarError):
-    """Malformed file on disk. `offset` is the first offending byte offset."""
+    """Malformed file on disk; for a BSAR file the message names the byte ("at byte N")."""
 
     exit_status = 3
     kind = "format"
-
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
 
 
 class UnsuitableSceneError(BsarError):
@@ -61,14 +57,10 @@ class UnsuitableSceneError(BsarError):
 
 
 class ConvergenceError(BsarError):
-    """Iterative decomposition failed to converge; carries the last iterate."""
+    """Iterative decomposition failed to converge within its sweep limit."""
 
     exit_status = 5
     kind = "convergence"
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
 
 
 class TrackingError(ConvergenceError):

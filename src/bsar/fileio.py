@@ -77,22 +77,20 @@ class MatrixReader:
         try:
             header = os.pread(self._fd, HEADER.size, 0)
             if len(header) < HEADER.size:
-                raise FormatError(f"truncated header ({len(header)} bytes)",
-                                  offset=len(header))
+                raise FormatError(f"truncated header at byte {len(header)}")
             magic, version, self.flags, m, n, reserved = HEADER.unpack(header)
             if magic != MAGIC:
-                raise FormatError(f"bad magic {magic!r}", offset=0)
+                raise FormatError(f"bad magic {magic!r} at byte 0")
             if version != VERSION:
-                raise FormatError(f"unsupported version {version}", offset=4)
+                raise FormatError(f"unsupported version {version} at byte 4")
             if m < 1 or n < 1:
-                raise FormatError(f"invalid dimensions {m}x{n}", offset=8)
+                raise FormatError(f"invalid dimensions {m}x{n} at byte 8")
             if reserved != bytes(16):
-                raise FormatError("nonzero reserved header bytes", offset=16)
+                raise FormatError("nonzero reserved header bytes at byte 16")
             size, end = os.fstat(self._fd).st_size, HEADER.size + m * n * 8
             if size != end:
                 problem = "truncated payload" if size < end else "trailing bytes"
-                raise FormatError(f"{problem}: {m}x{n} needs {end} bytes, file has {size}",
-                                  offset=min(size, end))
+                raise FormatError(f"{problem} at byte {min(size, end)}: {m}x{n} needs {end} bytes")
             if focused is not None and bool(self.flags & FLAG_FOCUSED) != focused:
                 raise ParameterError(f"{path}: raw data (flag bit 0 clear), not a focused image"
                                      if focused else
@@ -119,7 +117,7 @@ class MatrixReader:
         offset = HEADER.size + lo * self.shape[1] * 8
         got = os.preadv(self._fd, [block], offset)
         if got != block.nbytes:  # the file shrank after it was opened
-            raise FormatError(f"{self.path}: truncated payload at row {lo}", offset=offset + got)
+            raise FormatError(f"{self.path}: truncated payload at byte {offset + got}, in row {lo}")
         if not np.isfinite(block.view("<f4")).all():  # I and Q as float32: cheaper than complex
             row, col = np.argwhere(~np.isfinite(block))[0]
             raise SampleError(f"{self.path}: non-finite sample at row {lo + row}, column {col}")

@@ -211,11 +211,26 @@ def oversample_window(window, factor):
 def whole_window_point_target(image, approx_position, window=64, factor=16):
     """Point-target report read from the whole oversampled window: the fine
     peak is the maximum of the full 2-D grid, and the cuts are its row and
-    column through that peak."""
+    column through that peak.  Before it is oversampled, the window's
+    spectrum is centred on each axis at its mean frequency, the phase of
+    sum_f P(f) exp(2 pi i f / N) over that axis's power spectrum P, taken on
+    N = twice the window, so that the sum is the aperiodic lag-one
+    correlation (Wiener-Khinchin) of the window's samples.  The sum is taken
+    in extended precision (where numpy's long double is wider than float64):
+    on a full-band target it nearly cancels, and its float64 rounding alone
+    moved a sinc target's report by 1.2e-12 relatively."""
     x = np.asarray(getattr(image, "image", image), dtype=np.complex128)
     r, c = (int(round(p)) for p in approx_position)
     half = window // 2
-    fine = oversample_window(x[r - half:r + half, c - half:c + half], factor)
+    w = x[r - half:r + half, c - half:c + half]
+    power = np.abs(np.fft.fft2(w.astype(np.clongdouble), s=(2 * window, 2 * window))) ** 2
+    for axis, size in enumerate(w.shape):
+        spectrum = power.sum(axis=1 - axis)
+        lags = np.exp(1j * np.pi * np.arange(2 * size, dtype=np.longdouble) / size)
+        mean = np.angle(np.sum(spectrum * lags))
+        ramp = np.exp(-1j * mean * np.arange(size, dtype=np.longdouble)).astype(np.complex128)
+        w = w * ramp.reshape((size, 1) if axis == 0 else (1, size))
+    fine = oversample_window(w, factor)
     fmag = np.abs(fine)
     pr, pc = np.unravel_index(np.argmax(fmag), fmag.shape)
     irw_az, pslr_az, islr_az = cut_metrics(fine[:, pc], pr, factor)

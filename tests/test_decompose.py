@@ -119,19 +119,6 @@ def test_parameter_validation():
         leading_triplets(X, k=5)
 
 
-@pytest.mark.parametrize("gate", [np.nan, np.inf, 1.0, 0.5], ids=["nan", "inf", "1", "0.5"])
-def test_gate_that_cannot_refuse_is_refused_before_any_product(monkeypatch, gate):
-    # sigma1/sigma2 >= 1 passes any gate <= 1; unchecked, nan would act as no
-    # gate and inf as a refusal proven at the first product
-    def no_product(*args, **kwargs):
-        raise AssertionError("a product over X was formed")
-
-    monkeypatch.setattr(np.linalg, "qr", no_product)  # every product follows a QR
-    X = random_complex(np.random.default_rng(19), (40, 60))
-    with pytest.raises(ParameterError, match="gate must be finite and > 1"):
-        leading_triplets(X, k=2, gate=gate)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 def test_non_finite_matrix_rejected(bad):
     # 1e200 is finite, but its squared modulus overflows the energy sum
@@ -159,26 +146,25 @@ def test_sweep_limit_raises_with_last_sweep(monkeypatch):
     monkeypatch.setattr(decompose, "MAX_SWEEPS", 1)
     X = random_complex(np.random.default_rng(18), (30, 20))
     # one sweep has no predecessor, so no Ritz change to report
-    with pytest.raises(ConvergenceError, match=r"within 1 sweeps: .* change .* = nan") as info:
+    with pytest.raises(ConvergenceError, match=r"within 1 sweeps: .* change .* = nan"):
         leading_triplets(X, k=3)
-    last = info.value.last_iterate
-    assert last.singular_values.shape == (3,)
-    assert last.left_vectors.shape == (30, 3) and last.right_vectors.shape == (20, 3)
-    assert np.all(np.diff(last.singular_values) <= 0) and last.singular_values[-1] > 0
-    # the Ritz vectors of that one sweep (right side: 20 <= 30) are orthonormal
-    V = last.right_vectors
-    assert np.max(np.abs(V.conj().T @ V - np.eye(3))) < 1e-10
     # after more sweeps the message carries their count and the last change
-    # max|dsigma|/sigma1, here between the runs' sweeps 2 and 3
-    sigmas, messages = [], []
-    for sweeps in (2, 3):
-        monkeypatch.setattr(decompose, "MAX_SWEEPS", sweeps)
-        with pytest.raises(ConvergenceError, match=f"within {sweeps} sweeps") as info:
-            leading_triplets(X, k=3)
-        sigmas.append(info.value.last_iterate.singular_values)
-        messages.append(str(info.value))
-    change = float(re.search(r"max\|dsigma\|/sigma1 = (\S+)$", messages[1]).group(1))
-    expected = np.max(np.abs(sigmas[1] - sigmas[0])) / sigmas[1][0]
+    # max|dsigma|/sigma1, here between sweeps 2 and 3: the Ritz values of
+    # products 3 and 5 (a sweep ends on each odd product), as eigh gave them
+    ritz, eigh = [], np.linalg.eigh
+
+    def spy(H):
+        evals, evecs = eigh(H)
+        ritz.append(np.sqrt(np.sort(evals)[::-1][:3]))
+        return evals, evecs
+
+    monkeypatch.setattr(decompose, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    with pytest.raises(ConvergenceError, match="within 3 sweeps") as info:
+        leading_triplets(X, k=3)
+    assert len(ritz) == 5  # one eigh per product, ungated
+    change = float(re.search(r"max\|dsigma\|/sigma1 = (\S+)$", str(info.value)).group(1))
+    expected = np.max(np.abs(ritz[4] - ritz[2])) / ritz[4][0]
     assert 0 < change == pytest.approx(expected, rel=1e-5)
 
 

@@ -24,7 +24,6 @@ OVERSAMPLE = 5
 MAX_SWEEPS = 5000
 TOL = 1e-9  # relative sweep-to-sweep change that declares convergence, at least X's unit roundoff
 ROUNDING = 1e-12  # float64 allowance, relative to ||X||_F^2, on each bound of the gate certificate
-RESIDUAL_ROWS = 256  # rows of the gate's residual formed at a time
 
 
 @dataclass
@@ -52,33 +51,20 @@ class TruncatedSVD:
         return float(s1 / s2) if s2 > 0 else float("inf")
 
 
-def _ratio_bound(evals, total, residual=np.inf, rounding=ROUNDING):
+def _ratio_bound(evals, total, rounding=ROUNDING):
     """Proven upper bound on sigma1/sigma2 from the ascending eigenvalues of
-    H = Q^H A Q, A the Gram operator and Q an orthonormal block (Parlett,
-    1998): sigma2^2 >= theta2 by Cauchy interlacing, and sigma1^2 <=
-    lambda_max([[theta1, beta], [beta, tau]]), where the PSD block Q_perp^H A
-    Q_perp has trace tau = trace A - trace H and beta bounds Q_perp^H A Q by
-    the residual ||A Q - Q H||_F, when A Q is at hand, and by sqrt(theta1 *
-    tau), as A is PSD; that term alone gives sigma1^2 <= theta1 + tau.  Each
-    term moves by `rounding` * trace A to its loose side: ROUNDING for
-    float64 products, more for float32 ones (``_float32_allowance``).  A
-    may be X^H X or X X^H: both have trace ||X||_F^2 and eigenvalues
-    sigma_i^2, the larger one padded with zeros, so both bounds hold on
-    either side."""
+    H = Q^H A Q, A the Gram operator and Q an orthonormal block:
+    sigma2^2 >= theta2 by Cauchy interlacing, and sigma1^2 <= theta1 + tau,
+    where the PSD block Q_perp^H A Q_perp, the energy Q misses, has trace
+    tau = trace A - trace H.  Each term moves by `rounding` * trace A to its
+    loose side: ROUNDING for float64 products, more for float32 ones
+    (``_float32_allowance``).  A may be X^H X or X X^H: both have trace
+    ||X||_F^2 and eigenvalues sigma_i^2, the larger one padded with zeros,
+    so both bounds hold on either side."""
     slack = rounding * total
     theta1, theta2 = evals[-1] + slack, evals[-2] - slack
     tau = total - float(np.sum(evals)) + slack
-    beta = min(residual + slack, np.sqrt(theta1 * tau))
-    top = 0.5 * (theta1 + tau) + np.hypot(0.5 * (theta1 - tau), beta)
-    return float(np.sqrt(top / theta2)) if theta2 > 0 else np.inf
-
-
-def _residual(W, R, Q, H):
-    """||W R - Q H||_F, RESIDUAL_ROWS rows at a time, so that no temporary
-    the size of the block is made."""
-    rows = range(0, W.shape[0], RESIDUAL_ROWS)
-    return float(np.sqrt(sum(np.linalg.norm(W[i:i + RESIDUAL_ROWS] @ R
-                                            - Q[i:i + RESIDUAL_ROWS] @ H) ** 2 for i in rows)))
+    return float(np.sqrt((theta1 + tau) / theta2)) if theta2 > 0 else np.inf
 
 
 def _float32_allowance(X, norms, block):
@@ -107,13 +93,10 @@ def _float32_allowance(X, norms, block):
       ||H^ - H||_2 and |trace(H^ - H)| are both <= (2 eps + eps^2) total,
       as ||X Q|| <= ||X||_F: that bounds the move of theta1, theta2
       (Weyl) and tau.
-    * the residual.  W^ R - Q_prev H^_prev differs from A Q_prev - Q_prev
-      H_prev by op(E_prev) + E R - Q_prev (H^_prev - H_prev), with ||R|| =
-      ||W^_prev|| <= ||X||_F + e: at most (4 eps + 2 eps^2) total.
 
-    rounding = ROUNDING + 4 eps + 2 eps^2 covers each of them (ROUNDING for
-    the float64 algebra), and a computed singular value moves by at most
-    ||E||_2 <= e from that of X Q, so zero = e.
+    rounding = ROUNDING + 4 eps + 2 eps^2 covers that move twice over
+    (ROUNDING for the float64 algebra), and a computed singular value moves
+    by at most ||E||_2 <= e from that of X Q, so zero = e.
     """
     M, N = X.shape
     u, eta = float(np.finfo(np.float32).eps) / 2, float(np.finfo(np.float32).smallest_subnormal)
@@ -140,9 +123,8 @@ def leading_triplets(X, k, gate=None):
     Ritz values, not the vectors: those are only as converged as the values'
     move allows, and the side not iterated on satisfies X v = sigma u (or
     X^H u = sigma v) only to about the square root of it.  With a `gate`, each
-    product bounds sigma1/sigma2 (`_ratio_bound`) from H alone, then the
-    previous block's from its residual, as W R = A Q_prev; the first bound
-    below the gate returns the Ritz pairs of the block that proved it,
+    product bounds sigma1/sigma2 (`_ratio_bound`) from its H alone; the
+    first bound below the gate returns that product's Ritz pairs,
     unconverged, for the caller to refuse the scene; MAX_SWEEPS sweeps raise
     ConvergenceError.  X is made C-contiguous once, so that no product takes
     numpy's strided path.  The squared norms of X's rows (columns if U
@@ -195,23 +177,17 @@ def leading_triplets(X, k, gate=None):
     W = np.column_stack([X[picks].conj().T if right_side else X[:, picks],
                          rng.standard_normal(dim) + 1j * rng.standard_normal(dim)])
     prev, step = None, float("nan")  # step: the last sweep's max |change| in sigma
-    bound, last = np.inf, None  # bound: on sigma1/sigma2, only with a gate
+    bound = np.inf  # on sigma1/sigma2, only with a gate
     Q = None
     for products in range(1, 2 * MAX_SWEEPS):
-        del Q  # the last block's, before the QR: `last` keeps what the residual needs
-        Q, R = np.linalg.qr(W)
+        del Q  # the last block's, before the QR
+        Q, _ = np.linalg.qr(W)
         del W  # the last product is Q R from here on
         W = ops[products % 2](Q)
         H = W.conj().T @ W  # Q^H A Q, of which eigh reads one triangle
         evals, evecs = np.linalg.eigh(H)
-        starting = products % 2 == 1  # is the block on the starting side?
         if gated:
-            bound = min(bound, _ratio_bound(evals, total, rounding=rounding))
-            if bound >= gate and last is not None:
-                residual = _residual(W, R, *last[:2])
-                bound = min(bound, _ratio_bound(last[2], total, residual, rounding))
-                if bound < gate:  # proven on the previous block, whose product is Q R
-                    starting, W, (Q, _, evals, evecs) = not starting, Q @ R, last
+            bound = min(bound, _ratio_bound(evals, total, rounding))
             if bound < gate:
                 break  # refusal proven: the Ritz pairs that prove it are returned unconverged
         if products % 2:  # back on the starting side: a sweep ends
@@ -221,8 +197,6 @@ def leading_triplets(X, k, gate=None):
             if step <= tol * scale:
                 break
             prev = sigma
-        if gated:
-            last = (Q.astype(X.dtype, copy=False), H, evals, evecs)
     else:
         raise ConvergenceError(
             f"singular values did not stabilize to {tol} within {MAX_SWEEPS} sweeps: "
@@ -238,6 +212,7 @@ def leading_triplets(X, k, gate=None):
     sigma = np.where(nonzero, sigma, 0.0)
     basis[:, ~nonzero] = 0.0
     other[:, ~nonzero] = 0.0
+    starting = products % 2 == 1  # is the block on the starting side?
     U, V = (other, basis) if starting == right_side else (basis, other)
     return TruncatedSVD(singular_values=sigma, left_vectors=U, right_vectors=V,
                         products=products, ratio_bound=bound)

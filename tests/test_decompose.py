@@ -214,7 +214,9 @@ def test_gate_certificate_is_sound(shape, seed):
                     if svd.ratio_bound < GATE:
                         certified += 1
                         assert side < 0, (tail, level, decay)
-    assert certified >= 16  # the bound is tight enough to decide most planted cases
+    # the Ritz values alone decide 8 of the 18 planted below the gate in each
+    # case; a scene they cannot decide is refused once its Ritz ratio converges
+    assert certified >= 8
 
 
 @pytest.mark.parametrize("tilted", ["first", "all"])
@@ -229,7 +231,7 @@ def test_ratio_bound_holds_for_any_orthonormal_block(tilted):
         U, _ = np.linalg.qr(random_complex(rng, (24, 24)))
         V, _ = np.linalg.qr(random_complex(rng, (40, 40)))
         X = (U[:, :s.size] * s) @ V[:, :s.size].conj().T
-        for B, A, op in ((U, X @ X.conj().T, X.conj().T), (V, X.conj().T @ X, X)):
+        for B, op in ((U, X.conj().T), (V, X)):
             for eps in (1e-3, 1e-2, 0.1, 0.5):
                 tilt = eps * random_complex(rng, (B.shape[0], 7))
                 if tilted == "first":
@@ -238,15 +240,9 @@ def test_ratio_bound_holds_for_any_orthonormal_block(tilted):
                 W = op @ Q
                 H = W.conj().T @ W
                 evals, total = np.linalg.eigvalsh(H), float(np.sum(s**2))
-                # from H alone, as after any product, and with the residual
-                # of A Q, formed directly and as the next product forms it:
-                # Q' R = W, and A Q = (op^H Q') R
+                # from H alone, as after any product
                 alone = decompose._ratio_bound(evals, total)
-                Q_next, R = np.linalg.qr(W)
-                for Y in (A @ Q, (op.conj().T @ Q_next) @ R):
-                    with_residual = decompose._ratio_bound(evals, total,
-                                                           np.linalg.norm(Y - Q @ H))
-                    assert alone >= with_residual >= s[0] / s[1], (seed, eps, B.shape)
+                assert alone >= s[0] / s[1], (seed, eps, B.shape)
 
 
 @pytest.mark.parametrize("n", [2, 16])
@@ -261,9 +257,9 @@ def test_gate_certificate_never_fires_on_the_gate(n):
 @pytest.mark.parametrize("shape", [(70, 120), (120, 70)], ids=["wide", "tall"])
 def test_gate_certificate_holds_on_complex64(monkeypatch, shape):
     # sigma1/sigma2 from 2.7 to 3.3 over short and long tails, planted in
-    # float64 and stored as complex64: every bound any product computes, on
-    # its own block or the previous one, must sit at or above the float64
-    # ratio of the stored values, so no matrix at or above the gate is refused
+    # float64 and stored as complex64: every bound any product computes from
+    # its own block must sit at or above the float64 ratio of the stored
+    # values, so no matrix at or above the gate is refused
     bounds, ratio_bound = [], decompose._ratio_bound
 
     def recorded(*args, **kwargs):
@@ -282,7 +278,7 @@ def test_gate_certificate_holds_on_complex64(monkeypatch, shape):
             assert min(bounds) == svd.ratio_bound >= s[0] / s[1], (ratio, tail)
             if s[0] / s[1] < GATE:
                 refused += svd.ratio_bound < GATE
-    assert refused >= 15  # most below the gate are refused: 18 of 19 (wide) and of 21 (tall)
+    assert refused >= 13  # most below the gate are refused: 13 of 19 (wide) and of 21 (tall)
 
 
 @ORIENTATIONS
@@ -310,18 +306,17 @@ def test_clutter_scene_is_certified_within_three_sweeps(clutter_sim):
 
 def test_clutter_scene_is_certified_at_its_first_product(clutter_sim, monkeypatch):
     # the start block holds X's own strongest columns, so the bound from
-    # product 1's H = W^H W alone refuses the scene, before any residual is
-    # formed: one product over X
+    # product 1's H = W^H W refuses the scene: one product over X
     calls, ratio_bound = [], decompose._ratio_bound
 
-    def recorded(evals, total, residual=np.inf, rounding=decompose.ROUNDING):
-        calls.append((residual, ratio_bound(evals, total, residual, rounding)))
-        return calls[-1][1]
+    def recorded(evals, total, rounding):
+        calls.append(ratio_bound(evals, total, rounding))
+        return calls[-1]
 
     monkeypatch.setattr(decompose, "_ratio_bound", recorded)
     svd = leading_triplets(clutter_sim.astype(np.complex128), k=2, gate=GATE)
-    assert svd.products == 1 and len(calls) == 1 and not np.isfinite(calls[0][0])
-    assert calls[0][1] == svd.ratio_bound < GATE
+    assert svd.products == 1 and len(calls) == 1
+    assert calls[0] == svd.ratio_bound < GATE
 
 
 def strip_trap(rng):
